@@ -95,6 +95,19 @@ def _map_binary_labels(y):
     return y, False
 
 
+def _require_finite(X, y, row_label, col_label):
+    """Reject nan/inf cells, naming the first offending row and column; the
+    labels are functions of the row and column index."""
+    ok = np.isfinite(y) & np.isfinite(X).all(axis=1)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    if not np.isfinite(y[i]):
+        raise ValueError(f"{row_label(i)}: non-finite target {float(y[i])!r}")
+    j = int(np.argmin(np.isfinite(X[i])))
+    raise ValueError(f"{row_label(i)}: non-finite value {float(X[i, j])!r} in {col_label(j)}")
+
+
 def parse_libsvm(stream, task="classification", name=""):
     """Parse the sparse `label idx:val ...` text format (1-based indices).
 
@@ -103,6 +116,7 @@ def parse_libsvm(stream, task="classification", name=""):
     """
     labels = []
     rows = []
+    linenos = []
     max_idx = 0
     for lineno, line in enumerate(_lines(stream), start=1):
         line = line.strip()
@@ -130,12 +144,14 @@ def parse_libsvm(stream, task="classification", name=""):
         max_idx = max(max_idx, prev_idx)
         labels.append(label)
         rows.append(feats)
+        linenos.append(lineno)
 
     X = np.zeros((len(rows), max_idx))
     for i, feats in enumerate(rows):
         for j, v in feats:
             X[i, j] = v
     y = np.array(labels, dtype=np.float64)
+    _require_finite(X, y, lambda i: f"line {linenos[i]}", lambda j: f"feature {j + 1}")
     if task == "classification":
         y, _ = _map_binary_labels(y)
     return Dataset(X=X, y=y, task=task, name=name)
@@ -167,6 +183,7 @@ def parse_csv(stream, target_column, task, name=""):
     tgt = header.index(target_column)
 
     raw = []
+    rownos = []
     for rowno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -174,6 +191,7 @@ def parse_csv(stream, target_column, task, name=""):
             raise ValueError(
                 f"row {rowno}: expected {len(header)} fields, got {len(row)}")
         raw.append([v.strip() for v in row])
+        rownos.append(rowno)
     if not raw:
         raise ValueError("CSV has a header but no data rows")
 
@@ -205,6 +223,7 @@ def parse_csv(stream, target_column, task, name=""):
                 names.append(f"{col_name}={c}")
 
     X = np.column_stack(cols) if cols else np.zeros((len(raw), 0))
+    _require_finite(X, y, lambda i: f"row {rownos[i]}", lambda j: f"column {names[j]!r}")
     if task == "classification":
         y, _ = _map_binary_labels(y)
     return Dataset(X=X, y=y, task=task, name=name, feature_names=tuple(names))

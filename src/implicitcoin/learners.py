@@ -6,6 +6,10 @@ one loss value and one subgradient, scale the subgradient by h in [0, 1]
 then update the betting fraction and the wealth multiplicatively. The h=1
 candidate is always tried first; corner rounds solve the implicit equation
 loss + <g, w_next(h) - w> = 0, whose solution lands w_next on the corner.
+ImplicitCoin solves it in closed form. The other two variants narrow the
+sign change on [0, 1] with Illinois steps and finish it by bisection to float
+resolution; the coordinate-wise residual is a precomputed rational function
+of h, so each evaluation costs a handful of array operations.
 """
 
 import math
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootsolve
-from .truncated import make_pair
 
 PROJECTED = "projected"        # explicit projection of the betting fraction
 CLOSED_FORM = "closed-form"    # shrink-branch update, corner h from a cubic
@@ -27,8 +30,11 @@ BETA_RADIUS = 0.5
 
 GRAD_NORM_SLACK = 1e-9       # accepted float excess over the unit-norm bound
 CORNER_RESIDUAL_BAND = 1e-8  # |residual| accepted at a solved corner
-# Corner bisection runs the bracket down to float resolution; the trajectory
-# must match the closed-form variant to ~1e-12 in one dimension.
+# Corner solves narrow the bracket [0, 1] to CORNER_NARROW_WIDTH with
+# Illinois steps, then bisect it to CORNER_BRACKET_TOL, which is below float
+# resolution on [0, 1]: the trajectory must match the closed-form variant to
+# ~1e-12 in one dimension, and h matches a full-bracket bisection to ~1e-12.
+CORNER_NARROW_WIDTH = 1e-12
 CORNER_BRACKET_TOL = 1e-18
 
 
@@ -46,6 +52,24 @@ class StepTrace:
     beta_next: np.ndarray
     wealth_before: float
     wealth_after: float
+
+
+def _checked_loss(loss_value):
+    loss_value = float(loss_value)
+    if not 0.0 <= loss_value < math.inf:  # also rejects nan
+        raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
+    return loss_value
+
+
+def solve_corner(residual, f0, f1):
+    """Corner h in (0, 1) from residual(0) = f0 >= 0 > residual(1) = f1.
+
+    Illinois steps narrow [0, 1]; one bisection call finishes the bracket to
+    float resolution, with its step bound as the safeguard. An exact root at
+    the narrowed lo (a zero loss, say) comes back from that call unchanged.
+    """
+    lo, hi = rootsolve.narrow_bracket(residual, 0.0, 1.0, f0, f1, CORNER_NARROW_WIDTH)
+    return rootsolve.bisect(residual, lo, hi, CORNER_BRACKET_TOL)
 
 
 def wealth_update(wealth, beta, pair, beta_next):
@@ -78,14 +102,12 @@ class _SharedWealthCoin:
         return self.beta * self.wealth
 
     def step(self, loss_value, g, ex=None):
-        loss_value = float(loss_value)
-        if loss_value < 0.0:
-            raise ValueError(f"loss value must be >= 0, got {loss_value}")
+        loss_value = _checked_loss(loss_value)
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm = float(np.linalg.norm(g))
-        if nrm > 1.0 + GRAD_NORM_SLACK:
+        nrm = math.sqrt(float(g @ g))
+        if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
             g = g / nrm
@@ -101,20 +123,28 @@ class _SharedWealthCoin:
         s = float(g @ self.beta)
         bb = float(self.beta @ self.beta)
         eta = 1.0 / self.inv_eta
-        a = s * self.wealth - loss_value          # <g, w> - loss
-        b = self.wealth * (1.0 - s)
+        wealth = self.wealth
 
-        def residual(h):
-            q = self._gdot_next(h, nrm, gg, s, bb, eta)
-            return -a + q * b / (1.0 + (h - 1.0) * q)
-
+        # With q = <g, beta_next(h)> = s + dq, <g, w_next(h) - w> equals
+        # W * (dq - h q s) / (1 + (h-1) q): no <g, w> term to cancel, so the
+        # float noise of the residual scales with the loss, not with the bet.
+        # At h = 1 the denominator is exactly 1.
         h = 1.0
-        if residual(1.0) < 0.0:
-            h = self._corner_h(residual, nrm, gg, s, bb, eta, a, b)
+        dq = self._gdot_change(1.0, nrm, gg, s, bb, eta)
+        f1 = loss_value + wealth * (dq - (s + dq) * s)
+        if f1 < 0.0:
+            def residual(h):
+                dq = self._gdot_change(h, nrm, gg, s, bb, eta)
+                q = s + dq
+                return loss_value + wealth * (dq - h * q * s) / (1.0 + (h - 1.0) * q)
+
+            h = self._corner_h(residual, loss_value, f1, nrm, gg, s, bb, eta)
 
         beta_next = self._beta_next(h, g, nrm, gg, bb, eta)
-        pair = make_pair(g, h)
-        wealth_next = wealth_update(self.wealth, self.beta, pair, beta_next)
+        # wealth_update from the scalars in hand; a full round has den = 1
+        wealth_next = wealth * (1.0 - s)
+        if h != 1.0:
+            wealth_next /= 1.0 + (h - 1.0) * float(g @ beta_next)
         w_next = beta_next * wealth_next
 
         beta_prev, wealth_prev = self.beta, self.wealth
@@ -131,18 +161,14 @@ class _SharedWealthCoin:
                 wealth_before=wealth_prev, wealth_after=self.wealth))
         return w_next
 
-    def _bisect_corner(self, residual):
-        # residual(0) = loss >= 0 and residual(1) < 0, so a sign change (or an
-        # exact endpoint root when the loss is zero) is guaranteed.
-        return rootsolve.bisect(residual, 0.0, 1.0, CORNER_BRACKET_TOL)
-
     def _initial_inv_eta(self):
         raise NotImplementedError
 
-    def _corner_h(self, residual, nrm, gg, s, bb, eta, a, b):
+    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
         raise NotImplementedError
 
-    def _gdot_next(self, h, nrm, gg, s, bb, eta):
+    def _gdot_change(self, h, nrm, gg, s, bb, eta):
+        """<g, beta_next(h)> - <g, beta>."""
         raise NotImplementedError
 
     def _beta_next(self, h, g, nrm, gg, bb, eta):
@@ -167,20 +193,22 @@ class ProjectedImplicitCoin(_SharedWealthCoin):
     def _beta_next(self, h, g, nrm, gg, bb, eta):
         k = gg * h * (2.0 - h)
         raw = self.beta - eta * (h * g + (2.0 * k) * self.beta)
-        scale = max(1.0, 2.0 * float(np.linalg.norm(raw)))
+        scale = max(1.0, 2.0 * math.sqrt(float(raw @ raw)))
         return raw / scale
 
-    def _gdot_next(self, h, nrm, gg, s, bb, eta):
+    def _gdot_change(self, h, nrm, gg, s, bb, eta):
         # scalar replay of _beta_next: <g, .> and the projection factor only
         k = gg * h * (2.0 - h)
-        dot_raw = s - eta * (h * gg + 2.0 * k * s)
+        step = -eta * (h * gg + 2.0 * k * s)
         raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
                   + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
-        scale = max(1.0, 2.0 * math.sqrt(max(raw_sq, 0.0)))
-        return dot_raw / scale
+        scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
+        if scale <= 1.0:
+            return step
+        return (s + step) / scale - s
 
-    def _corner_h(self, residual, nrm, gg, s, bb, eta, a, b):
-        return self._bisect_corner(residual)
+    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
+        return solve_corner(residual, f0, f1)
 
     def _inv_eta_increment(self, h, nrm, gg, bb):
         return 2.0 * gg * h * (2.0 - h)
@@ -204,18 +232,20 @@ class ImplicitCoin(_SharedWealthCoin):
             return self.beta - eta * (h * g + (2.0 * k) * self.beta)
         return self.beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
 
-    def _gdot_next(self, h, nrm, gg, s, bb, eta):
+    def _gdot_change(self, h, nrm, gg, s, bb, eta):
         if bb < self._SMALL_SQ:
             k = gg * h * (2.0 - h)
-            return s - eta * (h * gg + 2.0 * k * s)
-        return s * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
+            return -eta * (h * gg + 2.0 * k * s)
+        return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
 
     def _inv_eta_increment(self, h, nrm, gg, bb):
         if bb < self._SMALL_SQ:
             return 2.0 * gg * h * (2.0 - h)
         return 2.0 * SHRINK_GAIN * h * nrm
 
-    def _corner_h(self, residual, nrm, gg, s, bb, eta, a, b):
+    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
+        a = s * self.wealth - f0          # <g, w> - loss
+        b = self.wealth * (1.0 - s)
         if bb < self._SMALL_SQ:
             e = eta * gg
             d = 2.0 * eta * gg * s
@@ -235,7 +265,7 @@ class ImplicitCoin(_SharedWealthCoin):
                 best = r  # roots come back ascending; keep the largest that lands
         if best is None:
             self.corner_fallbacks += 1
-            return self._bisect_corner(residual)
+            return solve_corner(residual, f0, f1)
         return best
 
 
@@ -260,14 +290,12 @@ class CoordinateImplicitCoin:
         return self.beta * self.wealth
 
     def step(self, loss_value, g, ex=None):
-        loss_value = float(loss_value)
-        if loss_value < 0.0:
-            raise ValueError(f"loss value must be >= 0, got {loss_value}")
+        loss_value = _checked_loss(loss_value)
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        ninf = float(np.max(np.abs(g))) if self.dim else 0.0
-        if ninf > 1.0 + GRAD_NORM_SLACK:
+        ninf = float(np.abs(g).max()) if self.dim else 0.0
+        if not ninf <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient max entry {ninf} exceeds the unit bound")
         if ninf > 1.0:
             g = g / ninf
@@ -282,27 +310,33 @@ class CoordinateImplicitCoin:
         eta = 1.0 / self.inv_eta
         gsq = g * g
         gabs = np.abs(g)
-        gain = 1.0 - g * self.beta
+        gb = g * self.beta
+        gain = 1.0 - gb
 
-        def beta_next_at(h):
-            k = gsq * (h * (2.0 - h))
-            stepped = self.beta - eta * (h * g + 2.0 * k * self.beta)
-            shrunk = self.beta * (1.0 - 2.0 * SHRINK_GAIN * h * eta * gabs)
-            return np.where(small, stepped, shrunk)
-
-        def wealth_next_at(h, beta_next):
-            return self.wealth * gain / (1.0 + (h - 1.0) * g * beta_next)
+        # On both branches g * beta_next(h) = p = gb + h * d with d = gA + h * gB.
+        # Then g * (w_next - w) = W * h * (d - p * gb) / (1 + (h-1) p), so the
+        # residual carries no <g, w> term and is exact at h = 0: its float noise
+        # scales with the loss, not with the bet.
+        egb = (2.0 * eta) * gsq * gb
+        gA = np.where(small, -eta * gsq - 2.0 * egb, (-2.0 * SHRINK_GAIN) * eta * gabs * gb)
+        gB = np.where(small, egb, 0.0)
+        wealth = self.wealth
 
         def residual(h):
-            bn = beta_next_at(h)
-            return loss_value + float(g @ (bn * wealth_next_at(h, bn) - w))
+            d = gA + h * gB
+            p = gb + h * d
+            return loss_value + h * float(wealth @ ((d - p * gb) / (1.0 + (h - 1.0) * p)))
 
         h = 1.0
-        if residual(1.0) < 0.0:
-            h = rootsolve.bisect(residual, 0.0, 1.0, CORNER_BRACKET_TOL)
+        f1 = residual(1.0)
+        if f1 < 0.0:
+            h = solve_corner(residual, loss_value, f1)
 
-        beta_next = beta_next_at(h)
-        wealth_next = wealth_next_at(h, beta_next)
+        k = gsq * (h * (2.0 - h))
+        stepped = self.beta - eta * (h * g + 2.0 * k * self.beta)
+        shrunk = self.beta * (1.0 - 2.0 * SHRINK_GAIN * h * eta * gabs)
+        beta_next = np.where(small, stepped, shrunk)
+        wealth_next = self.wealth * gain / (1.0 + (h - 1.0) * g * beta_next)
         w_next = beta_next * wealth_next
 
         beta_prev, wealth_prev = self.beta, self.wealth

@@ -1,10 +1,14 @@
-"""Scalar root finding: closed-form solvers up to degree 3 and guarded bisection."""
+"""Scalar root finding: closed-form solvers up to degree 3, Illinois bracket
+narrowing and guarded bisection."""
 
 import math
 
 # Leading coefficients below this fraction of the largest coefficient are
 # treated as zero and the solver falls through to the next lower degree.
 LEADING_COEFF_TOL = 1e-14
+# Evaluation cap of narrow_bracket: bisection halves [0, 1] to 1e-12 in 40,
+# so a narrowing that needs more has met a function it cannot speed up.
+NARROW_MAX_EVALS = 64
 
 
 def horner(coeffs, x):
@@ -104,6 +108,44 @@ def roots_in_unit(coeffs, lo: float, hi: float):
         if not out or r - out[-1] > 1e-12 * max(1.0, abs(r)):
             out.append(r)
     return out
+
+
+def narrow_bracket(f, lo: float, hi: float, flo: float, fhi: float, width: float):
+    """Shrink a bracket with f(lo) >= 0 > f(hi) by Illinois steps.
+
+    Regula falsi where an endpoint kept twice in a row has its stored value
+    halved (Dowell & Jarratt 1971), so both ends converge. flo and fhi are
+    the known endpoint values. A point with f >= 0 replaces lo, any other
+    replaces hi, so the sign change is kept. Stops once hi - lo <= width,
+    after NARROW_MAX_EVALS evaluations, or when an exact zero has moved lo;
+    the bracket is returned, never a root, and `bisect` finishes it.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not flo >= 0.0 > fhi:
+        raise ValueError(f"need f(lo) >= 0 > f(hi) on [{lo}, {hi}]: "
+                         f"f(lo)={flo!r}, f(hi)={fhi!r}")
+    kept = 0  # +1: lo kept by the last step, -1: hi kept
+    for _ in range(NARROW_MAX_EVALS):
+        if hi - lo <= width or flo == 0.0:
+            break
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # interval at float resolution
+        fx = f(x)
+        if fx >= 0.0:
+            lo, flo = x, fx
+            if kept < 0:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, fx
+            if kept > 0:
+                flo *= 0.5
+            kept = 1
+    return lo, hi
 
 
 def bisect(f, lo: float, hi: float, tol: float):

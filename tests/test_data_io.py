@@ -50,6 +50,16 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match="ascending"):
             parse_libsvm("1 0:1\n")
 
+    @pytest.mark.parametrize("text,where", [
+        ("1 1:nan 2:inf\n2 1:1 2:2\n", "line 1: non-finite value nan in feature 1"),
+        ("1 1:1\n\n2 1:2 3:-inf\n", "line 3: non-finite value -inf in feature 3"),
+        ("1 1:1\ninf 1:2\n", "line 2: non-finite target inf"),
+        ("1 1:1\nNaN\n", "line 2: non-finite target nan"),
+    ])
+    def test_non_finite_cells_rejected_with_line(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            parse_libsvm(text, task="regression")
+
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         X = np.where(rng.random((20, 6)) < 0.4, rng.normal(size=(20, 6)), 0.0)
@@ -82,6 +92,16 @@ class TestParseCsv:
     def test_ragged_row_reports_number(self):
         with pytest.raises(ValueError, match="row 3"):
             parse_csv("a,target\n1,2\n1\n", "target", "regression")
+
+    @pytest.mark.parametrize("text,where", [
+        ("a,b,target\n1,2,3\n4,nan,5\n", "row 3: non-finite value nan in column 'b'"),
+        ("c,a,target\nx,1,2\n\ny,-inf,2\n", "row 4: non-finite value -inf in column 'a'"),
+        ("a,target\n1,inf\n", "row 2: non-finite target inf"),
+        ("a,target\n1,2\n3,NaN\n", "row 3: non-finite target nan"),
+    ])
+    def test_non_finite_cells_rejected_with_row(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            parse_csv(text, "target", "regression")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="header"):

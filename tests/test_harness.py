@@ -84,6 +84,31 @@ class TestRunSingle:
             run_single(cfg, 0, dataset=small_ds, loss_fn=oversized)
         assert err.value.round_index == 1
 
+    @pytest.mark.parametrize("algorithm", ["implicit-coin", "cw-implicit-coin"])
+    @pytest.mark.parametrize("bad", ["nan-loss", "inf-loss", "nan-grad", "inf-grad"])
+    def test_non_finite_oracle_output_aborts_with_round_index(self, small_ds,
+                                                             algorithm, bad):
+        cfg = ExperimentConfig(algorithm=algorithm, epochs=1, repetitions=1)
+        base = eval_grad_fn("absolute")
+        calls = []
+
+        def poisoned(w, ex):
+            calls.append(1)
+            loss, g = base(w, ex)
+            if len(calls) == 3:
+                kind, what = bad.split("-")
+                value = np.nan if kind == "nan" else np.inf
+                if what == "loss":
+                    loss = value
+                else:
+                    g = g.copy()
+                    g[0] = value
+            return loss, g
+
+        with pytest.raises(harness.RunAborted, match="round 3") as err:
+            run_single(cfg, 0, dataset=small_ds, loss_fn=poisoned)
+        assert err.value.round_index == 3
+
 
 class TestTuneAndRun:
     def test_parameter_free_skips_tuning(self, small_ds, monkeypatch):

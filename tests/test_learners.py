@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from implicitcoin.learners import (CORNER_RESIDUAL_BAND, CoordinateImplicitCoin,
-                                   ImplicitCoin, ProjectedImplicitCoin,
-                                   SHRINK_GAIN, SHRINK_THRESHOLD, wealth_update)
+from implicitcoin import learners
+from implicitcoin.learners import (CORNER_BRACKET_TOL, CORNER_RESIDUAL_BAND,
+                                   CoordinateImplicitCoin, ImplicitCoin,
+                                   ProjectedImplicitCoin, SHRINK_GAIN,
+                                   SHRINK_THRESHOLD, wealth_update)
 from implicitcoin.rootsolve import bisect
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
 
@@ -117,6 +119,27 @@ class TestGradientGuard:
         with pytest.raises(ValueError, match="shape"):
             ImplicitCoin(2).step(1.0, np.zeros(3))
 
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    @pytest.mark.parametrize("loss", [np.nan, np.inf])
+    def test_rejects_non_finite_loss(self, cls, loss):
+        l = cls(2)
+        with pytest.raises(ValueError, match="finite"):
+            l.step(loss, np.array([0.3, 0.1]))
+        assert l.t == 0
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_gradient_entry(self, cls, bad):
+        l = cls(2)
+        l.step(1.0, np.array([0.3, 0.1]))
+        wealth = np.copy(l.wealth)
+        with pytest.raises(ValueError, match="unit bound"):
+            l.step(1.0, np.array([0.1, bad]))
+        np.testing.assert_array_equal(l.wealth, wealth)
+        assert l.t == 1
+
 
 class TestCornerBehaviour:
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
@@ -164,6 +187,80 @@ class TestCornerBehaviour:
             checked += 1
         assert checked > 50
         assert l.corner_fallbacks == 0
+
+
+class TestCornerSolve:
+    """The Illinois-narrowed corner h against a bisection of the learner's
+    own residual over the full bracket [0, 1]."""
+
+    @pytest.mark.parametrize("cls,dim", [(CoordinateImplicitCoin, 1),
+                                         (CoordinateImplicitCoin, 4),
+                                         (CoordinateImplicitCoin, 21),
+                                         (ProjectedImplicitCoin, 1),
+                                         (ProjectedImplicitCoin, 4)])
+    def test_h_matches_full_bracket_bisection(self, cls, dim, monkeypatch):
+        solved = []
+
+        def recording(residual, f0, f1):
+            h = solve_corner(residual, f0, f1)
+            solved.append((h, bisect(residual, 0.0, 1.0, CORNER_BRACKET_TOL)))
+            return h
+
+        solve_corner = learners.solve_corner
+        monkeypatch.setattr(learners, "solve_corner", recording)
+        l = cls(dim)
+        rng = np.random.default_rng(61 + dim)
+        for i in range(1500):
+            g = rng.normal(size=dim)
+            g *= rng.uniform(0.0, 1.0) ** (1.0 / dim) / np.linalg.norm(g)
+            if i % 2:
+                loss = rng.uniform(0.0, 10.0)
+            else:  # at the scale of the tentative step, so corners stay frequent
+                wealth = float(np.sum(l.wealth))
+                loss = rng.uniform(0.0, 2.0 * float(g @ g) * wealth / np.min(l.inv_eta))
+            l.step(loss, g)
+        assert len(solved) > 40
+        for h, h_ref in solved:
+            assert 0.0 < h < 1.0
+            assert abs(h - h_ref) <= 1e-12
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, CoordinateImplicitCoin])
+    def test_zero_loss_corner_stays_put(self, cls):
+        # a constant coin with an unreachable corner drives the fraction out;
+        # the residual then has an exact root at h = 0, which the solve keeps
+        rng = np.random.default_rng(71)
+        corners = 0
+        for _ in range(50):
+            traces = []
+            l = cls(2, trace_cb=traces.append)
+            for _ in range(30):
+                l.step(1e9, np.array([-0.6, -0.8]))
+            g = rng.normal(size=2)
+            g *= rng.uniform(0.1, 1.0) / np.linalg.norm(g)
+            w = l.predict()
+            w_next = l.step(0.0, g)
+            if traces[-1].h < 1.0:
+                corners += 1
+                assert traces[-1].h == 0.0
+                np.testing.assert_allclose(w_next, w, rtol=1e-15)
+        assert corners > 10
+
+    def test_one_bisection_call_per_corner_round(self, monkeypatch):
+        calls = []
+        orig = learners.rootsolve.bisect
+
+        def counting(f, lo, hi, tol):
+            # narrowed to the target width, or lo moved onto an exact root
+            calls.append(hi - lo <= 1e-12 or f(lo) == 0.0)
+            return orig(f, lo, hi, tol)
+
+        monkeypatch.setattr(learners.rootsolve, "bisect", counting)
+        traces = []
+        l = CoordinateImplicitCoin(3, trace_cb=traces.append)
+        fuzz_rounds(l, 400, seed=67, loss_hi=0.05)
+        corners = sum(0.0 < tr.h < 1.0 for tr in traces)
+        assert corners > 10 and len(calls) == corners
+        assert all(calls)
 
 
 def _update_map_residual(state, loss, g):

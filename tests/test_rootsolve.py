@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin.rootsolve import bisect, roots_in_unit
+from implicitcoin import rootsolve
+from implicitcoin.rootsolve import bisect, narrow_bracket, roots_in_unit
 
 
 def brute_roots(coeffs, lo, hi, grid=10001):
@@ -132,3 +133,74 @@ class TestBisect:
         expected = math.ceil(math.log2((hi - lo) / tol))
         assert len(calls) == expected + 2
         assert abs(r - (lo + 0.613 * (hi - lo))) <= tol
+
+
+def counted(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
+def steep_rational(loss, q):
+    """Corner-shaped residual: loss - h / (1 + (h - 1) q), root near loss."""
+    return lambda h: loss - h / (1.0 + (h - 1.0) * q)
+
+
+class TestNarrowBracket:
+    @pytest.mark.parametrize("f", [
+        lambda h: math.cos(h) - h,
+        steep_rational(1e-3, 0.5),
+        steep_rational(1e-6, -0.49),
+        steep_rational(0.5, 0.3),
+        lambda h: 1e-9 - h ** 3,
+        lambda h: 1.0 if h < 0.3 else -1.0,  # a jump: still a sign change
+    ])
+    def test_keeps_the_sign_change_with_f_nonnegative_at_lo(self, f):
+        lo, hi = narrow_bracket(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        assert 0.0 <= lo < hi <= 1.0
+        assert f(lo) >= 0.0 > f(hi)
+        assert hi - lo <= 1e-12 or f(lo) == 0.0
+
+    def test_exact_zero_moves_lo_and_bisect_returns_it(self):
+        f, calls = counted(lambda h: 0.5 - h)  # the first secant point is the root
+        lo, hi = narrow_bracket(f, 0.0, 1.0, 0.5, -0.5, 1e-12)
+        assert (lo, hi) == (0.5, 1.0) and calls == [0.5]
+        assert bisect(f, lo, hi, 1e-18) == 0.5
+
+    def test_zero_at_lo_is_not_narrowed(self):
+        f, calls = counted(lambda h: -h)
+        assert narrow_bracket(f, 0.0, 1.0, 0.0, -1.0, 1e-12) == (0.0, 1.0)
+        assert calls == []
+        assert bisect(f, 0.0, 1.0, 1e-18) == 0.0
+
+    @pytest.mark.parametrize("f,limit", [
+        (lambda h: math.cos(h) - h, 10),
+        (steep_rational(1e-3, 0.5), 10),
+        (steep_rational(0.5, -0.49), 12),
+    ])
+    def test_evaluations_stay_bounded(self, f, limit):
+        g, calls = counted(f)
+        lo, hi = narrow_bracket(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        # a plain bisection needs 40 evaluations for the same width
+        assert len(calls) <= limit
+        root = bisect(f, lo, hi, 1e-18)
+        assert abs(root - bisect(f, 0.0, 1.0, 1e-18)) <= 1e-15
+
+    def test_evaluation_cap_stops_the_narrowing(self, monkeypatch):
+        monkeypatch.setattr(rootsolve, "NARROW_MAX_EVALS", 5)
+        f, calls = counted(lambda h: 1.0 if h < 0.3 else -1.0)
+        lo, hi = narrow_bracket(f, 0.0, 1.0, 1.0, -1.0, 1e-12)
+        assert len(calls) == 5 and lo < 0.3 <= hi
+
+    @pytest.mark.parametrize("flo,fhi", [(1.0, 2.0), (-1.0, -2.0), (-1.0, 1.0), (0.0, 0.0)])
+    def test_rejects_brackets_without_a_falling_sign_change(self, flo, fhi):
+        with pytest.raises(ValueError, match="f\\(lo\\) >= 0 > f\\(hi\\)"):
+            narrow_bracket(lambda h: 0.0, 0.0, 1.0, flo, fhi, 1e-12)
+
+    def test_rejects_bad_interval(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            narrow_bracket(lambda h: 0.0, 1.0, 1.0, 1.0, -1.0, 1e-12)
