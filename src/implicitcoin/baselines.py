@@ -52,36 +52,18 @@ class AProx(Sgd):
         return self.w.copy()
 
 
-class ImportanceAwareSgd(Sgd):
-    """Closed form of the accumulated-infinitesimal update for hinge and
-    absolute losses at unit importance weight.
+class ImportanceAwareSgd(AProx):
+    """Importance-aware update (Karampatziakis & Langford 2011) at unit
+    importance weight, for the hinge and absolute losses.
 
     Sliding the predictor along -g, both losses stay linear until the point
-    where they vanish, so the integrated update stops exactly there; for
-    these two losses that is the same cap as the AProx step, which the test
-    suite asserts as a cross-check.
+    where they vanish, so the integrated update stops exactly there: the
+    AProx step capped at loss / ||g||^2 (Asi & Duchi 2019). The class keeps
+    its own step so that per-class wrappers see iwa rounds apart from aprox
+    rounds.
     """
 
-    def __init__(self, dim, eta0, loss_kind):
-        super().__init__(dim, eta0)
-        if loss_kind not in ("hinge", "absolute"):
-            raise ValueError(f"unsupported loss kind {loss_kind!r}")
-        self.loss_kind = loss_kind
-
-    def step(self, loss_value, g, ex=None):
-        g = np.asarray(g, dtype=np.float64)
-        self.k += 1
-        if ex is None:
-            raise ValueError("importance-aware update needs the example")
-        xx = float(ex.x @ ex.x)
-        if xx > 0.0 and float(loss_value) > 0.0:
-            if self.loss_kind == "hinge":
-                slack = 1.0 - ex.y * float(self.w @ ex.x)
-            else:
-                slack = abs(float(self.w @ ex.x) - ex.y)
-            if slack > 0.0:
-                self.w = self.w - min(self._eta(), slack / xx) * g
-        return self.w.copy()
+    step = AProx.step
 
 
 class KtCoin:
@@ -160,7 +142,7 @@ def is_parameter_free(name):
     return name in PARAMETER_FREE
 
 
-def make_algorithm(name, dim, eta0=None, loss_kind=None, trace_cb=None):
+def make_algorithm(name, dim, eta0=None, trace_cb=None):
     """Instantiate a registered algorithm.
 
     Tuned kinds require eta0; parameter-free kinds reject one. trace_cb is
@@ -179,7 +161,7 @@ def make_algorithm(name, dim, eta0=None, loss_kind=None, trace_cb=None):
     if name == "aprox":
         return AProx(dim, eta0)
     if name == "iwa":
-        return ImportanceAwareSgd(dim, eta0, loss_kind)
+        return ImportanceAwareSgd(dim, eta0)
     if name == "coin":
         return KtCoin(dim)
     if name == "cocob":

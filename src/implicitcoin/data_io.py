@@ -7,7 +7,7 @@ standardize with training statistics and scale every row to unit norm.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +57,10 @@ class Dataset:
 class SplitSpec:
     seed: int
     repetition: int = 0
-    ratios: tuple = (0.70, 0.15, 0.15)
 
     def __post_init__(self):
         if self.repetition < 0:
             raise ValueError("repetition must be >= 0")
-        if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-12:
-            raise ValueError(f"ratios must be three values summing to 1, got {self.ratios}")
 
 
 @dataclass
@@ -72,11 +69,9 @@ class TransformRecord:
 
     mean: np.ndarray
     std: np.ndarray
-    prng: str = SPLIT_PRNG
     seed: int = 0
     repetition: int = 0
     binarize_threshold: float = None
-    extra: dict = field(default_factory=dict)
 
 
 def _lines(stream):
@@ -248,8 +243,8 @@ def shuffle_split(ds: Dataset, spec: SplitSpec):
         raise ValueError(f"dataset too small to split: {n} rows")
     rng = np.random.default_rng([spec.seed, spec.repetition])
     perm = rng.permutation(n)
-    n_train = int(spec.ratios[0] * n)
-    n_val = int(spec.ratios[1] * n)
+    n_train = int(0.70 * n)
+    n_val = int(0.15 * n)
     parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
     return tuple(
         Dataset(X=ds.X[p], y=ds.y[p], task=ds.task, name=ds.name,
@@ -283,15 +278,13 @@ def standardize_then_unit_normalize(train: Dataset, *others):
 def save_transform_record(record: TransformRecord, path):
     """Key=value text dump of the preprocessing transform."""
     with open(path, "w") as fh:
-        fh.write(f"prng={record.prng}\n")
+        fh.write(f"prng={SPLIT_PRNG}\n")
         fh.write(f"seed={record.seed}\n")
         fh.write(f"repetition={record.repetition}\n")
         if record.binarize_threshold is not None:
             fh.write(f"binarize_threshold={record.binarize_threshold!r}\n")
         fh.write("mean=" + ",".join(repr(float(v)) for v in record.mean) + "\n")
         fh.write("std=" + ",".join(repr(float(v)) for v in record.std) + "\n")
-        for k, v in record.extra.items():
-            fh.write(f"{k}={v}\n")
 
 
 def make_synthetic_regression(n=1000, dim=10, seed=0, weight_scale=4.0, noise=0.25):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import CLOSED_FORM, PROJECTED, ImplicitCoin
-from .truncated import TruncatedModel, linear_residual
 
 CORNER_TOL = 1e-8          # residuals pass through one root solve
 IDENTITY_TOL = 1e-9        # long alternating sums
@@ -70,8 +69,7 @@ class NoOvershootFold(_Fold):
         if not np.any(tr.g):
             return
         self.rounds += 1
-        model = TruncatedModel(anchor=tr.w, grad=tr.g, loss_at_anchor=tr.loss_value)
-        self._note(linear_residual(model, tr.w_next), tr.t)
+        self._note(tr.loss_value + float(tr.g @ (tr.w_next - tr.w)), tr.t)
 
 
 class WealthIdentityFold(_Fold):
@@ -219,8 +217,7 @@ class WealthTraceWriter:
         self._fh.write("t,h,wealth,beta_norm,residual\n")
 
     def update(self, tr):
-        model = TruncatedModel(anchor=tr.w, grad=tr.g, loss_at_anchor=tr.loss_value)
-        resid = linear_residual(model, tr.w_next)
+        resid = tr.loss_value + float(tr.g @ (tr.w_next - tr.w))
         self._fh.write(f"{tr.t},{tr.h:.10g},{tr.wealth_after:.10g},"
                        f"{float(np.linalg.norm(tr.beta_next)):.10g},{resid:.10g}\n")
 

@@ -117,8 +117,7 @@ def run_single(config: ExperimentConfig, repetition, eta0=None, dataset=None,
     kind = config.loss_kind
     loss_fn = loss_fn or losses.eval_grad_fn(kind)
     learner = baselines.make_algorithm(
-        config.algorithm, train.n_features, eta0=eta0,
-        loss_kind=kind, trace_cb=trace_cb)
+        config.algorithm, train.n_features, eta0=eta0, trace_cb=trace_cb)
 
     records = []
     w = learner.predict()

@@ -1,15 +1,21 @@
 """Parameter-free coin-betting learners driven by truncated linear models.
 
-Three variants share the same skeleton: predict w = beta * wealth, receive
-one loss value and one subgradient, scale the subgradient by h in [0, 1]
-(h < 1 exactly when the tentative full step would cross the model's corner),
-then update the betting fraction and the wealth multiplicatively. The h=1
-candidate is always tried first; corner rounds solve the implicit equation
-loss + <g, w_next(h) - w> = 0, whose solution lands w_next on the corner.
-ImplicitCoin solves it in closed form. The other two variants narrow the
-sign change on [0, 1] with Illinois steps and finish it by bisection to float
-resolution; the coordinate-wise residual is a precomputed rational function
-of h, so each evaluation costs a handful of array operations.
+All variants play one round, `_BettingCoin.step`: predict w = beta * wealth,
+receive one loss value and one subgradient g, scale g by h in [0, 1] (h < 1
+exactly when the full step would cross the model's corner), then update the
+betting fraction and the wealth multiplicatively. h = 1 is tried first; a
+corner round solves loss + <g, w_next(h) - w> = 0. Per round, a variant's
+`_round(g, nrm, s)`, with s = <g, beta>, returns two closures:
+dq(h) = <g, beta_next(h)> - s, and commit(h) -> (beta_next, 1/eta increment).
+With q = s + dq, <g, w_next(h) - w> = W (dq - h q s) / (1 + (h-1) q): the
+residual has no <g, w> term to cancel, so its float noise scales with the
+loss, and it is exactly the loss at h = 0. `ImplicitCoin` solves the corner
+in closed form; the others narrow [0, 1] with Illinois steps and bisect to
+float resolution. `CoordinateImplicitCoin` plays one game per coordinate, so
+its s, dq, wealth and 1/eta are arrays and the residual sums over them.
+
+A learner never writes into an array it has stored or returned, so trace
+records share arrays with the learner and the caller instead of copying.
 """
 
 import math
@@ -27,6 +33,9 @@ SHRINK_THRESHOLD = 3.0 / 8.0            # fraction norm where shrinking engages
 PROJECTED_INV_ETA0 = 3.0
 CLOSED_FORM_INV_ETA0 = 2.0 * SHRINK_GAIN
 BETA_RADIUS = 0.5
+# The projection engages only past float noise, so a stored fraction on the
+# ball boundary is left alone at h = 0 and dq(0) is exactly 0.
+PROJECTION_SLACK = 1e-15
 
 GRAD_NORM_SLACK = 1e-9       # accepted float excess over the unit-norm bound
 CORNER_RESIDUAL_BAND = 1e-8  # |residual| accepted at a solved corner
@@ -38,9 +47,9 @@ CORNER_NARROW_WIDTH = 1e-12
 CORNER_BRACKET_TOL = 1e-18
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepTrace:
-    """Per-round record consumed by the diagnostics folds."""
+    """Per-round record consumed by the diagnostics folds (arrays shared)."""
 
     t: int
     w: np.ndarray
@@ -52,13 +61,6 @@ class StepTrace:
     beta_next: np.ndarray
     wealth_before: float
     wealth_after: float
-
-
-def _checked_loss(loss_value):
-    loss_value = float(loss_value)
-    if not 0.0 <= loss_value < math.inf:  # also rejects nan
-        raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-    return loss_value
 
 
 def solve_corner(residual, f0, f1):
@@ -83,30 +85,51 @@ def wealth_update(wealth, beta, pair, beta_next):
     return wealth * num / den
 
 
-class _SharedWealthCoin:
-    """Common skeleton of the two scalar-wealth variants."""
+class _BettingCoin:
+    """The round of every variant, for one game with a scalar wealth; a
+    per-coordinate variant overrides the reductions below."""
 
     variant = None
+    inv_eta0 = None
 
     def __init__(self, dim, initial_wealth=1.0, trace_cb=None):
         self.dim = int(dim)
         self.beta = np.zeros(self.dim)
-        self.wealth = float(initial_wealth)
-        self.inv_eta = self._initial_inv_eta()
+        self.wealth = self._per_game(float(initial_wealth))
+        self.inv_eta = self._per_game(self.inv_eta0)
         self.t = 0
         self.grad_norm_warnings = 0
         self.corner_fallbacks = 0
         self.trace_cb = trace_cb
 
+    def _per_game(self, value):
+        return value
+
+    def _norm(self, g):
+        return math.sqrt(float(g @ g))
+
+    def _gdot(self, g, beta):
+        return float(g @ beta)
+
+    def _spend(self, wealth, x):
+        return wealth * x
+
+    def _total(self, wealth):
+        return wealth
+
     def predict(self):
         return self.beta * self.wealth
 
     def step(self, loss_value, g, ex=None):
-        loss_value = _checked_loss(loss_value)
+        """One round; returns w_next. ex is unused: every algorithm accepts
+        the example, and only the oracle needs it."""
+        loss_value = float(loss_value)
+        if not 0.0 <= loss_value < math.inf:  # also rejects nan
+            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm = math.sqrt(float(g @ g))
+        nrm = self._norm(g)
         if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
@@ -115,138 +138,126 @@ class _SharedWealthCoin:
             self.grad_norm_warnings += 1
 
         self.t += 1
-        w = self.beta * self.wealth
-        if nrm == 0.0:
-            return self._finish(w, g, loss_value, 0.0, self.beta, self.wealth, w)
+        beta, wealth = self.beta, self.wealth
+        w = beta * wealth
+        h = 0.0
+        if nrm > 0.0:
+            s = self._gdot(g, beta)
+            dq, commit = self._round(g, nrm, s)
+            h = 1.0
+            dq1 = dq(1.0)
+            f1 = loss_value + self._spend(wealth, dq1 - (s + dq1) * s)
+            if f1 < 0.0:
+                spend = self._spend
 
-        gg = nrm * nrm
-        s = float(g @ self.beta)
-        bb = float(self.beta @ self.beta)
-        eta = 1.0 / self.inv_eta
-        wealth = self.wealth
+                def residual(h):
+                    dqh = dq(h)
+                    q = s + dqh
+                    return loss_value + spend(wealth, (dqh - h * q * s) / (1.0 + (h - 1.0) * q))
 
-        # With q = <g, beta_next(h)> = s + dq, <g, w_next(h) - w> equals
-        # W * (dq - h q s) / (1 + (h-1) q): no <g, w> term to cancel, so the
-        # float noise of the residual scales with the loss, not with the bet.
-        # At h = 1 the denominator is exactly 1.
-        h = 1.0
-        dq = self._gdot_change(1.0, nrm, gg, s, bb, eta)
-        f1 = loss_value + wealth * (dq - (s + dq) * s)
-        if f1 < 0.0:
-            def residual(h):
-                dq = self._gdot_change(h, nrm, gg, s, bb, eta)
-                q = s + dq
-                return loss_value + wealth * (dq - h * q * s) / (1.0 + (h - 1.0) * q)
+                h = self._corner_h(residual, loss_value, f1, nrm, s)
 
-            h = self._corner_h(residual, loss_value, f1, nrm, gg, s, bb, eta)
+        if h == 0.0:  # a zero gradient, or a corner at the anchor: no move
+            beta_next, wealth_next, w_next = beta, wealth, w
+        else:
+            beta_next, inv_eta_step = commit(h)
+            wealth_next = wealth * (1.0 - s)
+            if h != 1.0:  # a full round has denominator 1
+                wealth_next /= 1.0 + (h - 1.0) * self._gdot(g, beta_next)
+            w_next = beta_next * wealth_next
+            self.beta = beta_next
+            self.wealth = wealth_next
+            self.inv_eta = self.inv_eta + inv_eta_step
 
-        beta_next = self._beta_next(h, g, nrm, gg, bb, eta)
-        # wealth_update from the scalars in hand; a full round has den = 1
-        wealth_next = wealth * (1.0 - s)
-        if h != 1.0:
-            wealth_next /= 1.0 + (h - 1.0) * float(g @ beta_next)
-        w_next = beta_next * wealth_next
-
-        beta_prev, wealth_prev = self.beta, self.wealth
-        self.beta = beta_next
-        self.wealth = wealth_next
-        self.inv_eta += self._inv_eta_increment(h, nrm, gg, bb)
-        return self._finish(w, g, loss_value, h, beta_prev, wealth_prev, w_next)
-
-    def _finish(self, w, g, loss_value, h, beta_prev, wealth_prev, w_next):
         if self.trace_cb is not None:
             self.trace_cb(StepTrace(
-                t=self.t, w=w, g=g.copy(), loss_value=loss_value, h=h,
-                w_next=w_next.copy(), beta=beta_prev.copy(), beta_next=self.beta.copy(),
-                wealth_before=wealth_prev, wealth_after=self.wealth))
+                t=self.t, w=w, g=g, loss_value=loss_value, h=h, w_next=w_next,
+                beta=beta, beta_next=beta_next, wealth_before=self._total(wealth),
+                wealth_after=self._total(wealth_next)))
         return w_next
 
-    def _initial_inv_eta(self):
-        raise NotImplementedError
-
-    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
-        raise NotImplementedError
-
-    def _gdot_change(self, h, nrm, gg, s, bb, eta):
-        """<g, beta_next(h)> - <g, beta>."""
-        raise NotImplementedError
-
-    def _beta_next(self, h, g, nrm, gg, bb, eta):
-        raise NotImplementedError
-
-    def _inv_eta_increment(self, h, nrm, gg, bb):
-        raise NotImplementedError
-
-
-class ProjectedImplicitCoin(_SharedWealthCoin):
-    """Betting step projected onto the half-unit ball; corner h by bisection.
-
-    The projection makes the corner equation non-polynomial, hence no closed
-    form for this variant.
-    """
-
-    variant = PROJECTED
-
-    def _initial_inv_eta(self):
-        return PROJECTED_INV_ETA0
-
-    def _beta_next(self, h, g, nrm, gg, bb, eta):
-        k = gg * h * (2.0 - h)
-        raw = self.beta - eta * (h * g + (2.0 * k) * self.beta)
-        scale = max(1.0, 2.0 * math.sqrt(float(raw @ raw)))
-        return raw / scale
-
-    def _gdot_change(self, h, nrm, gg, s, bb, eta):
-        # scalar replay of _beta_next: <g, .> and the projection factor only
-        k = gg * h * (2.0 - h)
-        step = -eta * (h * gg + 2.0 * k * s)
-        raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
-                  + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
-        scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
-        if scale <= 1.0:
-            return step
-        return (s + step) / scale - s
-
-    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
+    def _corner_h(self, residual, f0, f1, nrm, s):
         return solve_corner(residual, f0, f1)
 
-    def _inv_eta_increment(self, h, nrm, gg, bb):
-        return 2.0 * gg * h * (2.0 - h)
+    def _round(self, g, nrm, s):
+        raise NotImplementedError
 
 
-class ImplicitCoin(_SharedWealthCoin):
+class ProjectedImplicitCoin(_BettingCoin):
+    """Betting step projected onto the half-unit ball; corner h by bisection,
+    since the projection leaves the corner equation without a closed form."""
+
+    variant = PROJECTED
+    inv_eta0 = PROJECTED_INV_ETA0
+
+    def _round(self, g, nrm, s):
+        beta = self.beta
+        gg = nrm * nrm
+        bb = float(beta @ beta)
+        eta = 1.0 / self.inv_eta
+
+        def dq(h):
+            # scalar replay of commit: <g, .> and the projection factor only
+            k = gg * h * (2.0 - h)
+            step = -eta * (h * gg + 2.0 * k * s)
+            raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
+                      + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
+            scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
+            if scale <= 1.0 + PROJECTION_SLACK:
+                return step
+            return (s + step) / scale - s
+
+        def commit(h):
+            k = gg * h * (2.0 - h)
+            raw = beta - eta * (h * g + (2.0 * k) * beta)
+            scale = 2.0 * math.sqrt(float(raw @ raw))
+            if scale > 1.0 + PROJECTION_SLACK:
+                raw = raw / scale
+            return raw, 2.0 * k
+
+        return dq, commit
+
+
+class ImplicitCoin(_BettingCoin):
     """Projection-free variant: near the ball boundary the fraction is shrunk
     instead of projected, so the corner h solves a cubic (or quadratic) in
     closed form and a round costs the same as a plain gradient step."""
 
     variant = CLOSED_FORM
+    inv_eta0 = CLOSED_FORM_INV_ETA0
 
     _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
-    def _initial_inv_eta(self):
-        return CLOSED_FORM_INV_ETA0
+    def _round(self, g, nrm, s):
+        beta = self.beta
+        eta = 1.0 / self.inv_eta
+        self._small = float(beta @ beta) < self._SMALL_SQ  # the corner's branch too
+        if self._small:
+            gg = nrm * nrm
 
-    def _beta_next(self, h, g, nrm, gg, bb, eta):
-        if bb < self._SMALL_SQ:
-            k = gg * h * (2.0 - h)
-            return self.beta - eta * (h * g + (2.0 * k) * self.beta)
-        return self.beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
+            def dq(h):
+                k = gg * h * (2.0 - h)
+                return -eta * (h * gg + 2.0 * k * s)
 
-    def _gdot_change(self, h, nrm, gg, s, bb, eta):
-        if bb < self._SMALL_SQ:
-            k = gg * h * (2.0 - h)
-            return -eta * (h * gg + 2.0 * k * s)
-        return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
+            def commit(h):
+                k = gg * h * (2.0 - h)
+                return beta - eta * (h * g + (2.0 * k) * beta), 2.0 * k
+        else:
+            def dq(h):
+                return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
 
-    def _inv_eta_increment(self, h, nrm, gg, bb):
-        if bb < self._SMALL_SQ:
-            return 2.0 * gg * h * (2.0 - h)
-        return 2.0 * SHRINK_GAIN * h * nrm
+            def commit(h):
+                return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
+                        2.0 * SHRINK_GAIN * h * nrm)
 
-    def _corner_h(self, residual, f0, f1, nrm, gg, s, bb, eta):
+        return dq, commit
+
+    def _corner_h(self, residual, f0, f1, nrm, s):
+        eta = 1.0 / self.inv_eta
         a = s * self.wealth - f0          # <g, w> - loss
         b = self.wealth * (1.0 - s)
-        if bb < self._SMALL_SQ:
+        if self._small:
+            gg = nrm * nrm
             e = eta * gg
             d = 2.0 * eta * gg * s
             coeffs = [-a * d,
@@ -269,88 +280,48 @@ class ImplicitCoin(_SharedWealthCoin):
         return best
 
 
-class CoordinateImplicitCoin:
+class CoordinateImplicitCoin(_BettingCoin):
     """Per-coordinate closed-form variant: every coordinate runs its own 1-d
     betting game, coupled only through the shared corner scalar h, which is
-    found by bisection."""
+    found by bisection. The unit bound is on the largest gradient entry."""
 
     variant = CLOSED_FORM
+    inv_eta0 = CLOSED_FORM_INV_ETA0
 
-    def __init__(self, dim, initial_wealth=1.0, trace_cb=None):
-        self.dim = int(dim)
-        self.beta = np.zeros(self.dim)
-        self.wealth = np.full(self.dim, float(initial_wealth))
-        self.inv_eta = np.full(self.dim, CLOSED_FORM_INV_ETA0)
-        self.t = 0
-        self.grad_norm_warnings = 0
-        self.corner_fallbacks = 0
-        self.trace_cb = trace_cb
+    def _per_game(self, value):
+        return np.full(self.dim, value)
 
-    def predict(self):
-        return self.beta * self.wealth
+    def _norm(self, g):
+        return float(np.abs(g).max()) if self.dim else 0.0
 
-    def step(self, loss_value, g, ex=None):
-        loss_value = _checked_loss(loss_value)
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.dim,):
-            raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        ninf = float(np.abs(g).max()) if self.dim else 0.0
-        if not ninf <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
-            raise ValueError(f"gradient max entry {ninf} exceeds the unit bound")
-        if ninf > 1.0:
-            g = g / ninf
-            self.grad_norm_warnings += 1
+    def _gdot(self, g, beta):
+        return g * beta
 
-        self.t += 1
-        w = self.beta * self.wealth
-        if ninf == 0.0:
-            return self._finish(w, g, loss_value, 0.0, self.beta, self.wealth, w)
+    def _spend(self, wealth, x):
+        return float(wealth @ x)
 
-        small = np.abs(self.beta) < SHRINK_THRESHOLD
+    def _total(self, wealth):
+        return float(wealth.sum())
+
+    def _round(self, g, nrm, s):
+        # per coordinate, dq(h) = h * (gA + h * gB) on both branches
+        beta = self.beta
+        small = np.abs(beta) < SHRINK_THRESHOLD
         eta = 1.0 / self.inv_eta
         gsq = g * g
         gabs = np.abs(g)
-        gb = g * self.beta
-        gain = 1.0 - gb
-
-        # On both branches g * beta_next(h) = p = gb + h * d with d = gA + h * gB.
-        # Then g * (w_next - w) = W * h * (d - p * gb) / (1 + (h-1) p), so the
-        # residual carries no <g, w> term and is exact at h = 0: its float noise
-        # scales with the loss, not with the bet.
-        egb = (2.0 * eta) * gsq * gb
-        gA = np.where(small, -eta * gsq - 2.0 * egb, (-2.0 * SHRINK_GAIN) * eta * gabs * gb)
+        egb = (2.0 * eta) * gsq * s
+        gA = np.where(small, -eta * gsq - 2.0 * egb, (-2.0 * SHRINK_GAIN) * eta * gabs * s)
         gB = np.where(small, egb, 0.0)
-        wealth = self.wealth
 
-        def residual(h):
-            d = gA + h * gB
-            p = gb + h * d
-            return loss_value + h * float(wealth @ ((d - p * gb) / (1.0 + (h - 1.0) * p)))
+        def dq(h):
+            return h * (gA + h * gB)
 
-        h = 1.0
-        f1 = residual(1.0)
-        if f1 < 0.0:
-            h = solve_corner(residual, loss_value, f1)
+        def commit(h):
+            k = gsq * (h * (2.0 - h))
+            stepped = beta - eta * (h * g + 2.0 * k * beta)
+            shrunk = beta * (1.0 - 2.0 * SHRINK_GAIN * h * eta * gabs)
+            return (np.where(small, stepped, shrunk),
+                    np.where(small, 2.0 * k, 2.0 * SHRINK_GAIN * h * gabs))
 
-        k = gsq * (h * (2.0 - h))
-        stepped = self.beta - eta * (h * g + 2.0 * k * self.beta)
-        shrunk = self.beta * (1.0 - 2.0 * SHRINK_GAIN * h * eta * gabs)
-        beta_next = np.where(small, stepped, shrunk)
-        wealth_next = self.wealth * gain / (1.0 + (h - 1.0) * g * beta_next)
-        w_next = beta_next * wealth_next
-
-        beta_prev, wealth_prev = self.beta, self.wealth
-        self.beta = beta_next
-        self.wealth = wealth_next
-        self.inv_eta = self.inv_eta + np.where(
-            small, 2.0 * gsq * (h * (2.0 - h)), 2.0 * SHRINK_GAIN * h * gabs)
-        return self._finish(w, g, loss_value, h, beta_prev, wealth_prev, w_next)
-
-    def _finish(self, w, g, loss_value, h, beta_prev, wealth_prev, w_next):
-        if self.trace_cb is not None:
-            self.trace_cb(StepTrace(
-                t=self.t, w=w, g=g.copy(), loss_value=loss_value, h=h,
-                w_next=w_next.copy(), beta=beta_prev.copy(), beta_next=self.beta.copy(),
-                wealth_before=float(np.sum(wealth_prev)),
-                wealth_after=float(np.sum(self.wealth))))
-        return w_next
+        return dq, commit

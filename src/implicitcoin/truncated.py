@@ -14,7 +14,6 @@ class TruncatedModel:
     anchor: np.ndarray
     grad: np.ndarray
     loss_at_anchor: float
-    floor: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=np.float64))
@@ -22,8 +21,6 @@ class TruncatedModel:
         object.__setattr__(self, "loss_at_anchor", float(self.loss_at_anchor))
         if self.loss_at_anchor < 0.0:
             raise ValueError(f"loss at anchor must be >= 0, got {self.loss_at_anchor}")
-        if self.floor != 0.0:
-            raise ValueError("only a zero floor is supported; shift the loss first")
         if self.anchor.shape != self.grad.shape:
             raise ValueError("anchor and grad must share a shape")
 
@@ -37,20 +34,15 @@ class SubgradientPair:
     h: float
 
 
-def _as_point(m: TruncatedModel, w):
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != m.anchor.shape:
-        raise ValueError(f"dimension mismatch: point {w.shape}, model {m.anchor.shape}")
-    return w
-
-
 def linear_residual(m: TruncatedModel, w) -> float:
     """Value of the un-clamped linear part at w.
 
     Positive means w sits on the linear part, zero is the corner, negative
     the flat part.
     """
-    w = _as_point(m, w)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != m.anchor.shape:
+        raise ValueError(f"dimension mismatch: point {w.shape}, model {m.anchor.shape}")
     return m.loss_at_anchor + float(m.grad @ (w - m.anchor))
 
 

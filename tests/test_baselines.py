@@ -64,9 +64,15 @@ class TestAProx:
 
 
 class TestImportanceAware:
+    """`iwa` is the AProx step under its own registry name."""
+
+    def test_is_the_aprox_step(self):
+        assert issubclass(ImportanceAwareSgd, AProx)
+        assert ImportanceAwareSgd.step is AProx.step
+
     def test_inactive_hinge_is_noop(self):
         ex = LabeledExample(np.array([1.0, 0.0]), 1.0)
-        iwa = ImportanceAwareSgd(2, eta0=5.0, loss_kind="hinge")
+        iwa = make_algorithm("iwa", 2, eta0=5.0)
         iwa.w = np.array([2.0, 0.0])
         loss, g = hinge_eval_grad(iwa.w, ex)
         w = iwa.step(loss, g, ex)
@@ -74,7 +80,7 @@ class TestImportanceAware:
 
     def test_lands_on_corner_with_large_eta(self):
         ex = LabeledExample(np.array([1.0]), 10.0)
-        iwa = ImportanceAwareSgd(1, eta0=1000.0, loss_kind="absolute")
+        iwa = make_algorithm("iwa", 1, eta0=1000.0)
         loss, g = absolute_eval_grad(iwa.w, ex)
         assert iwa.step(loss, g, ex)[0] == pytest.approx(10.0, abs=1e-12)
 
@@ -82,31 +88,11 @@ class TestImportanceAware:
     def test_matches_sgd_to_first_order(self, eta):
         # below the corner cap the closed form is exactly the gradient step
         ex = LabeledExample(np.array([1.0]), 10.0)
-        iwa = ImportanceAwareSgd(1, eta0=eta, loss_kind="absolute")
+        iwa = make_algorithm("iwa", 1, eta0=eta)
         sgd = Sgd(1, eta0=eta)
         loss, g = absolute_eval_grad(np.zeros(1), ex)
         diff = abs(iwa.step(loss, g, ex)[0] - sgd.step(loss, g)[0])
         assert diff <= 10.0 * eta * eta
-
-    @pytest.mark.parametrize("kind,target", [("hinge", 1.0), ("absolute", 2.5)])
-    def test_coincides_with_aprox_fuzz(self, kind, target):
-        rng = np.random.default_rng(67)
-        fn = hinge_eval_grad if kind == "hinge" else absolute_eval_grad
-        iwa = ImportanceAwareSgd(3, eta0=2.0, loss_kind=kind)
-        apx = AProx(3, eta0=2.0)
-        for _ in range(500):
-            x = rng.normal(size=3)
-            x /= np.linalg.norm(x) * rng.uniform(1.0, 4.0)
-            ex = LabeledExample(x, target if kind == "hinge" else float(rng.normal()))
-            loss_i, g_i = fn(iwa.w, ex)
-            loss_a, g_a = fn(apx.w, ex)
-            wi = iwa.step(loss_i, g_i, ex)
-            wa = apx.step(loss_a, g_a, ex)
-            np.testing.assert_allclose(wi, wa, atol=1e-10)
-
-    def test_rejects_unknown_loss(self):
-        with pytest.raises(ValueError, match="loss kind"):
-            ImportanceAwareSgd(1, eta0=1.0, loss_kind="logistic")
 
 
 class TestKtCoin:
@@ -186,5 +172,8 @@ class TestRegistry:
     def test_factory_round_trip(self):
         for name in ALGORITHMS:
             eta0 = None if is_parameter_free(name) else 0.5
-            algo = make_algorithm(name, 3, eta0=eta0, loss_kind="absolute")
+            algo = make_algorithm(name, 3, eta0=eta0)
             assert algo.predict().shape == (3,)
+            # the example is a third positional argument that every step accepts
+            w = algo.step(0.5, np.array([0.6, 0.0, -0.8]), None)
+            assert w.shape == (3,) and np.all(np.isfinite(w))

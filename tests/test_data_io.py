@@ -169,10 +169,6 @@ class TestSplit:
         with pytest.raises(ValueError, match="small"):
             shuffle_split(ds, SplitSpec(seed=0))
 
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(ValueError, match="ratios"):
-            SplitSpec(seed=0, ratios=(0.5, 0.2, 0.2))
-
 
 class TestBinarization:
     def test_median_threshold_split(self):

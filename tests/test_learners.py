@@ -245,6 +245,25 @@ class TestCornerSolve:
                 np.testing.assert_allclose(w_next, w, rtol=1e-15)
         assert corners > 10
 
+    def test_zero_loss_on_the_ball_boundary_stays_put(self):
+        # 2||beta|| rounds to 1 + ulp here; the projection must not move a
+        # stored fraction at h = 0, or the residual misses its root at 0
+        rng = np.random.default_rng(73)
+        for _ in range(2000):
+            dim = int(rng.integers(1, 6))
+            traces = []
+            l = ProjectedImplicitCoin(dim, trace_cb=traces.append)
+            v = rng.normal(size=dim)
+            l.beta = v / (2.0 * np.linalg.norm(v))
+            l.wealth = float(np.exp(rng.uniform(-5.0, 5.0)))
+            l.inv_eta = float(rng.uniform(3.0, 1000.0))
+            g = rng.normal(size=dim)
+            g *= rng.uniform(0.0, 1.0) / np.linalg.norm(g)
+            w = l.predict()
+            w_next = l.step(0.0, g)
+            assert traces[-1].h == 0.0
+            np.testing.assert_array_equal(w_next, w)
+
     def test_one_bisection_call_per_corner_round(self, monkeypatch):
         calls = []
         orig = learners.rootsolve.bisect
@@ -313,6 +332,24 @@ class TestWealthBookkeeping:
         l = cls(2)
         fuzz_rounds(l, 3000, seed=31, loss_hi=0.5)
         assert l.wealth > 0.0
+
+
+class TestTraceRecords:
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_records_share_arrays_that_are_never_written(self, cls):
+        traces, snapshots = [], []
+
+        def keep(tr):
+            traces.append(tr)
+            snapshots.append([np.copy(a) for a in (tr.w, tr.g, tr.w_next,
+                                                   tr.beta, tr.beta_next)])
+
+        l = cls(3, trace_cb=keep)
+        fuzz_rounds(l, 300, seed=37, loss_hi=0.05)
+        for tr, snap in zip(traces, snapshots):
+            for a, b in zip((tr.w, tr.g, tr.w_next, tr.beta, tr.beta_next), snap):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestStateInvariants:

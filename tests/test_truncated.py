@@ -30,11 +30,6 @@ class TestModelEval:
         with pytest.raises(ValueError, match=">= 0"):
             TruncatedModel(anchor=np.zeros(1), grad=np.ones(1), loss_at_anchor=-1.0)
 
-    def test_rejects_nonzero_floor(self):
-        with pytest.raises(ValueError, match="floor"):
-            TruncatedModel(anchor=np.zeros(1), grad=np.ones(1),
-                           loss_at_anchor=1.0, floor=0.5)
-
 
 class TestLinearResidual:
     def test_at_anchor(self):
