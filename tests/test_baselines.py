@@ -94,6 +94,22 @@ class TestImportanceAware:
         diff = abs(iwa.step(loss, g, ex)[0] - sgd.step(loss, g)[0])
         assert diff <= 10.0 * eta * eta
 
+    @pytest.mark.parametrize("kind,target", [("hinge", 1.0), ("absolute", 2.5)])
+    def test_coincides_with_aprox_fuzz(self, kind, target):
+        rng = np.random.default_rng(67)
+        fn = hinge_eval_grad if kind == "hinge" else absolute_eval_grad
+        iwa = make_algorithm("iwa", 3, eta0=2.0)
+        apx = AProx(3, eta0=2.0)
+        for _ in range(500):
+            x = rng.normal(size=3)
+            x /= np.linalg.norm(x) * rng.uniform(1.0, 4.0)
+            ex = LabeledExample(x, target if kind == "hinge" else float(rng.normal()))
+            loss_i, g_i = fn(iwa.w, ex)
+            loss_a, g_a = fn(apx.w, ex)
+            wi = iwa.step(loss_i, g_i, ex)
+            wa = apx.step(loss_a, g_a, ex)
+            np.testing.assert_allclose(wi, wa, atol=1e-10)
+
 
 class TestKtCoin:
     def test_first_prediction_is_zero(self):
