@@ -1,12 +1,12 @@
 """Parameter-free online convex optimization with truncated linear models."""
 
+__version__ = "0.1.0"  # first, so that submodules can import it
+
 from .baselines import ALGORITHMS, is_parameter_free, make_algorithm
 from .learners import (CoordinateImplicitCoin, ImplicitCoin,
                        ProjectedImplicitCoin, StepTrace)
 from .losses import LabeledExample, absolute_eval_grad, hinge_eval_grad
 from .truncated import SubgradientPair, TruncatedModel, linear_residual, make_pair, model_eval
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",

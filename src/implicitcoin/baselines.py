@@ -3,6 +3,12 @@
 Every algorithm exposes predict() and step(loss_value, g, ex=None) -> w_next
 and consumes exactly one subgradient per round, so the benchmark harness can
 drive them all through one loop. String names are registered at the bottom.
+
+step rejects a nan, infinite or negative loss and a nan or infinite gradient
+entry with ValueError before any state changes. Like the betting learners,
+an algorithm never writes into an iterate it has returned: every update
+rebinds `w`, so step hands back `self.w` itself. g.dot(g) is g @ g without
+the matmul ufunc's overhead on short vectors.
 """
 
 import math
@@ -13,6 +19,19 @@ from .learners import CoordinateImplicitCoin, ImplicitCoin
 
 COCOB_ALPHA = 100.0
 COCOB_EPS = 1e-8
+
+
+def _checked(loss_value, g):
+    """The round's gradient as a float array, after rejecting a
+    nan/inf/negative loss and nan/inf gradient entries. Sgd and AProx, the
+    tuned kinds' hot path, inline the same checks."""
+    if not 0.0 <= loss_value < math.inf:  # also rejects nan
+        raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
+    g = np.asarray(g, dtype=np.float64)
+    gg = float(g.dot(g))
+    if not gg < math.inf:  # nan or inf entries (or a norm past float range)
+        raise ValueError(f"gradient must be finite, got g.g = {gg}")
+    return g
 
 
 class Sgd:
@@ -28,14 +47,16 @@ class Sgd:
     def predict(self):
         return self.w.copy()
 
-    def _eta(self):
-        return self.eta0 / math.sqrt(self.k)
-
     def step(self, loss_value, g, ex=None):
+        if not 0.0 <= loss_value < math.inf:  # also rejects nan
+            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
         g = np.asarray(g, dtype=np.float64)
+        gg = float(g.dot(g))
+        if not gg < math.inf:  # nan or inf entries (or a norm past float range)
+            raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
-        self.w = self.w - self._eta() * g
-        return self.w.copy()
+        self.w = self.w - self.eta0 / math.sqrt(self.k) * g
+        return self.w
 
 
 class AProx(Sgd):
@@ -44,12 +65,18 @@ class AProx(Sgd):
     never crosses it."""
 
     def step(self, loss_value, g, ex=None):
+        if not 0.0 <= loss_value < math.inf:  # also rejects nan
+            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
         g = np.asarray(g, dtype=np.float64)
+        gg = float(g.dot(g))
+        if not gg < math.inf:  # nan or inf entries (or a norm past float range)
+            raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
-        gg = float(g @ g)
         if gg > 0.0:
-            self.w = self.w - min(self._eta(), float(loss_value) / gg) * g
-        return self.w.copy()
+            eta = self.eta0 / math.sqrt(self.k)
+            cap = float(loss_value) / gg
+            self.w = self.w - (cap if cap < eta else eta) * g
+        return self.w
 
 
 class ImportanceAwareSgd(AProx):
@@ -87,15 +114,15 @@ class KtCoin:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = np.asarray(g, dtype=np.float64)
+        g = _checked(loss_value, g)
         self.k += 1
         if not np.any(g):
-            return self.w.copy()
+            return self.w
         self.wealth += float(-g @ self.w)
         self.coin_sum -= g
         self.rounds_bet += 1
         self.w = self.coin_sum / (self.rounds_bet + 1) * self.wealth
-        return self.w.copy()
+        return self.w
 
 
 class Cocob:
@@ -117,7 +144,7 @@ class Cocob:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = np.asarray(g, dtype=np.float64)
+        g = _checked(loss_value, g)
         self.k += 1
         ag = np.abs(g)
         self.scale = np.maximum(self.scale, ag)
@@ -128,7 +155,7 @@ class Cocob:
             self.scale * np.maximum(self.grad_abs_sum + self.scale,
                                     self.alpha * self.scale))
         self.w = self.w0 + fraction * (self.scale + self.reward)
-        return self.w.copy()
+        return self.w
 
 
 PARAMETER_FREE = frozenset({"coin", "cocob", "implicit-coin", "cw-implicit-coin"})

@@ -1,13 +1,20 @@
 """Benchmark protocol: epochs of online updates over a shuffled training split,
 repeated with fresh splits, validation-tuned step sizes for the tuned kinds,
-and CSV output with a final averaged block."""
+and CSV output with a final averaged block.
 
+A repetition is prepared once: its split, preprocessing and training rows
+(as LabeledExamples) are shared by every eta0 of the grid, and a run's
+epochs iterate the same rows.
+"""
+
+import platform
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines, data_io, losses
+from . import __version__, baselines, data_io, losses
 
 # Step-size grid used when the config does not override it: 13 log-spaced
 # points covering 1e-4 .. 1e2.
@@ -90,14 +97,23 @@ def load_dataset(config: ExperimentConfig) -> data_io.Dataset:
                                  name=config.data_path)
 
 
-def prepare_splits(config: ExperimentConfig, dataset, repetition):
-    """Split, binarize classification targets when needed (median of the
-    training targets), and run the preprocessing chain."""
+def split_with_threshold(config: ExperimentConfig, dataset, repetition):
+    """The repetition's raw 70/15/15 split and its binarization threshold:
+    the median of the training targets when a classification task's targets
+    are not already +-1, else None."""
     spec = data_io.SplitSpec(seed=config.seed, repetition=repetition)
     train, val, test = data_io.shuffle_split(dataset, spec)
     threshold = None
     if config.task == "classification" and not set(np.unique(train.y)) <= {-1.0, 1.0}:
         threshold = data_io.median_threshold(train.y)
+    return train, val, test, threshold
+
+
+def prepare_splits(config: ExperimentConfig, dataset, repetition):
+    """Split, binarize classification targets when needed (median of the
+    training targets), and run the preprocessing chain."""
+    train, val, test, threshold = split_with_threshold(config, dataset, repetition)
+    if threshold is not None:
         train, val, test = (data_io.binarize_by_threshold(d, threshold)
                             for d in (train, val, test))
     train, val, test, record = data_io.standardize_then_unit_normalize(train, val, test)
@@ -107,37 +123,66 @@ def prepare_splits(config: ExperimentConfig, dataset, repetition):
     return train, val, test, record
 
 
+class PreparedRepetition(NamedTuple):
+    """A repetition's preprocessed splits and its training rows, built once
+    and shared by every run of the repetition. Nothing writes into them.
+    (A NamedTuple: cheaper to define at import than a dataclass.)"""
+
+    train: data_io.Dataset
+    val: data_io.Dataset
+    test: data_io.Dataset
+    record: data_io.TransformRecord
+    examples: list  # losses.LabeledExample per training row, in split order
+
+
+def prepare_repetition(config: ExperimentConfig, dataset, repetition):
+    """prepare_splits plus one LabeledExample per training row."""
+    train, val, test, record = prepare_splits(config, dataset, repetition)
+    examples = [losses.LabeledExample(x, y) for x, y in zip(train.X, train.y)]
+    return PreparedRepetition(train, val, test, record, examples)
+
+
 def run_single(config: ExperimentConfig, repetition, eta0=None, dataset=None,
-               loss_fn=None, trace_cb=None):
+               loss_fn=None, trace_cb=None, prepared=None):
     """One repetition at one step size: epochs of sequential online updates in
-    split order, evaluating validation and test loss after every epoch."""
-    if dataset is None:
-        dataset = load_dataset(config)
-    train, val, test, _ = prepare_splits(config, dataset, repetition)
+    split order, evaluating validation and test loss after every epoch.
+
+    prepared is the repetition's PreparedRepetition, shared across the grid;
+    without it the run prepares its own (loading the dataset if none is
+    given), which gives the same records."""
+    if prepared is None:
+        if dataset is None:
+            dataset = load_dataset(config)
+        prepared = prepare_repetition(config, dataset, repetition)
+    elif (prepared.record.seed, prepared.record.repetition) != (config.seed, repetition):
+        raise ValueError(
+            f"prepared split is seed {prepared.record.seed} repetition "
+            f"{prepared.record.repetition}, not seed {config.seed} repetition {repetition}")
+    val, test, examples = prepared.val, prepared.test, prepared.examples
+    n = len(examples)
     kind = config.loss_kind
     loss_fn = loss_fn or losses.eval_grad_fn(kind)
     learner = baselines.make_algorithm(
-        config.algorithm, train.n_features, eta0=eta0, trace_cb=trace_cb)
+        config.algorithm, prepared.train.n_features, eta0=eta0, trace_cb=trace_cb)
+    step = learner.step
 
     records = []
     w = learner.predict()
-    round_index = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         total = 0.0
-        for i in range(len(train)):
-            round_index += 1
-            ex = losses.LabeledExample(train.X[i], train.y[i])
+        for i, ex in enumerate(examples):
             loss_value, g = loss_fn(w, ex)
             total += loss_value
             try:
-                w = learner.step(loss_value, g, ex)
+                w = step(loss_value, g, ex)
             except ValueError as err:
+                round_index = (epoch - 1) * n + i + 1
                 raise RunAborted(round_index, err) from err
         records.append(RunRecord(
             algorithm=config.algorithm, repetition=repetition, epoch=epoch,
             eta0=eta0,
-            train_loss=total / len(train),
+            train_loss=total / n,
             val_loss=losses.mean_loss(kind, w, val.X, val.y),
             test_loss=losses.mean_loss(kind, w, test.X, test.y),
             wall_ms=(time.perf_counter() - t0) * 1e3))
@@ -165,8 +210,9 @@ def _mean_rows(per_rep_records, config):
 def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None):
     """Full protocol. Tuned kinds sweep the grid per repetition and keep the
     step size with the best final-epoch validation loss (ties go to the
-    smaller eta0); parameter-free kinds run once per repetition. Averaged
-    rows are appended last."""
+    smaller eta0); parameter-free kinds run once per repetition. Each
+    repetition is prepared once for all its runs. Averaged rows are appended
+    last."""
     if dataset is None:
         dataset = load_dataset(config)
     tuned = not baselines.is_parameter_free(config.algorithm)
@@ -177,13 +223,14 @@ def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None):
 
     selected = []
     for rep in range(config.repetitions):
+        prepared = prepare_repetition(config, dataset, rep)
         if not tuned:
             selected.extend(run_single(config, rep, None, dataset,
-                                       trace_cb=trace_cb))
+                                       trace_cb=trace_cb, prepared=prepared))
             continue
         best = None
         for eta0 in sorted(grid):
-            records = run_single(config, rep, eta0, dataset)
+            records = run_single(config, rep, eta0, dataset, prepared=prepared)
             final_val = records[-1].val_loss
             if best is None or final_val < best[0]:
                 best = (final_val, records)  # ascending grid: ties keep smaller
@@ -235,7 +282,8 @@ def read_csv(path):
 
 def write_metadata(config: ExperimentConfig, path, dataset=None):
     """Record the protocol substitutions that the benchmark leaves open:
-    the grid actually used, the split PRNG, and any binarization thresholds."""
+    the grid actually used, the split PRNG, any binarization thresholds,
+    and the package, Python and numpy versions for replay."""
     if dataset is None:
         dataset = load_dataset(config)
     with open(path, "w") as fh:
@@ -246,9 +294,12 @@ def write_metadata(config: ExperimentConfig, path, dataset=None):
         fh.write(f"repetitions={config.repetitions}\n")
         fh.write(f"seed={config.seed}\n")
         fh.write(f"split_prng={data_io.SPLIT_PRNG}\n")
+        fh.write(f"package_version={__version__}\n")
+        fh.write(f"python={platform.python_version()}\n")
+        fh.write(f"numpy={np.__version__}\n")
         fh.write("selection=final-epoch validation loss, ties to smaller eta0\n")
         fh.write("eta0_grid=" + ",".join(f"{v:.10g}" for v in sorted(config.effective_grid)) + "\n")
         for rep in range(config.repetitions):
-            _, _, _, record = prepare_splits(config, dataset, rep)
-            if record.binarize_threshold is not None:
-                fh.write(f"binarize_threshold_rep{rep}={record.binarize_threshold!r}\n")
+            threshold = split_with_threshold(config, dataset, rep)[3]
+            if threshold is not None:
+                fh.write(f"binarize_threshold_rep{rep}={threshold!r}\n")

@@ -67,11 +67,23 @@ def solve_corner(residual, f0, f1):
     """Corner h in (0, 1) from residual(0) = f0 >= 0 > residual(1) = f1.
 
     Illinois steps narrow [0, 1]; one bisection call finishes the bracket to
-    float resolution, with its step bound as the safeguard. An exact root at
-    the narrowed lo (a zero loss, say) comes back from that call unchanged.
+    float resolution, with its step bound as the safeguard. The bisection
+    gets the residuals at the narrowed ends from the narrowing instead of
+    evaluating them again. An exact root at the narrowed lo (a zero loss,
+    say) comes back from that call unchanged.
     """
-    lo, hi = rootsolve.narrow_bracket(residual, 0.0, 1.0, f0, f1, CORNER_NARROW_WIDTH)
-    return rootsolve.bisect(residual, lo, hi, CORNER_BRACKET_TOL)
+    lo, hi, flo, fhi = rootsolve.narrow_bracket(
+        residual, 0.0, 1.0, f0, f1, CORNER_NARROW_WIDTH)
+
+    def f(h):
+        # bisect evaluates the ends first, then only points strictly inside
+        if h == lo:
+            return flo
+        if h == hi:
+            return fhi
+        return residual(h)
+
+    return rootsolve.bisect(f, lo, hi, CORNER_BRACKET_TOL)
 
 
 def wealth_update(wealth, beta, pair, beta_next):

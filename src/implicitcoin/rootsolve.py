@@ -117,35 +117,37 @@ def narrow_bracket(f, lo: float, hi: float, flo: float, fhi: float, width: float
     halved (Dowell & Jarratt 1971), so both ends converge. flo and fhi are
     the known endpoint values. A point with f >= 0 replaces lo, any other
     replaces hi, so the sign change is kept. Stops once hi - lo <= width,
-    after NARROW_MAX_EVALS evaluations, or when an exact zero has moved lo;
-    the bracket is returned, never a root, and `bisect` finishes it.
+    after NARROW_MAX_EVALS evaluations, or when an exact zero has moved lo.
+    Returns (lo, hi, f(lo), f(hi)) with the true, unhalved values at the
+    ends, never a root; `bisect` finishes the bracket.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not flo >= 0.0 > fhi:
         raise ValueError(f"need f(lo) >= 0 > f(hi) on [{lo}, {hi}]: "
                          f"f(lo)={flo!r}, f(hi)={fhi!r}")
+    a, b = flo, fhi  # the Illinois-weighted values of lo and hi
     kept = 0  # +1: lo kept by the last step, -1: hi kept
     for _ in range(NARROW_MAX_EVALS):
-        if hi - lo <= width or flo == 0.0:
+        if hi - lo <= width or a == 0.0:
             break
-        x = (lo * fhi - hi * flo) / (fhi - flo)
+        x = (lo * b - hi * a) / (b - a)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break  # interval at float resolution
         fx = f(x)
         if fx >= 0.0:
-            lo, flo = x, fx
+            lo, flo, a = x, fx, fx
             if kept < 0:
-                fhi *= 0.5
+                b *= 0.5
             kept = -1
         else:
-            hi, fhi = x, fx
+            hi, fhi, b = x, fx, fx
             if kept > 0:
-                flo *= 0.5
+                a *= 0.5
             kept = 1
-    return lo, hi
+    return lo, hi, flo, fhi
 
 
 def bisect(f, lo: float, hi: float, tol: float):

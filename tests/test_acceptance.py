@@ -84,7 +84,7 @@ def test_criterion_2_wealth_identity():
         learner = cls(1, trace_cb=fold.update)
         rng = np.random.default_rng(2000 + seed)
         for _ in range(10_000):
-            g = np.array([float(rng.choice([-1.0, 1.0]))])
+            g = np.array([(-1.0, 1.0)[rng.integers(2)]])
             learner.step(rng.uniform(0.0, 2.0), g)
         report = fold.report()
         worst = max(worst, -report.worst_slack)
@@ -103,7 +103,7 @@ def _coin_sequence_slack(cls, variant, seed, adversarial, rounds=1000):
         if adversarial:
             g = np.array([math.copysign(1.0, w[0]) if w[0] != 0.0 else 1.0])
         else:
-            g = np.array([float(rng.choice([-1.0, 1.0]))])
+            g = np.array([(-1.0, 1.0)[rng.integers(2)]])
         w = learner.step(rng.uniform(0.0, 2.0), g)
     return fold.report().worst_slack
 

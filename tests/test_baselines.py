@@ -193,3 +193,45 @@ class TestRegistry:
             # the example is a third positional argument that every step accepts
             w = algo.step(0.5, np.array([0.6, 0.0, -0.8]), None)
             assert w.shape == (3,) and np.all(np.isfinite(w))
+
+
+BASELINES = ("sgd", "aprox", "iwa", "coin", "cocob")
+
+
+def make_baseline(name, dim):
+    return make_algorithm(name, dim, eta0=None if is_parameter_free(name) else 0.5)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", BASELINES)
+    @pytest.mark.parametrize("loss,g", [
+        (np.nan, [0.6, -0.8]), (np.inf, [0.6, -0.8]), (-1e-3, [0.6, -0.8]),
+        (0.5, [np.nan, 0.0]), (0.5, [0.6, np.inf]), (0.5, [-np.inf, 0.0]),
+    ])
+    def test_bad_round_rejected_before_any_state_changes(self, name, loss, g):
+        algo = make_baseline(name, 2)
+        algo.step(0.5, np.array([0.3, 0.4]))
+        before = {k: np.copy(v) for k, v in vars(algo).items()}
+        with pytest.raises(ValueError, match="loss value|gradient"):
+            algo.step(loss, np.array(g))
+        assert vars(algo).keys() == before.keys()
+        for k, v in vars(algo).items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
+class TestReturnedIterates:
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_returned_iterates_are_never_written(self, name):
+        algo = make_baseline(name, 3)
+        rng = np.random.default_rng(41)
+        returned, snapshots = [], []
+        for i in range(300):
+            g = rng.normal(size=3)
+            g *= rng.uniform(0.0, 1.0) / np.linalg.norm(g)
+            if i % 7 == 0:
+                g[:] = 0.0
+            w = algo.step(rng.uniform(0.0, 2.0), g)
+            returned.append(w)
+            snapshots.append(w.copy())
+        for w, snap in zip(returned, snapshots):
+            np.testing.assert_array_equal(w, snap)

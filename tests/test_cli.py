@@ -1,6 +1,9 @@
+import platform
+
 import numpy as np
 import pytest
 
+import implicitcoin
 from implicitcoin.cli import main
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.harness import read_csv
@@ -28,6 +31,16 @@ def test_run_writes_csv_and_metadata(tmp_path, libsvm_file):
     rows = read_csv(out)
     assert {r["repetition"] for r in rows} == {"0", "1", "mean"}
     assert (tmp_path / "out.csv.meta.txt").exists()
+
+
+def test_metadata_records_provenance(tmp_path, libsvm_file):
+    code, out = run_cli(tmp_path, libsvm_file)
+    assert code == 0
+    lines = (tmp_path / "out.csv.meta.txt").read_text().splitlines()
+    for line in (f"package_version={implicitcoin.__version__}",
+                 f"python={platform.python_version()}",
+                 f"numpy={np.__version__}"):
+        assert line in lines
 
 
 def test_check_bounds_appends_diagnostics_block(tmp_path, libsvm_file):

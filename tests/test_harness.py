@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from implicitcoin import harness
+from implicitcoin import data_io, harness, losses
+from implicitcoin.baselines import is_parameter_free
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.harness import (DEFAULT_GRID, ExperimentConfig, RunRecord,
                                   emit_csv, read_csv, run_single, tune_and_run)
@@ -84,18 +87,20 @@ class TestRunSingle:
             run_single(cfg, 0, dataset=small_ds, loss_fn=oversized)
         assert err.value.round_index == 1
 
-    @pytest.mark.parametrize("algorithm", ["implicit-coin", "cw-implicit-coin"])
+    @pytest.mark.parametrize("algorithm", ["implicit-coin", "cw-implicit-coin",
+                                           "sgd", "aprox", "iwa", "coin", "cocob"])
     @pytest.mark.parametrize("bad", ["nan-loss", "inf-loss", "nan-grad", "inf-grad"])
     def test_non_finite_oracle_output_aborts_with_round_index(self, small_ds,
                                                              algorithm, bad):
-        cfg = ExperimentConfig(algorithm=algorithm, epochs=1, repetitions=1)
+        eta0 = None if is_parameter_free(algorithm) else 0.1
+        cfg = ExperimentConfig(algorithm=algorithm, epochs=2, repetitions=1)
         base = eval_grad_fn("absolute")
         calls = []
 
         def poisoned(w, ex):
             calls.append(1)
             loss, g = base(w, ex)
-            if len(calls) == 3:
+            if len(calls) == 45:  # the third round of the second epoch
                 kind, what = bad.split("-")
                 value = np.nan if kind == "nan" else np.inf
                 if what == "loss":
@@ -105,9 +110,9 @@ class TestRunSingle:
                     g[0] = value
             return loss, g
 
-        with pytest.raises(harness.RunAborted, match="round 3") as err:
-            run_single(cfg, 0, dataset=small_ds, loss_fn=poisoned)
-        assert err.value.round_index == 3
+        with pytest.raises(harness.RunAborted, match="round 45") as err:
+            run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=poisoned)
+        assert err.value.round_index == 45
 
 
 class TestTuneAndRun:
@@ -171,6 +176,67 @@ class TestTuneAndRun:
         records = tune_and_run(cfg, dataset=small_ds)
         for r in count_records(records, 0) + count_records(records, 1):
             assert r.eta0 in (0.1, 1.0)
+
+
+def sequential_protocol(cfg, ds):
+    """The protocol as a plain loop of run_single calls, each preparing its
+    own split: the reference for the shared preparation of tune_and_run."""
+    selected = []
+    for rep in range(cfg.repetitions):
+        if not cfg.effective_grid:
+            selected.extend(run_single(cfg, rep, None, ds))
+            continue
+        best = None
+        for eta0 in sorted(cfg.effective_grid):
+            records = run_single(cfg, rep, eta0, ds)
+            if best is None or records[-1].val_loss < best[0]:
+                best = (records[-1].val_loss, records)
+        selected.extend(best[1])
+    return selected + harness._mean_rows(selected, cfg)
+
+
+def without_wall(records):
+    return [dataclasses.replace(r, wall_ms=0.0) for r in records]
+
+
+class TestPreparedRepetitions:
+    @pytest.mark.parametrize("algorithm,task", [
+        ("sgd", "regression"), ("aprox", "regression"), ("iwa", "regression"),
+        ("implicit-coin", "classification"), ("cw-implicit-coin", "classification")])
+    def test_records_equal_a_fresh_split_per_run(self, algorithm, task):
+        ds = make_synthetic_regression(n=80, dim=3, seed=23)
+        cfg = ExperimentConfig(algorithm=algorithm, task=task, epochs=2,
+                               repetitions=2, seed=4)
+        got = tune_and_run(cfg, dataset=ds)
+        assert without_wall(got) == without_wall(sequential_protocol(cfg, ds))
+
+    @pytest.mark.parametrize("algorithm,runs", [("sgd", 13), ("coin", 1)])
+    def test_one_split_and_one_row_set_per_repetition(self, algorithm, runs,
+                                                      small_ds, monkeypatch):
+        counts = {"split": 0, "example": 0, "run": 0}
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(data_io, "shuffle_split", counted("split", data_io.shuffle_split))
+        monkeypatch.setattr(losses, "LabeledExample", counted("example", losses.LabeledExample))
+        monkeypatch.setattr(harness, "run_single", counted("run", harness.run_single))
+        cfg = ExperimentConfig(algorithm=algorithm, epochs=3, repetitions=2)
+        tune_and_run(cfg, dataset=small_ds)
+        assert counts == {"split": 2, "example": 2 * 42, "run": 2 * runs}
+
+    def test_run_single_rejects_another_repetitions_split(self, small_ds):
+        cfg = ExperimentConfig(algorithm="sgd", epochs=1, repetitions=2, seed=3)
+        prepared = harness.prepare_repetition(cfg, small_ds, 0)
+        assert len(prepared.examples) == len(prepared.train) == 42
+        with pytest.raises(ValueError, match="repetition 0, not seed 3 repetition 1"):
+            run_single(cfg, 1, 0.1, small_ds, prepared=prepared)
+        other = ExperimentConfig(algorithm="sgd", epochs=1, repetitions=2, seed=5)
+        with pytest.raises(ValueError, match="not seed 5"):
+            run_single(other, 0, 0.1, small_ds, prepared=prepared)
 
 
 class TestCsv:
@@ -248,3 +314,22 @@ def test_metadata_file(tmp_path, small_ds):
     assert "split_prng=pcg64" in text
     assert "eta0_grid=0.0001" in text
     assert "selection=final-epoch" in text
+
+
+def test_metadata_thresholds_match_prepared_splits_without_standardizing(
+        tmp_path, monkeypatch):
+    ds = make_synthetic_regression(n=80, dim=3, seed=21)
+    cfg = ExperimentConfig(algorithm="implicit-coin", task="classification",
+                           epochs=1, repetitions=3, seed=2)
+    expected = [harness.prepare_splits(cfg, ds, rep)[3].binarize_threshold
+                for rep in range(3)]
+
+    def no_standardize(*args):
+        raise AssertionError("write_metadata standardized a split")
+
+    monkeypatch.setattr(data_io, "standardize_then_unit_normalize", no_standardize)
+    meta = tmp_path / "meta.txt"
+    harness.write_metadata(cfg, meta, ds)
+    lines = meta.read_text().splitlines()
+    assert [f"binarize_threshold_rep{rep}={t!r}" for rep, t in enumerate(expected)] \
+        == [ln for ln in lines if ln.startswith("binarize_threshold")]

@@ -266,20 +266,44 @@ class TestCornerSolve:
 
     def test_one_bisection_call_per_corner_round(self, monkeypatch):
         calls = []
+        points = []  # residual evaluation points, per corner solve
         orig = learners.rootsolve.bisect
+        solve = learners.solve_corner
 
         def counting(f, lo, hi, tol):
             # narrowed to the target width, or lo moved onto an exact root
             calls.append(hi - lo <= 1e-12 or f(lo) == 0.0)
             return orig(f, lo, hi, tol)
 
+        def recording(residual, f0, f1):
+            seen = []
+
+            def counted(h):
+                seen.append(h)
+                return residual(h)
+
+            h = solve(counted, f0, f1)
+            points.append(seen)
+            # the same narrowing, then a bisection that evaluates the ends again
+            lo, hi, _, _ = learners.rootsolve.narrow_bracket(
+                residual, 0.0, 1.0, f0, f1, learners.CORNER_NARROW_WIDTH)
+            assert h == orig(residual, lo, hi, CORNER_BRACKET_TOL)
+            return h
+
         monkeypatch.setattr(learners.rootsolve, "bisect", counting)
+        monkeypatch.setattr(learners, "solve_corner", recording)
         traces = []
         l = CoordinateImplicitCoin(3, trace_cb=traces.append)
         fuzz_rounds(l, 400, seed=67, loss_hi=0.05)
         corners = sum(0.0 < tr.h < 1.0 for tr in traces)
         assert corners > 10 and len(calls) == corners
         assert all(calls)
+        # every point is evaluated once: the known ends, 0 and 1 among them,
+        # come from the narrowing
+        assert len(points) == corners
+        for seen in points:
+            assert len(seen) == len(set(seen)) and 0.0 not in seen and 1.0 not in seen
+        assert sum(map(len, points)) / corners < 11.0
 
 
 def _update_map_residual(state, loss, g):

@@ -124,6 +124,23 @@ def test_mean_loss_matches_pointwise():
     assert mean_loss("absolute", w, X, y_reg) == pytest.approx(absd, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 7, 150, 1000])
+def test_mean_loss_is_bit_identical_to_np_mean(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 5))
+    w = rng.normal(size=5)
+    y_clf = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    y_reg = rng.normal(size=n) * 1e3
+    p = X @ w
+    assert mean_loss("hinge", w, X, y_clf) == float(np.mean(np.maximum(0.0, 1.0 - y_clf * p)))
+    assert mean_loss("absolute", w, X, y_reg) == float(np.mean(np.abs(p - y_reg)))
+
+
+def test_mean_loss_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        mean_loss("absolute", np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+
+
 def test_eval_grad_fn_lookup():
     assert eval_grad_fn("hinge") is hinge_eval_grad
     assert eval_grad_fn("absolute") is absolute_eval_grad

@@ -160,20 +160,21 @@ class TestNarrowBracket:
         lambda h: 1.0 if h < 0.3 else -1.0,  # a jump: still a sign change
     ])
     def test_keeps_the_sign_change_with_f_nonnegative_at_lo(self, f):
-        lo, hi = narrow_bracket(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        lo, hi, flo, fhi = narrow_bracket(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
         assert 0.0 <= lo < hi <= 1.0
-        assert f(lo) >= 0.0 > f(hi)
-        assert hi - lo <= 1e-12 or f(lo) == 0.0
+        assert (flo, fhi) == (f(lo), f(hi))  # the true values, not halved ones
+        assert flo >= 0.0 > fhi
+        assert hi - lo <= 1e-12 or flo == 0.0
 
     def test_exact_zero_moves_lo_and_bisect_returns_it(self):
         f, calls = counted(lambda h: 0.5 - h)  # the first secant point is the root
-        lo, hi = narrow_bracket(f, 0.0, 1.0, 0.5, -0.5, 1e-12)
-        assert (lo, hi) == (0.5, 1.0) and calls == [0.5]
+        lo, hi, flo, fhi = narrow_bracket(f, 0.0, 1.0, 0.5, -0.5, 1e-12)
+        assert (lo, hi, flo, fhi) == (0.5, 1.0, 0.0, -0.5) and calls == [0.5]
         assert bisect(f, lo, hi, 1e-18) == 0.5
 
     def test_zero_at_lo_is_not_narrowed(self):
         f, calls = counted(lambda h: -h)
-        assert narrow_bracket(f, 0.0, 1.0, 0.0, -1.0, 1e-12) == (0.0, 1.0)
+        assert narrow_bracket(f, 0.0, 1.0, 0.0, -1.0, 1e-12) == (0.0, 1.0, 0.0, -1.0)
         assert calls == []
         assert bisect(f, 0.0, 1.0, 1e-18) == 0.0
 
@@ -184,7 +185,7 @@ class TestNarrowBracket:
     ])
     def test_evaluations_stay_bounded(self, f, limit):
         g, calls = counted(f)
-        lo, hi = narrow_bracket(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        lo, hi, _, _ = narrow_bracket(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
         # a plain bisection needs 40 evaluations for the same width
         assert len(calls) <= limit
         root = bisect(f, lo, hi, 1e-18)
@@ -193,7 +194,7 @@ class TestNarrowBracket:
     def test_evaluation_cap_stops_the_narrowing(self, monkeypatch):
         monkeypatch.setattr(rootsolve, "NARROW_MAX_EVALS", 5)
         f, calls = counted(lambda h: 1.0 if h < 0.3 else -1.0)
-        lo, hi = narrow_bracket(f, 0.0, 1.0, 1.0, -1.0, 1e-12)
+        lo, hi, _, _ = narrow_bracket(f, 0.0, 1.0, 1.0, -1.0, 1e-12)
         assert len(calls) == 5 and lo < 0.3 <= hi
 
     @pytest.mark.parametrize("flo,fhi", [(1.0, 2.0), (-1.0, -2.0), (-1.0, 1.0), (0.0, 0.0)])
