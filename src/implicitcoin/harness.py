@@ -283,9 +283,14 @@ def read_csv(path):
 def write_metadata(config: ExperimentConfig, path, dataset=None):
     """Record the protocol substitutions that the benchmark leaves open:
     the grid actually used, the split PRNG, any binarization thresholds,
-    and the package, Python and numpy versions for replay."""
-    if dataset is None:
-        dataset = load_dataset(config)
+    and the package, Python and numpy versions for replay. Only a
+    classification task can have thresholds, so only it is split here."""
+    thresholds = []
+    if config.task == "classification":
+        if dataset is None:
+            dataset = load_dataset(config)
+        thresholds = [split_with_threshold(config, dataset, rep)[3]
+                      for rep in range(config.repetitions)]
     with open(path, "w") as fh:
         fh.write(f"algorithm={config.algorithm}\n")
         fh.write(f"task={config.task}\n")
@@ -299,7 +304,6 @@ def write_metadata(config: ExperimentConfig, path, dataset=None):
         fh.write(f"numpy={np.__version__}\n")
         fh.write("selection=final-epoch validation loss, ties to smaller eta0\n")
         fh.write("eta0_grid=" + ",".join(f"{v:.10g}" for v in sorted(config.effective_grid)) + "\n")
-        for rep in range(config.repetitions):
-            threshold = split_with_threshold(config, dataset, rep)[3]
+        for rep, threshold in enumerate(thresholds):
             if threshold is not None:
                 fh.write(f"binarize_threshold_rep{rep}={threshold!r}\n")

@@ -3,16 +3,22 @@
 All variants play one round, `_BettingCoin.step`: predict w = beta * wealth,
 receive one loss value and one subgradient g, scale g by h in [0, 1] (h < 1
 exactly when the full step would cross the model's corner), then update the
-betting fraction and the wealth multiplicatively. h = 1 is tried first; a
-corner round solves loss + <g, w_next(h) - w> = 0. Per round, a variant's
-`_round(g, nrm, s)`, with s = <g, beta>, returns two closures:
-dq(h) = <g, beta_next(h)> - s, and commit(h) -> (beta_next, 1/eta increment).
-With q = s + dq, <g, w_next(h) - w> = W (dq - h q s) / (1 + (h-1) q): the
-residual has no <g, w> term to cancel, so its float noise scales with the
-loss, and it is exactly the loss at h = 0. `ImplicitCoin` solves the corner
-in closed form; the others narrow [0, 1] with Illinois steps and bisect to
-float resolution. `CoordinateImplicitCoin` plays one game per coordinate, so
-its s, dq, wealth and 1/eta are arrays and the residual sums over them.
+betting fraction and the wealth multiplicatively. With s = <g, beta> and
+dq(h) = <g, beta_next(h)> - s, q = s + dq, the corner equation
+loss + <g, w_next(h) - w> = 0 reads loss + W (dq - h q s) / (1 + (h-1) q):
+the residual has no <g, w> term to cancel, so its float noise scales with
+the loss, and it is exactly the loss at h = 0.
+
+A round pays only for what it uses. A variant's fused `_full_round(g, nrm,
+s)` returns dq(1), beta_next(1) and the 1/eta increment in one pass; only
+when the full round would cross the corner does `_round(g, nrm, s, loss,
+wealth)` build two closures, fd(h) -> (residual, slope) and commit(h) ->
+(beta_next, 1/eta increment). `ImplicitCoin` solves the corner in closed
+form; the others by `solve_corner`, safeguarded Newton inside the bracket.
+`CoordinateImplicitCoin` plays one game per coordinate, so its s, dq,
+wealth and 1/eta are arrays and the residual sums over them. The iterate
+w = beta * wealth is built only on rounds that do not move, or when a
+trace record needs it.
 
 A learner never writes into an array it has stored or returned, so trace
 records share arrays with the learner and the caller instead of copying.
@@ -39,12 +45,14 @@ PROJECTION_SLACK = 1e-15
 
 GRAD_NORM_SLACK = 1e-9       # accepted float excess over the unit-norm bound
 CORNER_RESIDUAL_BAND = 1e-8  # |residual| accepted at a solved corner
-# Corner solves narrow the bracket [0, 1] to CORNER_NARROW_WIDTH with
-# Illinois steps, then bisect it to CORNER_BRACKET_TOL, which is below float
-# resolution on [0, 1]: the trajectory must match the closed-form variant to
-# ~1e-12 in one dimension, and h matches a full-bracket bisection to ~1e-12.
-CORNER_NARROW_WIDTH = 1e-12
-CORNER_BRACKET_TOL = 1e-18
+# A corner solve stops once its bracket is this many ulps of h wide, so h
+# matches a full-bracket bisection to float resolution, near h = 0 as well
+# as near 1 (and among subnormals, where a relative width underflows).
+CORNER_WIDTH_ULPS = 4.0
+# Evaluation cap of the Newton phase: a bisection halves [0, 1] to float
+# resolution in about 60 steps, so a solve that needs more has met a
+# residual it cannot speed up.
+CORNER_MAX_EVALS = 64
 
 
 @dataclass(slots=True)
@@ -63,27 +71,70 @@ class StepTrace:
     wealth_after: float
 
 
-def solve_corner(residual, f0, f1):
-    """Corner h in (0, 1) from residual(0) = f0 >= 0 > residual(1) = f1.
+def solve_corner(fd, f0, f1):
+    """Corner h in [0, 1) from residual(0) = f0 >= 0 > residual(1) = f1.
 
-    Illinois steps narrow [0, 1]; one bisection call finishes the bracket to
-    float resolution, with its step bound as the safeguard. The bisection
-    gets the residuals at the narrowed ends from the narrowing instead of
-    evaluating them again. An exact root at the narrowed lo (a zero loss,
-    say) comes back from that call unchanged.
+    fd(h) returns the residual and its slope. Safeguarded Newton (rtsafe,
+    Press et al., Numerical Recipes, section 9.4) keeps the bracket
+    f(lo) >= 0 > f(hi): it starts from the secant point of the known ends,
+    takes a bisection step whenever a Newton step leaves the bracket, and
+    once a Newton step is shorter than half the target width it steps that
+    half-width past the root, so the next point closes the bracket from the
+    other side. It stops when the bracket is CORNER_WIDTH_ULPS ulps of hi
+    wide or lo holds an exact root. One bisection call finishes the bracket (no
+    midpoint once it is closed) with the ends answered from the Newton
+    phase, so 0 and 1 are never evaluated. Returns (h, evaluations of fd).
     """
-    lo, hi, flo, fhi = rootsolve.narrow_bracket(
-        residual, 0.0, 1.0, f0, f1, CORNER_NARROW_WIDTH)
+    lo, hi, flo, fhi = 0.0, 1.0, f0, f1
+    evals = 0
+    x = f0 / (f0 - f1)  # secant point
+    while flo != 0.0 and evals < CORNER_MAX_EVALS:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # bracket at float resolution
+        fx, slope = fd(x)
+        evals += 1
+        if fx >= 0.0:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        if hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi):
+            break
+        if slope < 0.0:
+            dx = fx / slope
+            half = 0.5 * CORNER_WIDTH_ULPS * math.ulp(x)
+            if abs(dx) <= half:
+                dx += math.copysign(half, dx)
+            x -= dx
+        else:
+            x = math.nan  # no falling slope: bisect
 
     def f(h):
         # bisect evaluates the ends first, then only points strictly inside
+        nonlocal evals
         if h == lo:
             return flo
         if h == hi:
             return fhi
-        return residual(h)
+        evals += 1
+        return fd(h)[0]
 
-    return rootsolve.bisect(f, lo, hi, CORNER_BRACKET_TOL)
+    return rootsolve.bisect(f, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi)), evals
+
+
+def _scalar_corner(dq, loss, wealth, s):
+    """fd(h) of a one-game variant from dq(h) -> (dq, dq/dh)."""
+
+    def fd(h):
+        d, dd = dq(h)
+        q = s + d
+        num = d - h * q * s
+        den = 1.0 + (h - 1.0) * q
+        slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
+        return loss + wealth * (num / den), wealth * slope / (den * den)
+
+    return fd
 
 
 def wealth_update(wealth, beta, pair, beta_next):
@@ -99,7 +150,12 @@ def wealth_update(wealth, beta, pair, beta_next):
 
 class _BettingCoin:
     """The round of every variant, for one game with a scalar wealth; a
-    per-coordinate variant overrides the reductions below."""
+    per-coordinate variant overrides the reductions below.
+
+    Counters: corner_rounds (rounds whose full step would cross the
+    corner), residual_evals (residual evaluations of their solves),
+    corner_fallbacks (closed-form corners finished by `solve_corner`) and
+    grad_norm_warnings (gradients renormalised from float excess)."""
 
     variant = None
     inv_eta0 = None
@@ -110,6 +166,8 @@ class _BettingCoin:
         self.wealth = self._per_game(float(initial_wealth))
         self.inv_eta = self._per_game(self.inv_eta0)
         self.t = 0
+        self.corner_rounds = 0
+        self.residual_evals = 0
         self.grad_norm_warnings = 0
         self.corner_fallbacks = 0
         self.trace_cb = trace_cb
@@ -118,10 +176,10 @@ class _BettingCoin:
         return value
 
     def _norm(self, g):
-        return math.sqrt(float(g @ g))
+        return math.sqrt(float(g.dot(g)))
 
     def _gdot(self, g, beta):
-        return float(g @ beta)
+        return float(g.dot(beta))
 
     def _spend(self, wealth, x):
         return wealth * x
@@ -134,7 +192,8 @@ class _BettingCoin:
 
     def step(self, loss_value, g, ex=None):
         """One round; returns w_next. ex is unused: every algorithm accepts
-        the example, and only the oracle needs it."""
+        the example, and only the oracle needs it. Bad input, or a wealth
+        that would overflow, raises ValueError before any state changes."""
         loss_value = float(loss_value)
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
@@ -149,85 +208,106 @@ class _BettingCoin:
             nrm = 1.0
             self.grad_norm_warnings += 1
 
-        self.t += 1
         beta, wealth = self.beta, self.wealth
-        w = beta * wealth
         h = 0.0
+        evals = None
         if nrm > 0.0:
             s = self._gdot(g, beta)
-            dq, commit = self._round(g, nrm, s)
-            h = 1.0
-            dq1 = dq(1.0)
+            dq1, beta_next, inv_eta_step = self._full_round(g, nrm, s)
             f1 = loss_value + self._spend(wealth, dq1 - (s + dq1) * s)
+            h = 1.0
             if f1 < 0.0:
-                spend = self._spend
-
-                def residual(h):
-                    dqh = dq(h)
-                    q = s + dqh
-                    return loss_value + spend(wealth, (dqh - h * q * s) / (1.0 + (h - 1.0) * q))
-
-                h = self._corner_h(residual, loss_value, f1, nrm, s)
+                fd, commit = self._round(g, nrm, s, loss_value, wealth)
+                h, evals = self._corner_h(fd, loss_value, f1, nrm, s)
+                if h != 0.0:
+                    beta_next, inv_eta_step = commit(h)
 
         if h == 0.0:  # a zero gradient, or a corner at the anchor: no move
-            beta_next, wealth_next, w_next = beta, wealth, w
+            beta_next, wealth_next = beta, wealth
+            w_next = beta * wealth
         else:
-            beta_next, inv_eta_step = commit(h)
             wealth_next = wealth * (1.0 - s)
             if h != 1.0:  # a full round has denominator 1
                 wealth_next /= 1.0 + (h - 1.0) * self._gdot(g, beta_next)
+            if not self._total(wealth_next) < math.inf:
+                raise ValueError(f"wealth overflows to {self._total(wealth_next)} "
+                                 f"at round {self.t + 1}")
             w_next = beta_next * wealth_next
             self.beta = beta_next
             self.wealth = wealth_next
             self.inv_eta = self.inv_eta + inv_eta_step
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
 
         if self.trace_cb is not None:
             self.trace_cb(StepTrace(
-                t=self.t, w=w, g=g, loss_value=loss_value, h=h, w_next=w_next,
-                beta=beta, beta_next=beta_next, wealth_before=self._total(wealth),
+                t=self.t, w=w_next if h == 0.0 else beta * wealth, g=g,
+                loss_value=loss_value, h=h, w_next=w_next, beta=beta,
+                beta_next=beta_next, wealth_before=self._total(wealth),
                 wealth_after=self._total(wealth_next)))
         return w_next
 
-    def _corner_h(self, residual, f0, f1, nrm, s):
-        return solve_corner(residual, f0, f1)
+    def _corner_h(self, fd, f0, f1, nrm, s):
+        return solve_corner(fd, f0, f1)
 
-    def _round(self, g, nrm, s):
+    def _full_round(self, g, nrm, s):
+        raise NotImplementedError
+
+    def _round(self, g, nrm, s, loss, wealth):
         raise NotImplementedError
 
 
 class ProjectedImplicitCoin(_BettingCoin):
-    """Betting step projected onto the half-unit ball; corner h by bisection,
-    since the projection leaves the corner equation without a closed form."""
+    """Betting step projected onto the half-unit ball; corner h by
+    `solve_corner`, since the projection leaves the corner equation without
+    a closed form."""
 
     variant = PROJECTED
     inv_eta0 = PROJECTED_INV_ETA0
 
-    def _round(self, g, nrm, s):
+    @staticmethod
+    def _dq(h, gg, s, bb, eta):
+        """dq(h) and its slope: a scalar replay of `_commit`, <g, .> and the
+        projection factor only."""
+        k = gg * h * (2.0 - h)
+        dk = gg * (2.0 - 2.0 * h)
+        step = -eta * (h * gg + 2.0 * k * s)
+        dstep = -eta * (gg + 2.0 * dk * s)
+        raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
+                  + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
+        scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
+        if scale <= 1.0 + PROJECTION_SLACK:
+            return step, dstep
+        draw_sq = (-2.0 * eta * (s + 2.0 * dk * bb)
+                   + eta * eta * (2.0 * h * gg + 4.0 * (k + h * dk) * s + 8.0 * k * dk * bb))
+        dscale = 2.0 * draw_sq / scale
+        return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
+
+    def _commit(self, g, gg, eta, h):
         beta = self.beta
+        k = gg * h * (2.0 - h)
+        raw = beta - eta * (h * g + (2.0 * k) * beta)
+        scale = 2.0 * math.sqrt(float(raw.dot(raw)))
+        if scale > 1.0 + PROJECTION_SLACK:
+            raw = raw / scale
+        return raw, 2.0 * k
+
+    def _full_round(self, g, nrm, s):
         gg = nrm * nrm
-        bb = float(beta @ beta)
         eta = 1.0 / self.inv_eta
+        beta_next, inv_eta_step = self._commit(g, gg, eta, 1.0)
+        dq1 = self._dq(1.0, gg, s, float(self.beta.dot(self.beta)), eta)[0]
+        return dq1, beta_next, inv_eta_step
 
-        def dq(h):
-            # scalar replay of commit: <g, .> and the projection factor only
-            k = gg * h * (2.0 - h)
-            step = -eta * (h * gg + 2.0 * k * s)
-            raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
-                      + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
-            scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
-            if scale <= 1.0 + PROJECTION_SLACK:
-                return step
-            return (s + step) / scale - s
-
-        def commit(h):
-            k = gg * h * (2.0 - h)
-            raw = beta - eta * (h * g + (2.0 * k) * beta)
-            scale = 2.0 * math.sqrt(float(raw @ raw))
-            if scale > 1.0 + PROJECTION_SLACK:
-                raw = raw / scale
-            return raw, 2.0 * k
-
-        return dq, commit
+    def _round(self, g, nrm, s, loss, wealth):
+        gg = nrm * nrm
+        bb = float(self.beta.dot(self.beta))
+        eta = 1.0 / self.inv_eta
+        dq = self._dq
+        return (_scalar_corner(lambda h: dq(h, gg, s, bb, eta), loss, wealth, s),
+                lambda h: self._commit(g, gg, eta, h))
 
 
 class ImplicitCoin(_BettingCoin):
@@ -240,31 +320,43 @@ class ImplicitCoin(_BettingCoin):
 
     _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
-    def _round(self, g, nrm, s):
+    def _full_round(self, g, nrm, s):
+        # the closures of _round at h = 1, inlined
         beta = self.beta
         eta = 1.0 / self.inv_eta
-        self._small = float(beta @ beta) < self._SMALL_SQ  # the corner's branch too
+        if beta.dot(beta) < self._SMALL_SQ:
+            gg = nrm * nrm
+            k2 = 2.0 * gg
+            return -eta * (gg + k2 * s), beta - eta * (g + k2 * beta), k2
+        return ((-2.0 * SHRINK_GAIN) * eta * nrm * s,
+                beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm)
+
+    def _round(self, g, nrm, s, loss, wealth):
+        beta = self.beta
+        eta = 1.0 / self.inv_eta
+        self._small = beta.dot(beta) < self._SMALL_SQ  # the corner's branch too
         if self._small:
             gg = nrm * nrm
 
             def dq(h):
                 k = gg * h * (2.0 - h)
-                return -eta * (h * gg + 2.0 * k * s)
+                return (-eta * (h * gg + 2.0 * k * s),
+                        -eta * (gg + 2.0 * gg * (2.0 - 2.0 * h) * s))
 
             def commit(h):
                 k = gg * h * (2.0 - h)
                 return beta - eta * (h * g + (2.0 * k) * beta), 2.0 * k
         else:
             def dq(h):
-                return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
+                return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s, (-2.0 * SHRINK_GAIN) * eta * nrm * s
 
             def commit(h):
                 return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
                         2.0 * SHRINK_GAIN * h * nrm)
 
-        return dq, commit
+        return _scalar_corner(dq, loss, wealth, s), commit
 
-    def _corner_h(self, residual, f0, f1, nrm, s):
+    def _corner_h(self, fd, f0, f1, nrm, s):
         eta = 1.0 / self.inv_eta
         a = s * self.wealth - f0          # <g, w> - loss
         b = self.wealth * (1.0 - s)
@@ -283,19 +375,24 @@ class ImplicitCoin(_BettingCoin):
         # scale is huge, so widen it with the residual's natural magnitude
         band = max(CORNER_RESIDUAL_BAND, 64.0 * 2.3e-16 * (abs(a) + abs(b)))
         best = None
+        evals = 0
         for r in rootsolve.roots_in_unit(coeffs, 0.0, 1.0):
-            if r < 1.0 and abs(residual(r)) <= band:
-                best = r  # roots come back ascending; keep the largest that lands
+            if r < 1.0:
+                evals += 1
+                if abs(fd(r)[0]) <= band:
+                    best = r  # roots come back ascending; keep the largest that lands
         if best is None:
             self.corner_fallbacks += 1
-            return solve_corner(residual, f0, f1)
-        return best
+            h, more = solve_corner(fd, f0, f1)
+            return h, evals + more
+        return best, evals
 
 
 class CoordinateImplicitCoin(_BettingCoin):
     """Per-coordinate closed-form variant: every coordinate runs its own 1-d
     betting game, coupled only through the shared corner scalar h, which is
-    found by bisection. The unit bound is on the largest gradient entry."""
+    found by `solve_corner`. The unit bound is on the largest gradient
+    entry."""
 
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
@@ -310,30 +407,54 @@ class CoordinateImplicitCoin(_BettingCoin):
         return g * beta
 
     def _spend(self, wealth, x):
-        return float(wealth @ x)
+        return float(wealth.dot(x))
 
     def _total(self, wealth):
         return float(wealth.sum())
 
-    def _round(self, g, nrm, s):
-        # per coordinate, dq(h) = h * (gA + h * gB) on both branches
+    def _commit(self, g, h):
+        # per coordinate, inc is 2 g^2 h (2 - h) on the small branch and
+        # 2 gain |g| h on the shrink branch; beta_next = beta - eta (inc beta
+        # + h g) on the first and beta - eta inc beta on the second
         beta = self.beta
         small = np.abs(beta) < SHRINK_THRESHOLD
+        inc = np.where(small, (2.0 * h * (2.0 - h)) * (g * g),
+                       (2.0 * SHRINK_GAIN * h) * np.abs(g))
+        return beta - (inc * beta + h * (g * small)) / self.inv_eta, inc
+
+    def _full_round(self, g, nrm, s):
+        beta_next, inv_eta_step = self._commit(g, 1.0)
+        return g * beta_next - s, beta_next, inv_eta_step
+
+    def _round(self, g, nrm, s, loss, wealth):
+        # per coordinate, dq(h) = h gA + h^2 gB on both branches, so the
+        # residual term's numerator N = dq - h q s and denominator
+        # D = 1 + (h-1) q are cubics in h. Row k of K holds the h^k
+        # coefficients of N (first d columns) and D (last d), and one
+        # (2, 4) @ (4, 2d) product with the powers of h and their slopes
+        # gives N, D, N' and D'
+        small = np.abs(self.beta) < SHRINK_THRESHOLD
         eta = 1.0 / self.inv_eta
         gsq = g * g
-        gabs = np.abs(g)
-        egb = (2.0 * eta) * gsq * s
-        gA = np.where(small, -eta * gsq - 2.0 * egb, (-2.0 * SHRINK_GAIN) * eta * gabs * s)
-        gB = np.where(small, egb, 0.0)
+        gB = (2.0 * eta) * gsq * s * small
+        gA = np.where(small, -eta * gsq - 2.0 * gB, (-2.0 * SHRINK_GAIN) * eta * np.abs(g) * s)
+        d = self.dim
+        K = np.array((np.zeros(d), 1.0 - s, gA - s * s, s - gA,
+                      gB - gA * s, gA - gB, -gB * s, gB)).reshape(4, 2 * d)
+        powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
+        powers[0, 0] = powers[1, 1] = 1.0
 
-        def dq(h):
-            return h * (gA + h * gB)
+        def fd(h):
+            hh = h * h
+            powers[0, 1] = h
+            powers[0, 2] = hh
+            powers[0, 3] = hh * h
+            powers[1, 2] = 2.0 * h
+            powers[1, 3] = 3.0 * hh
+            r = powers.dot(K)
+            den = r[0, d:]
+            q = r[0, :d] / den
+            return (loss + float(wealth.dot(q)),
+                    float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
 
-        def commit(h):
-            k = gsq * (h * (2.0 - h))
-            stepped = beta - eta * (h * g + 2.0 * k * beta)
-            shrunk = beta * (1.0 - 2.0 * SHRINK_GAIN * h * eta * gabs)
-            return (np.where(small, stepped, shrunk),
-                    np.where(small, 2.0 * k, 2.0 * SHRINK_GAIN * h * gabs))
-
-        return dq, commit
+        return fd, lambda h: self._commit(g, h)

@@ -8,6 +8,7 @@ from implicitcoin.baselines import is_parameter_free
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.harness import (DEFAULT_GRID, ExperimentConfig, RunRecord,
                                   emit_csv, read_csv, run_single, tune_and_run)
+from implicitcoin.learners import ImplicitCoin
 from implicitcoin.losses import eval_grad_fn
 
 
@@ -113,6 +114,26 @@ class TestRunSingle:
         with pytest.raises(harness.RunAborted, match="round 45") as err:
             run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=poisoned)
         assert err.value.round_index == 45
+
+    def test_wealth_overflow_aborts_with_round_index(self, small_ds):
+        # a constant coin under a huge loss never reaches the corner, so the
+        # wealth grows geometrically until it leaves float range
+        cfg = ExperimentConfig(algorithm="implicit-coin", epochs=60, repetitions=1)
+
+        def runaway(w, ex):
+            g = np.zeros_like(w)
+            g[0] = -1.0
+            return 1.7e308, g
+
+        learner = ImplicitCoin(small_ds.n_features)
+        rounds = 0
+        with pytest.raises(ValueError, match="wealth overflows"):
+            while True:
+                learner.step(*runaway(learner.predict(), None))
+                rounds += 1
+        with pytest.raises(harness.RunAborted, match=f"round {rounds + 1}") as err:
+            run_single(cfg, 0, dataset=small_ds, loss_fn=runaway)
+        assert err.value.round_index == rounds + 1
 
 
 class TestTuneAndRun:
@@ -314,6 +335,23 @@ def test_metadata_file(tmp_path, small_ds):
     assert "split_prng=pcg64" in text
     assert "eta0_grid=0.0001" in text
     assert "selection=final-epoch" in text
+
+
+def test_metadata_does_not_split_a_regression_task(tmp_path, small_ds, monkeypatch):
+    calls = []
+    split = data_io.shuffle_split
+
+    def counting(*args):
+        calls.append(1)
+        return split(*args)
+
+    monkeypatch.setattr(data_io, "shuffle_split", counting)
+    for algorithm in ("sgd", "implicit-coin"):
+        cfg = ExperimentConfig(algorithm=algorithm, task="regression", epochs=1,
+                               repetitions=3)
+        harness.write_metadata(cfg, tmp_path / "meta.txt", small_ds)
+        assert "binarize_threshold" not in (tmp_path / "meta.txt").read_text()
+    assert calls == []
 
 
 def test_metadata_thresholds_match_prepared_splits_without_standardizing(

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from implicitcoin import learners
-from implicitcoin.learners import (CORNER_BRACKET_TOL, CORNER_RESIDUAL_BAND,
+from implicitcoin.learners import (CORNER_RESIDUAL_BAND, CORNER_WIDTH_ULPS,
                                    CoordinateImplicitCoin, ImplicitCoin,
                                    ProjectedImplicitCoin, SHRINK_GAIN,
-                                   SHRINK_THRESHOLD, wealth_update)
+                                   SHRINK_THRESHOLD, solve_corner, wealth_update)
 from implicitcoin.rootsolve import bisect
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
+
+# a bisection of [0, 1] to this tolerance stops at float resolution
+FULL_BRACKET_TOL = 1e-18
 
 
 def residual_of(trace):
@@ -141,6 +146,23 @@ class TestGradientGuard:
         assert l.t == 1
 
 
+class TestWealthOverflow:
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_overflow_raises_before_any_state_changes(self, cls):
+        l = cls(1)
+        l.wealth = l.wealth * 1e308
+        g = np.array([-1.0])
+        with pytest.raises(ValueError, match="wealth overflows"):
+            for _ in range(50):  # the wealth grows by a factor 1 - <g, beta> > 1
+                state = [np.copy(getattr(l, a)) for a in ("beta", "wealth", "inv_eta", "t")]
+                l.step(1.7e308, g)
+        assert l.t > 0
+        for a, before in zip(("beta", "wealth", "inv_eta", "t"), state):
+            np.testing.assert_array_equal(getattr(l, a), before)
+        assert np.all(np.isfinite(l.predict()))
+
+
 class TestCornerBehaviour:
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
@@ -188,9 +210,43 @@ class TestCornerBehaviour:
         assert checked > 50
         assert l.corner_fallbacks == 0
 
+    def test_fallback_solve_matches_the_closed_form(self, monkeypatch):
+        # with no closed-form root the corner falls back to solve_corner,
+        # which must land on the same h on both branches of the update
+        rng = np.random.default_rng(19)
+        states = []
+        for i in range(400):
+            v = rng.normal(size=2)
+            radius = rng.uniform(0.0, 0.3) if i % 2 else rng.uniform(0.38, 0.5)
+            g = rng.normal(size=2)
+            g *= rng.uniform(0.1, 1.0) / np.linalg.norm(g)
+            states.append((v * radius / np.linalg.norm(v), float(np.exp(rng.uniform(-3.0, 3.0))),
+                           float(rng.uniform(18.0, 500.0)), g))
+
+        def play():
+            out = []
+            for beta, wealth, inv_eta, g in states:
+                traces = []
+                l = ImplicitCoin(2, trace_cb=traces.append)
+                l.beta, l.wealth, l.inv_eta = beta, wealth, inv_eta
+                l.step(0.05 * wealth / inv_eta, g)  # at the scale of the step
+                out.append((traces[-1], l))
+            return out
+
+        closed = play()
+        monkeypatch.setattr(learners.rootsolve, "roots_in_unit", lambda *args: [])
+        fallback = play()
+        corners = [(x, y) for (x, _), (y, _) in zip(closed, fallback) if x.h < 1.0]
+        assert sum(b.corner_fallbacks for _, b in fallback) == len(corners) > 100
+        assert sum(np.linalg.norm(x.beta) >= SHRINK_THRESHOLD for x, _ in corners) > 50
+        assert sum(b.residual_evals for _, b in fallback) / len(corners) <= 5.0
+        for x, y in corners:
+            assert abs(x.h - y.h) <= 1e-9
+            np.testing.assert_allclose(y.w_next, x.w_next, rtol=1e-9, atol=1e-12)
+
 
 class TestCornerSolve:
-    """The Illinois-narrowed corner h against a bisection of the learner's
+    """The safeguarded-Newton corner h against a bisection of the learner's
     own residual over the full bracket [0, 1]."""
 
     @pytest.mark.parametrize("cls,dim", [(CoordinateImplicitCoin, 1),
@@ -201,12 +257,11 @@ class TestCornerSolve:
     def test_h_matches_full_bracket_bisection(self, cls, dim, monkeypatch):
         solved = []
 
-        def recording(residual, f0, f1):
-            h = solve_corner(residual, f0, f1)
-            solved.append((h, bisect(residual, 0.0, 1.0, CORNER_BRACKET_TOL)))
-            return h
+        def recording(fd, f0, f1):
+            h, evals = solve_corner(fd, f0, f1)
+            solved.append((h, bisect(lambda x: fd(x)[0], 0.0, 1.0, FULL_BRACKET_TOL)))
+            return h, evals
 
-        solve_corner = learners.solve_corner
         monkeypatch.setattr(learners, "solve_corner", recording)
         l = cls(dim)
         rng = np.random.default_rng(61 + dim)
@@ -265,30 +320,30 @@ class TestCornerSolve:
             np.testing.assert_array_equal(w_next, w)
 
     def test_one_bisection_call_per_corner_round(self, monkeypatch):
-        calls = []
+        calls = []   # (f, lo, hi, tol) of each bisect call
         points = []  # residual evaluation points, per corner solve
         orig = learners.rootsolve.bisect
-        solve = learners.solve_corner
 
         def counting(f, lo, hi, tol):
-            # narrowed to the target width, or lo moved onto an exact root
-            calls.append(hi - lo <= 1e-12 or f(lo) == 0.0)
+            calls.append((f, lo, hi, tol))
             return orig(f, lo, hi, tol)
 
-        def recording(residual, f0, f1):
+        def recording(fd, f0, f1):
             seen = []
 
             def counted(h):
                 seen.append(h)
-                return residual(h)
+                return fd(h)
 
-            h = solve(counted, f0, f1)
+            h, evals = solve_corner(counted, f0, f1)
             points.append(seen)
-            # the same narrowing, then a bisection that evaluates the ends again
-            lo, hi, _, _ = learners.rootsolve.narrow_bracket(
-                residual, 0.0, 1.0, f0, f1, learners.CORNER_NARROW_WIDTH)
-            assert h == orig(residual, lo, hi, CORNER_BRACKET_TOL)
-            return h
+            assert evals == len(seen)
+            # closed to CORNER_WIDTH_ULPS ulps, or lo moved onto an exact root;
+            # a bisection that evaluates the ends again returns the same h
+            f, lo, hi, tol = calls[-1]
+            assert hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi) or f(lo) == 0.0
+            assert h == orig(lambda x: fd(x)[0], lo, hi, tol)
+            return h, evals
 
         monkeypatch.setattr(learners.rootsolve, "bisect", counting)
         monkeypatch.setattr(learners, "solve_corner", recording)
@@ -296,14 +351,52 @@ class TestCornerSolve:
         l = CoordinateImplicitCoin(3, trace_cb=traces.append)
         fuzz_rounds(l, 400, seed=67, loss_hi=0.05)
         corners = sum(0.0 < tr.h < 1.0 for tr in traces)
-        assert corners > 10 and len(calls) == corners
-        assert all(calls)
+        assert corners > 10 and len(calls) == corners == l.corner_rounds
         # every point is evaluated once: the known ends, 0 and 1 among them,
-        # come from the narrowing
+        # come from the Newton phase
         assert len(points) == corners
         for seen in points:
             assert len(seen) == len(set(seen)) and 0.0 not in seen and 1.0 not in seen
-        assert sum(map(len, points)) / corners < 11.0
+        assert l.residual_evals == sum(map(len, points))
+        assert l.residual_evals / l.corner_rounds <= 5.0
+
+    @pytest.mark.parametrize("loss,q", [(1e-6, 0.5), (1e-3, 0.5), (1e-6, -0.49),
+                                        (0.5, 0.3), (0.5, -0.49), (1e-310, 0.5),
+                                        (5e-324, 0.5)])
+    def test_corner_shaped_residuals_take_at_most_five_evaluations(self, loss, q):
+        # loss - h / (1 + (h-1) q): the root sits near h = 0 for a small
+        # loss, down to subnormal corners; the stopping width is relative to
+        # h, so these cost no more than a corner near 1
+        def fd(h):
+            den = 1.0 + (h - 1.0) * q
+            return loss - h / den, -(1.0 - q) / (den * den)
+
+        h, evals = solve_corner(fd, loss, fd(1.0)[0])
+        assert evals <= 5
+        lo, hi = 0.0, 1.0  # bisection to float resolution, subnormals included
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fd(mid)[0] >= 0.0 else (lo, mid)
+        h_ref = 0.5 * (lo + hi)
+        assert abs(h - h_ref) <= CORNER_WIDTH_ULPS * math.ulp(h_ref)
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    @pytest.mark.parametrize("loss", [1e-310, 5e-324])
+    def test_subnormal_loss_corner(self, cls, loss):
+        traces = []
+        l = cls(2, trace_cb=traces.append)
+        g = np.array([0.5, -0.5])
+        l.step(1.0, g)
+        l.step(loss, g)
+        assert l.corner_rounds == 1 and 0.0 <= traces[-1].h < 1e-12
+        assert abs(residual_of(traces[-1])) <= CORNER_RESIDUAL_BAND
+
+    def test_exact_root_at_zero_is_returned_without_evaluating(self):
+        def fd(h):
+            raise AssertionError(f"evaluated at {h}")
+
+        assert solve_corner(fd, 0.0, -1.0) == (0.0, 0)
 
 
 def _update_map_residual(state, loss, g):

