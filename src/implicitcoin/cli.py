@@ -53,20 +53,17 @@ def run_command(args):
         repetitions=args.reps,
         eta0_grid=_parse_grid(args.grid) if args.grid else None,
         seed=args.seed,
-        out_path=args.out,
-        check_bounds=args.check_bounds,
-        trace_wealth_path=args.trace_wealth,
     )
     dataset = harness.load_dataset(config)
 
     folds = diagnostics.folds_for_learner(config.algorithm, dataset.n_features) \
-        if config.check_bounds else []
+        if args.check_bounds else []
     writer = None
-    if config.trace_wealth_path:
+    if args.trace_wealth:
         if config.algorithm not in ("implicit-coin", "cw-implicit-coin"):
             raise ValueError("trace-wealth needs a betting learner "
                              "(implicit-coin or cw-implicit-coin)")
-        writer = diagnostics.WealthTraceWriter(config.trace_wealth_path)
+        writer = diagnostics.WealthTraceWriter(args.trace_wealth)
 
     def trace_cb(tr):
         for fold in folds:
@@ -79,19 +76,19 @@ def run_command(args):
         trace_cb=trace_cb if (folds or writer) else None)
 
     extra = []
-    if config.check_bounds:
+    if args.check_bounds:
         extra.append("# DIAGNOSTICS")
         reports = [fold.report() for fold in folds]
         if reports:
             extra.extend("# " + rep.line() for rep in reports)
         else:
             extra.append("# no applicable checks for this algorithm")
-    harness.emit_csv(records, config.out_path, extra_lines=extra)
-    harness.write_metadata(config, config.out_path + ".meta.txt", dataset)
+    harness.emit_csv(records, args.out, extra_lines=extra)
+    harness.write_metadata(config, args.out + ".meta.txt", dataset)
     if writer is not None:
         writer.close()
-    if config.check_bounds and any(not rep.passed for rep in reports):
-        raise ValueError("diagnostics check failed; see " + config.out_path)
+    if args.check_bounds and any(not rep.passed for rep in reports):
+        raise ValueError("diagnostics check failed; see " + args.out)
     return 0
 
 

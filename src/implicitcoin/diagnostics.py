@@ -1,9 +1,8 @@
 """Executable invariant checks over per-round traces.
 
 Each check is a pure fold: feed StepTrace records through update() and read a
-BoundReport at the end, or use the check_* one-shot wrappers. Slack is signed
-with positive meaning satisfied; a check passes when the worst slack stays
-above minus its tolerance.
+BoundReport at the end. Slack is signed with positive meaning satisfied; a
+check passes when the worst slack stays above minus its tolerance.
 """
 
 import math
@@ -173,28 +172,6 @@ class WealthLowerBoundFold(_Fold):
     def report(self):
         self._note(self._run_slack(), self._last_t)
         return super().report()
-
-
-def check_no_overshoot(traces):
-    return _run(NoOvershootFold(), traces)
-
-
-def check_wealth_identity(traces, epsilon=1.0):
-    return _run(WealthIdentityFold(epsilon), traces)
-
-
-def check_beta_ball(traces, norm="l2"):
-    return _run(BetaBallFold(norm), traces)
-
-
-def check_wealth_lower_bound(traces, variant, epsilon=1.0):
-    return _run(WealthLowerBoundFold(variant, epsilon), traces)
-
-
-def _run(fold, traces):
-    for tr in traces:
-        fold.update(tr)
-    return fold.report()
 
 
 def folds_for_learner(algorithm, dim):

@@ -35,9 +35,6 @@ class ExperimentConfig:
     repetitions: int = 3
     eta0_grid: tuple = None   # None: default grid for tuned kinds
     seed: int = 0
-    out_path: str = ""
-    check_bounds: bool = False
-    trace_wealth_path: str = ""
 
     def __post_init__(self):
         if self.algorithm not in baselines.ALGORITHMS:

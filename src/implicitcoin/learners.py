@@ -13,8 +13,8 @@ A round pays only for what it uses. A variant's fused `_full_round(g, nrm,
 s)` returns dq(1), beta_next(1) and the 1/eta increment in one pass; only
 when the full round would cross the corner does `_round(g, nrm, s, loss,
 wealth)` build two closures, fd(h) -> (residual, slope) and commit(h) ->
-(beta_next, 1/eta increment). `ImplicitCoin` solves the corner in closed
-form; the others by `solve_corner`, safeguarded Newton inside the bracket.
+(beta_next, 1/eta increment). Every variant finds the corner by
+`solve_corner`, safeguarded Newton inside the bracket.
 `CoordinateImplicitCoin` plays one game per coordinate, so its s, dq,
 wealth and 1/eta are arrays and the residual sums over them. The iterate
 w = beta * wealth is built only on rounds that do not move, or when a
@@ -32,7 +32,7 @@ import numpy as np
 from . import rootsolve
 
 PROJECTED = "projected"        # explicit projection of the betting fraction
-CLOSED_FORM = "closed-form"    # shrink-branch update, corner h from a cubic
+CLOSED_FORM = "closed-form"    # shrink-branch update, no projection
 
 SHRINK_GAIN = 9.0                       # gain of the shrink branch
 SHRINK_THRESHOLD = 3.0 / 8.0            # fraction norm where shrinking engages
@@ -44,7 +44,6 @@ BETA_RADIUS = 0.5
 PROJECTION_SLACK = 1e-15
 
 GRAD_NORM_SLACK = 1e-9       # accepted float excess over the unit-norm bound
-CORNER_RESIDUAL_BAND = 1e-8  # |residual| accepted at a solved corner
 # A corner solve stops once its bracket is this many ulps of h wide, so h
 # matches a full-bracket bisection to float resolution, near h = 0 as well
 # as near 1 (and among subnormals, where a relative width underflows).
@@ -137,25 +136,15 @@ def _scalar_corner(dq, loss, wealth, s):
     return fd
 
 
-def wealth_update(wealth, beta, pair, beta_next):
-    """One multiplicative wealth step.
-
-    Both factors stay in [1/2, 3/2] whenever ||g|| <= 1 and the betting
-    fractions stay in the half-unit ball, so the result is always positive.
-    """
-    num = 1.0 - float(pair.g @ beta)
-    den = 1.0 + (pair.h - 1.0) * float(pair.g @ beta_next)
-    return wealth * num / den
-
-
 class _BettingCoin:
     """The round of every variant, for one game with a scalar wealth; a
     per-coordinate variant overrides the reductions below.
 
     Counters: corner_rounds (rounds whose full step would cross the
-    corner), residual_evals (residual evaluations of their solves),
-    corner_fallbacks (closed-form corners finished by `solve_corner`) and
-    grad_norm_warnings (gradients renormalised from float excess)."""
+    corner), residual_evals (residual evaluations of their solves) and
+    grad_norm_warnings (gradients renormalised from float excess).
+    corner_fallbacks stays 0, since every corner takes the same solve; the
+    benchmark's per-layer report still reads it."""
 
     variant = None
     inv_eta0 = None
@@ -218,7 +207,7 @@ class _BettingCoin:
             h = 1.0
             if f1 < 0.0:
                 fd, commit = self._round(g, nrm, s, loss_value, wealth)
-                h, evals = self._corner_h(fd, loss_value, f1, nrm, s)
+                h, evals = solve_corner(fd, loss_value, f1)
                 if h != 0.0:
                     beta_next, inv_eta_step = commit(h)
 
@@ -248,9 +237,6 @@ class _BettingCoin:
                 beta_next=beta_next, wealth_before=self._total(wealth),
                 wealth_after=self._total(wealth_next)))
         return w_next
-
-    def _corner_h(self, fd, f0, f1, nrm, s):
-        return solve_corner(fd, f0, f1)
 
     def _full_round(self, g, nrm, s):
         raise NotImplementedError
@@ -312,8 +298,9 @@ class ProjectedImplicitCoin(_BettingCoin):
 
 class ImplicitCoin(_BettingCoin):
     """Projection-free variant: near the ball boundary the fraction is shrunk
-    instead of projected, so the corner h solves a cubic (or quadratic) in
-    closed form and a round costs the same as a plain gradient step."""
+    instead of projected, so the corner equation is a cubic (or quadratic)
+    in h; `solve_corner` finds its root from the same residual as the other
+    variants, and a full round costs a few vector operations."""
 
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
@@ -334,8 +321,7 @@ class ImplicitCoin(_BettingCoin):
     def _round(self, g, nrm, s, loss, wealth):
         beta = self.beta
         eta = 1.0 / self.inv_eta
-        self._small = beta.dot(beta) < self._SMALL_SQ  # the corner's branch too
-        if self._small:
+        if beta.dot(beta) < self._SMALL_SQ:
             gg = nrm * nrm
 
             def dq(h):
@@ -355,37 +341,6 @@ class ImplicitCoin(_BettingCoin):
                         2.0 * SHRINK_GAIN * h * nrm)
 
         return _scalar_corner(dq, loss, wealth, s), commit
-
-    def _corner_h(self, fd, f0, f1, nrm, s):
-        eta = 1.0 / self.inv_eta
-        a = s * self.wealth - f0          # <g, w> - loss
-        b = self.wealth * (1.0 - s)
-        if self._small:
-            gg = nrm * nrm
-            e = eta * gg
-            d = 2.0 * eta * gg * s
-            coeffs = [-a * d,
-                      2.0 * a * d + a * e + (a + b) * d,
-                      -(a + b) * e - 2.0 * (a + b) * d - a * s,
-                      (a + b) * s - a]
-        else:
-            d = 2.0 * SHRINK_GAIN * eta * nrm * s
-            coeffs = [a * d, -a * s - (a + b) * d, (a + b) * s - a]
-        # the acceptance band cannot sit below float noise when the wealth
-        # scale is huge, so widen it with the residual's natural magnitude
-        band = max(CORNER_RESIDUAL_BAND, 64.0 * 2.3e-16 * (abs(a) + abs(b)))
-        best = None
-        evals = 0
-        for r in rootsolve.roots_in_unit(coeffs, 0.0, 1.0):
-            if r < 1.0:
-                evals += 1
-                if abs(fd(r)[0]) <= band:
-                    best = r  # roots come back ascending; keep the largest that lands
-        if best is None:
-            self.corner_fallbacks += 1
-            h, more = solve_corner(fd, f0, f1)
-            return h, evals + more
-        return best, evals
 
 
 class CoordinateImplicitCoin(_BettingCoin):

@@ -1,5 +1,5 @@
-"""Scalar root finding: closed-form solvers up to degree 3 and guarded
-bisection."""
+"""Scalar root finding: guarded bisection, which finishes every corner
+solve, and closed-form solvers up to degree 3, which only the tests use."""
 
 import math
 
@@ -73,9 +73,10 @@ def _polish(coeffs, r):
 def roots_in_unit(coeffs, lo: float, hi: float):
     """All real roots of a polynomial of degree <= 3 inside [lo, hi], ascending.
 
-    Coefficients are ordered highest degree first. Near-zero leading
-    coefficients fall through to the lower-degree solver; the all-zero
-    polynomial is rejected.
+    No learner calls this: it is the test oracle for `ImplicitCoin`'s corner,
+    whose equation is a cubic (or quadratic) in h. Coefficients are ordered
+    highest degree first. Near-zero leading coefficients fall through to the
+    lower-degree solver; the all-zero polynomial is rejected.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")

@@ -10,20 +10,20 @@ import time
 
 import numpy as np
 
-from implicitcoin import diagnostics, harness
+from implicitcoin import harness
 from implicitcoin.data_io import (expected_shape, make_synthetic_regression,
                                   parse_csv, parse_libsvm, serialize_libsvm,
                                   standardize_then_unit_normalize)
 from implicitcoin.diagnostics import (NoOvershootFold, WealthIdentityFold,
                                       WealthLowerBoundFold, figure1_scenario)
 from implicitcoin.harness import ExperimentConfig, run_single, tune_and_run
-from implicitcoin.learners import (CLOSED_FORM, PROJECTED, SHRINK_GAIN,
-                                   SHRINK_THRESHOLD, CoordinateImplicitCoin,
-                                   ImplicitCoin, ProjectedImplicitCoin,
-                                   StepTrace, wealth_update)
+from implicitcoin.learners import (CLOSED_FORM, PROJECTED, SHRINK_THRESHOLD,
+                                   CoordinateImplicitCoin, ImplicitCoin,
+                                   ProjectedImplicitCoin, StepTrace)
 from implicitcoin.losses import eval_grad_fn
 from implicitcoin.rootsolve import bisect
-from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
+from implicitcoin.truncated import TruncatedModel, linear_residual
+from reference import closed_form_residual, fold_all
 
 DATASET_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "datasets")
 
@@ -162,23 +162,6 @@ def test_criterion_4_beta_ball():
          f"max fraction norms {results}, elapsed {elapsed:.1f}s")
 
 
-def _oracle_corner_residual(beta, wealth, inv_eta, loss, g):
-    """Corner equation from public ops only, independent of the cubic path."""
-
-    def r(h):
-        pair = make_pair(g, h)
-        norm_gp = float(np.linalg.norm(pair.g_plus))
-        if float(np.linalg.norm(beta)) < SHRINK_THRESHOLD:
-            gain = 2.0 * float(np.linalg.norm(g)) * norm_gp - norm_gp ** 2
-            beta_next = beta - (pair.g_plus + 2.0 * gain * beta) / inv_eta
-        else:
-            beta_next = beta * (1.0 - 2.0 * SHRINK_GAIN * norm_gp / inv_eta)
-        wealth_next = wealth_update(wealth, beta, pair, beta_next)
-        return loss + float(g @ (beta_next * wealth_next - beta * wealth))
-
-    return r
-
-
 def test_criterion_5_closed_form_matches_oracle():
     t0 = time.time()
     traces = []
@@ -198,7 +181,7 @@ def test_criterion_5_closed_form_matches_oracle():
         if not 0.0 < tr.h < 1.0:
             continue
         corners += 1
-        h_oracle = bisect(_oracle_corner_residual(*state, loss, g), 0.0, 1.0, 1e-8)
+        h_oracle = bisect(closed_form_residual(*state, loss, g), 0.0, 1.0, 1e-8)
         max_h_gap = max(max_h_gap, abs(tr.h - h_oracle))
         model = TruncatedModel(anchor=tr.w, grad=tr.g, loss_at_anchor=tr.loss_value)
         max_resid = max(max_resid, abs(linear_residual(model, tr.w_next)))
@@ -206,7 +189,8 @@ def test_criterion_5_closed_form_matches_oracle():
     ok = max_h_gap <= 1e-6 and max_resid <= 1e-8 and elapsed < 30.0
     note("C5 closed-form h vs bisection oracle (1e4 corner rounds)", ok,
          f"max |h gap| {max_h_gap:.2g}, max residual {max_resid:.2g}, "
-         f"fallbacks {learner.corner_fallbacks}, elapsed {elapsed:.1f}s")
+         f"evaluations per corner {learner.residual_evals / learner.corner_rounds:.2f}, "
+         f"elapsed {elapsed:.1f}s")
 
 
 def test_criterion_6_coordinate_equals_closed_form_in_1d():
@@ -243,7 +227,7 @@ def test_criterion_7_figure1_contrast():
                              beta=np.zeros(1), beta_next=np.zeros(1),
                              wealth_before=1.0, wealth_after=1.0))
         w = w_next
-    ogd_report = diagnostics.check_no_overshoot(ogd)
+    ogd_report = fold_all(NoOvershootFold(), ogd)
     elapsed = time.time() - t0
     ok = corner_round <= 50 and not ogd_report.passed and elapsed < 1.0
     note("C7 figure-1 scenario with large-step contrast", ok,
@@ -278,11 +262,10 @@ def test_criterion_8_benchmark_protocol_desk_scale():
         task, _, _ = expected_shape(stem)
         cfg = ExperimentConfig(
             algorithm="implicit-coin", data_path=os.path.join(DATASET_DIR, name),
-            data_format=ext.lstrip("."), task=task,
-            out_path=os.path.join(DATASET_DIR, stem + ".results.csv"))
-        records = tune_and_run(cfg)
-        harness.emit_csv(records, cfg.out_path)
-        print(f"[acceptance] C8 real dataset {stem}: results at {cfg.out_path} "
+            data_format=ext.lstrip("."), task=task)
+        out_path = os.path.join(DATASET_DIR, stem + ".results.csv")
+        harness.emit_csv(tune_and_run(cfg), out_path)
+        print(f"[acceptance] C8 real dataset {stem}: results at {out_path} "
               "(trend reported, not asserted)")
 
 

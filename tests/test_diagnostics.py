@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin.diagnostics import (BetaBallFold, WealthTraceWriter,
-                                      check_beta_ball, check_no_overshoot,
-                                      check_wealth_identity,
-                                      check_wealth_lower_bound,
-                                      figure1_scenario, folds_for_learner)
+from implicitcoin.diagnostics import (BetaBallFold, NoOvershootFold,
+                                      WealthIdentityFold, WealthLowerBoundFold,
+                                      WealthTraceWriter, figure1_scenario,
+                                      folds_for_learner)
 from implicitcoin.learners import (CLOSED_FORM, PROJECTED, ImplicitCoin,
                                    ProjectedImplicitCoin, StepTrace)
+from reference import fold_all
 
 
 def drive(learner, n, seed, loss_hi=2.0, adversarial=False):
@@ -46,17 +46,17 @@ def ogd_traces(eta0, rounds=12, target=10.0):
 class TestNoOvershoot:
     def test_betting_learner_passes(self):
         traces = drive(ImplicitCoin(1), 500, seed=3, loss_hi=0.5)
-        report = check_no_overshoot(traces)
+        report = fold_all(NoOvershootFold(), traces)
         assert report.passed and report.rounds > 0
 
     def test_large_step_gradient_descent_flagged(self):
-        report = check_no_overshoot(ogd_traces(eta0=3.0))
+        report = fold_all(NoOvershootFold(), ogd_traces(eta0=3.0))
         assert not report.passed
         assert report.worst_slack < -1e-8
         assert report.first_violation is not None
 
     def test_empty_traces_vacuous_pass(self):
-        report = check_no_overshoot([])
+        report = fold_all(NoOvershootFold(), [])
         assert report.passed and report.rounds == 0
 
 
@@ -65,12 +65,12 @@ class TestWealthIdentity:
         traces = []
         l = ImplicitCoin(1, trace_cb=traces.append)
         l.step(10.0, np.array([-1.0]))
-        report = check_wealth_identity(traces)
+        report = fold_all(WealthIdentityFold(), traces)
         assert report.worst_slack == 0.0
 
     def test_fuzzed_rounds_within_tolerance(self):
         traces = drive(ImplicitCoin(1), 3000, seed=7, loss_hi=1.0)
-        assert check_wealth_identity(traces).passed
+        assert fold_all(WealthIdentityFold(), traces).passed
 
     def test_zero_gradient_rounds_contribute_nothing(self):
         traces = []
@@ -78,7 +78,7 @@ class TestWealthIdentity:
         l.step(1.0, np.array([0.5, 0.0]))
         before = len(traces)
         l.step(1.0, np.zeros(2))
-        report = check_wealth_identity(traces)
+        report = fold_all(WealthIdentityFold(), traces)
         assert report.passed and report.rounds == before + 1
 
 
@@ -88,7 +88,7 @@ class TestWealthLowerBound:
         l = ProjectedImplicitCoin(1, trace_cb=traces.append)
         for _ in range(5):
             l.step(1.0, np.zeros(1))
-        report = check_wealth_lower_bound(traces, PROJECTED)
+        report = fold_all(WealthLowerBoundFold(PROJECTED), traces)
         assert report.worst_slack == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("cls,variant", [(ProjectedImplicitCoin, PROJECTED),
@@ -96,17 +96,17 @@ class TestWealthLowerBound:
     def test_random_coins_pass(self, cls, variant):
         for seed in range(10):
             traces = drive(cls(1), 200, seed=seed)
-            assert check_wealth_lower_bound(traces, variant).passed
+            assert fold_all(WealthLowerBoundFold(variant), traces).passed
 
     @pytest.mark.parametrize("cls,variant", [(ProjectedImplicitCoin, PROJECTED),
                                              (ImplicitCoin, CLOSED_FORM)])
     def test_adversarial_coins_pass(self, cls, variant):
         traces = drive(cls(1), 200, seed=1, adversarial=True)
-        assert check_wealth_lower_bound(traces, variant).passed
+        assert fold_all(WealthLowerBoundFold(variant), traces).passed
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
-            check_wealth_lower_bound([], "other")
+            WealthLowerBoundFold("other")
 
 
 class TestBetaBall:
@@ -114,12 +114,12 @@ class TestBetaBall:
         tr = StepTrace(t=1, w=np.zeros(1), g=np.zeros(1), loss_value=0.0, h=0.0,
                        w_next=np.zeros(1), beta=np.zeros(1), beta_next=np.zeros(1),
                        wealth_before=1.0, wealth_after=1.0)
-        report = check_beta_ball([tr])
+        report = fold_all(BetaBallFold(), [tr])
         assert report.worst_slack == 0.5
 
     def test_fuzz_passes(self):
         traces = drive(ImplicitCoin(1), 2000, seed=11, loss_hi=0.3)
-        assert check_beta_ball(traces).passed
+        assert fold_all(BetaBallFold(), traces).passed
 
     def test_adversarial_constant_coin_engages_shrink_branch(self):
         # large losses keep h = 1, so the fraction is pushed at the boundary
@@ -129,21 +129,21 @@ class TestBetaBall:
             l.step(1e6, np.array([-1.0]))
         betas = [abs(float(tr.beta_next[0])) for tr in traces]
         assert max(betas) > 3.0 / 8.0  # boundary region was actually visited
-        assert check_beta_ball(traces).passed
+        assert fold_all(BetaBallFold(), traces).passed
 
     def test_linf_norm_for_coordinate_traces(self):
         tr = StepTrace(t=1, w=np.zeros(2), g=np.zeros(2), loss_value=0.0, h=0.0,
                        w_next=np.zeros(2), beta=np.array([0.4, -0.45]),
                        beta_next=np.array([0.4, -0.45]),
                        wealth_before=2.0, wealth_after=2.0)
-        assert check_beta_ball([tr], norm="linf").worst_slack == pytest.approx(0.05)
+        assert fold_all(BetaBallFold("linf"), [tr]).worst_slack == pytest.approx(0.05)
 
 
 class TestFolding:
     def test_same_traces_same_report(self):
         traces = drive(ImplicitCoin(1), 300, seed=13)
-        a = check_no_overshoot(traces)
-        b = check_no_overshoot(list(traces))
+        a = fold_all(NoOvershootFold(), traces)
+        b = fold_all(NoOvershootFold(), list(traces))
         assert a == b
 
     def test_folds_for_learner_mapping(self):

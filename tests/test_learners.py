@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from implicitcoin import learners
-from implicitcoin.learners import (CORNER_RESIDUAL_BAND, CORNER_WIDTH_ULPS,
-                                   CoordinateImplicitCoin, ImplicitCoin,
-                                   ProjectedImplicitCoin, SHRINK_GAIN,
-                                   SHRINK_THRESHOLD, solve_corner, wealth_update)
-from implicitcoin.rootsolve import bisect
+from implicitcoin.learners import (CORNER_WIDTH_ULPS, CoordinateImplicitCoin,
+                                   ImplicitCoin, ProjectedImplicitCoin,
+                                   SHRINK_GAIN, SHRINK_THRESHOLD, solve_corner)
+from implicitcoin.rootsolve import bisect, roots_in_unit
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
+from reference import (closed_form_corner_poly, closed_form_residual,
+                       closed_form_w_next, wealth_update)
 
 # a bisection of [0, 1] to this tolerance stops at float resolution
 FULL_BRACKET_TOL = 1e-18
+RESIDUAL_BAND = 1e-8  # |residual| accepted at a solved corner
 
 
 def residual_of(trace):
@@ -31,6 +33,18 @@ def run_absolute_1d(learner, targets):
         w = learner.step(loss, g)
         path.append(float(w[0]))
     return path
+
+
+def bisect_to_float_resolution(f, zero_moves_lo=True):
+    """Root of f on [0, 1], halved until no float lies between the ends,
+    subnormals included. An exact zero moves lo (the last point of a run of
+    zeros) or, with zero_moves_lo=False, hi (the first)."""
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        lo, hi = (mid, hi) if fmid > 0.0 or (zero_moves_lo and fmid == 0.0) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def fuzz_rounds(learner, n, seed, loss_hi=10.0):
@@ -173,7 +187,7 @@ class TestCornerBehaviour:
         corners = [tr for tr in traces if 0.0 < tr.h < 1.0]
         assert corners, "the walk toward 10 must produce a corner round"
         for tr in corners:
-            assert abs(residual_of(tr)) <= CORNER_RESIDUAL_BAND
+            assert abs(residual_of(tr)) <= RESIDUAL_BAND
 
     def test_exactly_at_minimum_and_stays(self):
         l = ImplicitCoin(1)
@@ -204,45 +218,44 @@ class TestCornerBehaviour:
             tr = traces[-1]
             if not 0.0 < tr.h < 1.0:
                 continue
-            h_oracle = bisect(_update_map_residual(state, loss, g), 0.0, 1.0, 1e-9)
+            h_oracle = bisect(closed_form_residual(*state, loss, g), 0.0, 1.0, 1e-9)
             assert abs(tr.h - h_oracle) <= 1e-6
             checked += 1
         assert checked > 50
         assert l.corner_fallbacks == 0
 
-    def test_fallback_solve_matches_the_closed_form(self, monkeypatch):
-        # with no closed-form root the corner falls back to solve_corner,
-        # which must land on the same h on both branches of the update
+    def test_corner_matches_the_cubic_oracle(self):
+        # the corner solve lands on the largest root of the closed-form
+        # cubic (or quadratic) whose residual is in band, on both branches
         rng = np.random.default_rng(19)
-        states = []
+        corners = {True: 0, False: 0}  # by branch: small fraction or not
+        evals = rounds = 0
         for i in range(400):
             v = rng.normal(size=2)
             radius = rng.uniform(0.0, 0.3) if i % 2 else rng.uniform(0.38, 0.5)
             g = rng.normal(size=2)
             g *= rng.uniform(0.1, 1.0) / np.linalg.norm(g)
-            states.append((v * radius / np.linalg.norm(v), float(np.exp(rng.uniform(-3.0, 3.0))),
-                           float(rng.uniform(18.0, 500.0)), g))
-
-        def play():
-            out = []
-            for beta, wealth, inv_eta, g in states:
-                traces = []
-                l = ImplicitCoin(2, trace_cb=traces.append)
-                l.beta, l.wealth, l.inv_eta = beta, wealth, inv_eta
-                l.step(0.05 * wealth / inv_eta, g)  # at the scale of the step
-                out.append((traces[-1], l))
-            return out
-
-        closed = play()
-        monkeypatch.setattr(learners.rootsolve, "roots_in_unit", lambda *args: [])
-        fallback = play()
-        corners = [(x, y) for (x, _), (y, _) in zip(closed, fallback) if x.h < 1.0]
-        assert sum(b.corner_fallbacks for _, b in fallback) == len(corners) > 100
-        assert sum(np.linalg.norm(x.beta) >= SHRINK_THRESHOLD for x, _ in corners) > 50
-        assert sum(b.residual_evals for _, b in fallback) / len(corners) <= 5.0
-        for x, y in corners:
-            assert abs(x.h - y.h) <= 1e-9
-            np.testing.assert_allclose(y.w_next, x.w_next, rtol=1e-9, atol=1e-12)
+            state = (v * radius / np.linalg.norm(v), float(np.exp(rng.uniform(-3.0, 3.0))),
+                     float(rng.uniform(18.0, 500.0)))
+            loss = 0.05 * state[1] / state[2]  # at the scale of the step
+            traces = []
+            l = ImplicitCoin(2, trace_cb=traces.append)
+            l.beta, l.wealth, l.inv_eta = state
+            w_next = l.step(loss, g)
+            if traces[-1].h == 1.0:
+                continue
+            corners[bool(np.linalg.norm(state[0]) < SHRINK_THRESHOLD)] += 1
+            evals += l.residual_evals
+            rounds += l.corner_rounds
+            r = closed_form_residual(*state, loss, g)
+            landed = [x for x in roots_in_unit(closed_form_corner_poly(*state, loss, g), 0.0, 1.0)
+                      if x < 1.0 and abs(r(x)) <= RESIDUAL_BAND]
+            assert landed, "the cubic oracle must have an in-band root"
+            assert abs(traces[-1].h - landed[-1]) <= 1e-9
+            np.testing.assert_allclose(w_next, closed_form_w_next(*state, g, landed[-1]),
+                                       rtol=1e-9, atol=1e-12)
+        assert corners[True] > 50 and corners[False] > 50
+        assert evals / rounds <= 5.0
 
 
 class TestCornerSolve:
@@ -279,7 +292,8 @@ class TestCornerSolve:
             assert 0.0 < h < 1.0
             assert abs(h - h_ref) <= 1e-12
 
-    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, CoordinateImplicitCoin])
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
     def test_zero_loss_corner_stays_put(self, cls):
         # a constant coin with an unreachable corner drives the fraction out;
         # the residual then has an exact root at h = 0, which the solve keeps
@@ -319,7 +333,8 @@ class TestCornerSolve:
             assert traces[-1].h == 0.0
             np.testing.assert_array_equal(w_next, w)
 
-    def test_one_bisection_call_per_corner_round(self, monkeypatch):
+    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    def test_one_bisection_call_per_corner_round(self, cls, monkeypatch):
         calls = []   # (f, lo, hi, tol) of each bisect call
         points = []  # residual evaluation points, per corner solve
         orig = learners.rootsolve.bisect
@@ -348,7 +363,7 @@ class TestCornerSolve:
         monkeypatch.setattr(learners.rootsolve, "bisect", counting)
         monkeypatch.setattr(learners, "solve_corner", recording)
         traces = []
-        l = CoordinateImplicitCoin(3, trace_cb=traces.append)
+        l = cls(3, trace_cb=traces.append)
         fuzz_rounds(l, 400, seed=67, loss_hi=0.05)
         corners = sum(0.0 < tr.h < 1.0 for tr in traces)
         assert corners > 10 and len(calls) == corners == l.corner_rounds
@@ -373,49 +388,43 @@ class TestCornerSolve:
 
         h, evals = solve_corner(fd, loss, fd(1.0)[0])
         assert evals <= 5
-        lo, hi = 0.0, 1.0  # bisection to float resolution, subnormals included
-        while lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if fd(mid)[0] >= 0.0 else (lo, mid)
-        h_ref = 0.5 * (lo + hi)
+        h_ref = bisect_to_float_resolution(lambda x: fd(x)[0])
         assert abs(h - h_ref) <= CORNER_WIDTH_ULPS * math.ulp(h_ref)
 
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
     @pytest.mark.parametrize("loss", [1e-310, 5e-324])
     def test_subnormal_loss_corner(self, cls, loss):
-        traces = []
+        # the corner sits among the subnormals: h must lie within float
+        # resolution of the root of the round's own residual, which can be a
+        # run of exact zeros here, and the step must stop short of the
+        # corner, not a float-noise step past it
+        traces, residuals = [], []
         l = cls(2, trace_cb=traces.append)
+        corner_round = l._round
+
+        def recording(*args):
+            fd, commit = corner_round(*args)
+            residuals.append(fd)
+            return fd, commit
+
+        l._round = recording
         g = np.array([0.5, -0.5])
         l.step(1.0, g)
         l.step(loss, g)
-        assert l.corner_rounds == 1 and 0.0 <= traces[-1].h < 1e-12
-        assert abs(residual_of(traces[-1])) <= CORNER_RESIDUAL_BAND
+        h = traces[-1].h
+        assert l.corner_rounds == 1 and len(residuals) == 1 and 0.0 <= h < 1e-12
+        f = lambda x: residuals[0](x)[0]
+        first, last = bisect_to_float_resolution(f, False), bisect_to_float_resolution(f)
+        assert first - CORNER_WIDTH_ULPS * math.ulp(first) <= h
+        assert h <= last + CORNER_WIDTH_ULPS * math.ulp(last)
+        assert 0.0 <= residual_of(traces[-1]) <= RESIDUAL_BAND
 
     def test_exact_root_at_zero_is_returned_without_evaluating(self):
         def fd(h):
             raise AssertionError(f"evaluated at {h}")
 
         assert solve_corner(fd, 0.0, -1.0) == (0.0, 0)
-
-
-def _update_map_residual(state, loss, g):
-    """Corner equation built from public pieces only (oracle for the cubic)."""
-    beta, wealth, inv_eta = state
-
-    def r(h):
-        pair = make_pair(g, h)
-        if np.linalg.norm(beta) < SHRINK_THRESHOLD:
-            gain = 2.0 * np.linalg.norm(g) * np.linalg.norm(pair.g_plus) \
-                - np.linalg.norm(pair.g_plus) ** 2
-            beta_next = beta - (pair.g_plus + 2.0 * gain * beta) / inv_eta
-        else:
-            beta_next = beta * (1.0 - 2.0 * SHRINK_GAIN * np.linalg.norm(pair.g_plus) / inv_eta)
-        wealth_next = wealth_update(wealth, beta, pair, beta_next)
-        w, w_next = beta * wealth, beta_next * wealth_next
-        return loss + float(g @ (w_next - w))
-
-    return r
 
 
 class TestWealthBookkeeping:
