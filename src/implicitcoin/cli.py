@@ -71,22 +71,24 @@ def run_command(args):
         if writer is not None:
             writer.update(tr)
 
-    records = harness.tune_and_run(
-        config, dataset,
-        trace_cb=trace_cb if (folds or writer) else None)
+    try:
+        records = harness.tune_and_run(
+            config, dataset,
+            trace_cb=trace_cb if (folds or writer) else None)
 
-    extra = []
-    if args.check_bounds:
-        extra.append("# DIAGNOSTICS")
-        reports = [fold.report() for fold in folds]
-        if reports:
-            extra.extend("# " + rep.line() for rep in reports)
-        else:
-            extra.append("# no applicable checks for this algorithm")
-    harness.emit_csv(records, args.out, extra_lines=extra)
-    harness.write_metadata(config, args.out + ".meta.txt", dataset)
-    if writer is not None:
-        writer.close()
+        extra = []
+        if args.check_bounds:
+            extra.append("# DIAGNOSTICS")
+            reports = [fold.report() for fold in folds]
+            if reports:
+                extra.extend("# " + rep.line() for rep in reports)
+            else:
+                extra.append("# no applicable checks for this algorithm")
+        harness.emit_csv(records, args.out, extra_lines=extra)
+        harness.write_metadata(config, args.out + ".meta.txt", dataset)
+    finally:
+        if writer is not None:
+            writer.close()
     if args.check_bounds and any(not rep.passed for rep in reports):
         raise ValueError("diagnostics check failed; see " + args.out)
     return 0

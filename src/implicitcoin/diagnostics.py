@@ -3,6 +3,12 @@
 Each check is a pure fold: feed StepTrace records through update() and read a
 BoundReport at the end. Slack is signed with positive meaning satisfied; a
 check passes when the worst slack stays above minus its tolerance.
+
+Every fold recomputes its quantities from the record's arrays, never from the
+learner's own residual. Records are never mutated, so a quantity that several
+folds read, g.(w_next - w), is computed once per record and shared
+(`_step_gain`), and `BetaBallFold` carries the norm of the previous record's
+beta_next while the next record's beta is that same array.
 """
 
 import math
@@ -16,6 +22,31 @@ CORNER_TOL = 1e-8          # residuals pass through one root solve
 IDENTITY_TOL = 1e-9        # long alternating sums
 LOG_WEALTH_TOL = 1e-6      # sums of logs over many rounds
 ALGEBRA_TOL = 1e-12        # direct algebraic identities
+
+# (record, its g.(w_next - w)) for the last record any fold asked about
+_step_gain_memo = (None, 0.0)
+
+
+def _step_gain(tr):
+    """g.(w_next - w) of a record, computed once however many folds read it.
+
+    The memo holds the record itself, so an identity match is never a record
+    that was freed and whose address was reused; records A, B, A recompute A.
+    """
+    global _step_gain_memo
+    record, value = _step_gain_memo
+    if record is not tr:
+        value = float(tr.g.dot(tr.w_next - tr.w))
+        _step_gain_memo = (tr, value)
+    return value
+
+
+def _l2(v):
+    return math.sqrt(float(v.dot(v)))
+
+
+def _linf(v):
+    return float(abs(v).max()) if v.size else 0.0
 
 
 @dataclass
@@ -65,10 +96,10 @@ class NoOvershootFold(_Fold):
     tolerance = CORNER_TOL
 
     def update(self, tr):
-        if not np.any(tr.g):
+        if not np.count_nonzero(tr.g):  # exact: a subnormal entry counts
             return
         self.rounds += 1
-        self._note(tr.loss_value + float(tr.g @ (tr.w_next - tr.w)), tr.t)
+        self._note(tr.loss_value + _step_gain(tr), tr.t)
 
 
 class WealthIdentityFold(_Fold):
@@ -91,8 +122,11 @@ class WealthIdentityFold(_Fold):
         if tr.t == 1:
             self._spent = 0.0
         self.rounds += 1
-        g_plus = tr.h * tr.g
-        self._spent += float(tr.g @ (tr.w - tr.w_next)) + float(g_plus @ tr.w_next)
+        # g.(w - w_next) is the shared g.(w_next - w) negated, exact up to
+        # the sign of a zero, which the running sum (never -0.0) cannot see;
+        # and 1.0 * g is g
+        g_plus = tr.g if tr.h == 1.0 else tr.h * tr.g
+        self._spent += -_step_gain(tr) + float(g_plus.dot(tr.w_next))
         dev = abs(tr.wealth_after - (self.epsilon - self._spent))
         self._note(-dev / max(1.0, abs(tr.wealth_after)), tr.t)
 
@@ -105,13 +139,17 @@ class BetaBallFold(_Fold):
 
     def __init__(self, norm="l2"):
         super().__init__()
-        self._norm = {"l2": np.linalg.norm,
-                      "linf": lambda v: np.max(np.abs(v)) if v.size else 0.0}[norm]
+        self._norm = {"l2": _l2, "linf": _linf}[norm]
+        self._last = (None, 0.0)  # the previous record's beta_next and its norm
 
     def update(self, tr):
         self.rounds += 1
-        worst = max(float(self._norm(tr.beta)), float(self._norm(tr.beta_next)))
-        self._note(0.5 - worst, tr.t)
+        beta, beta_next = tr.beta, tr.beta_next
+        last, last_norm = self._last
+        norm = last_norm if beta is last else self._norm(beta)
+        norm_next = norm if beta_next is beta else self._norm(beta_next)
+        self._last = (beta_next, norm_next)
+        self._note(0.5 - max(norm, norm_next), tr.t)
 
 
 class WealthLowerBoundFold(_Fold):
@@ -148,17 +186,18 @@ class WealthLowerBoundFold(_Fold):
             self._note(self._run_slack(), self._last_t)
             self._reset_run()
         self.rounds += 1
+        g = tr.g
         if self._gplus_sum is None:
-            self._gplus_sum = np.zeros_like(tr.g)
-        norm_g = float(np.linalg.norm(tr.g))
-        self._gplus_sum += tr.h * tr.g
+            self._gplus_sum = np.zeros_like(g)
+        norm_g = _l2(g)
+        self._gplus_sum += g if tr.h == 1.0 else tr.h * g
         self._pair_sum += norm_g * (tr.h * norm_g)
         self._mu_sum += 2.0 * norm_g * norm_g * tr.h * (2.0 - tr.h)
         self._final_wealth = tr.wealth_after
         self._last_t = tr.t
 
     def _run_slack(self):
-        gps = 0.0 if self._gplus_sum is None else float(np.linalg.norm(self._gplus_sum))
+        gps = 0.0 if self._gplus_sum is None else _l2(self._gplus_sum)
         if self.variant == PROJECTED:
             bound = -1.5 - 7.25 * math.log1p(2.0 * self._pair_sum)
             gain = gps / 4.0
@@ -194,9 +233,10 @@ class WealthTraceWriter:
         self._fh.write("t,h,wealth,beta_norm,residual\n")
 
     def update(self, tr):
-        resid = tr.loss_value + float(tr.g @ (tr.w_next - tr.w))
-        self._fh.write(f"{tr.t},{tr.h:.10g},{tr.wealth_after:.10g},"
-                       f"{float(np.linalg.norm(tr.beta_next)):.10g},{resid:.10g}\n")
+        # %-formatting gives the same digits as format(x, ".10g")
+        self._fh.write("%s,%.10g,%.10g,%.10g,%.10g\n" % (
+            tr.t, tr.h, tr.wealth_after, _l2(tr.beta_next),
+            tr.loss_value + _step_gain(tr)))
 
     def close(self):
         self._fh.close()

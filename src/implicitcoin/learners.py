@@ -10,15 +10,18 @@ the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
 A round pays only for what it uses. A variant's fused `_full_round(g, nrm,
-s)` returns dq(1), beta_next(1) and the 1/eta increment in one pass; only
-when the full round would cross the corner does `_round(g, nrm, s, loss,
-wealth)` build two closures, fd(h) -> (residual, slope) and commit(h) ->
-(beta_next, 1/eta increment). Every variant finds the corner by
+s, loss, wealth)` returns f(1), the residual of the full round, with its
+beta_next(1) and 1/eta increment. f(1) < 0 means the full round would cross
+the corner; the one-game variants get f(1) from scalars and then return
+Nones instead of building the vector. Only on such a corner does `_round(g,
+nrm, s, loss, wealth)` build two closures, fd(h) -> (residual, slope) and
+commit(h) -> (beta_next, 1/eta increment). Every variant finds the corner by
 `solve_corner`, safeguarded Newton inside the bracket.
 `CoordinateImplicitCoin` plays one game per coordinate, so its s, dq,
 wealth and 1/eta are arrays and the residual sums over them. The iterate
-w = beta * wealth is built only on rounds that do not move, or when a
-trace record needs it.
+w = beta * wealth is built only on rounds that do not move; a trace
+record's w is the iterate the last traced round returned, whenever the state
+is still the one that round left.
 
 A learner never writes into an array it has stored or returned, so trace
 records share arrays with the learner and the caller instead of copying.
@@ -160,6 +163,8 @@ class _BettingCoin:
         self.grad_norm_warnings = 0
         self.corner_fallbacks = 0
         self.trace_cb = trace_cb
+        # (beta_next, wealth_next, w_next, total wealth) of the last traced round
+        self._traced = (None, None, None, None)
 
     def _per_game(self, value):
         return value
@@ -169,9 +174,6 @@ class _BettingCoin:
 
     def _gdot(self, g, beta):
         return float(g.dot(beta))
-
-    def _spend(self, wealth, x):
-        return wealth * x
 
     def _total(self, wealth):
         return wealth
@@ -202,8 +204,7 @@ class _BettingCoin:
         evals = None
         if nrm > 0.0:
             s = self._gdot(g, beta)
-            dq1, beta_next, inv_eta_step = self._full_round(g, nrm, s)
-            f1 = loss_value + self._spend(wealth, dq1 - (s + dq1) * s)
+            f1, beta_next, inv_eta_step = self._full_round(g, nrm, s, loss_value, wealth)
             h = 1.0
             if f1 < 0.0:
                 fd, commit = self._round(g, nrm, s, loss_value, wealth)
@@ -218,9 +219,9 @@ class _BettingCoin:
             wealth_next = wealth * (1.0 - s)
             if h != 1.0:  # a full round has denominator 1
                 wealth_next /= 1.0 + (h - 1.0) * self._gdot(g, beta_next)
-            if not self._total(wealth_next) < math.inf:
-                raise ValueError(f"wealth overflows to {self._total(wealth_next)} "
-                                 f"at round {self.t + 1}")
+            total = self._total(wealth_next)
+            if not total < math.inf:
+                raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
             w_next = beta_next * wealth_next
             self.beta = beta_next
             self.wealth = wealth_next
@@ -231,14 +232,22 @@ class _BettingCoin:
             self.residual_evals += evals
 
         if self.trace_cb is not None:
-            self.trace_cb(StepTrace(
-                t=self.t, w=w_next if h == 0.0 else beta * wealth, g=g,
-                loss_value=loss_value, h=h, w_next=w_next, beta=beta,
-                beta_next=beta_next, wealth_before=self._total(wealth),
-                wealth_after=self._total(wealth_next)))
+            # unless the state was replaced since, the last traced round
+            # returned this round's w (same bits as beta * wealth) and left
+            # its total wealth
+            last = self._traced
+            known = last[0] is beta and last[1] is wealth
+            total_before = last[3] if known else self._total(wealth)
+            if h == 0.0:
+                w, total = w_next, total_before
+            else:
+                w = last[2] if known else beta * wealth
+            self._traced = (beta_next, wealth_next, w_next, total)
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
+                                    beta_next, total_before, total))
         return w_next
 
-    def _full_round(self, g, nrm, s):
+    def _full_round(self, g, nrm, s, loss, wealth):
         raise NotImplementedError
 
     def _round(self, g, nrm, s, loss, wealth):
@@ -280,12 +289,14 @@ class ProjectedImplicitCoin(_BettingCoin):
             raw = raw / scale
         return raw, 2.0 * k
 
-    def _full_round(self, g, nrm, s):
+    def _full_round(self, g, nrm, s, loss, wealth):
         gg = nrm * nrm
         eta = 1.0 / self.inv_eta
-        beta_next, inv_eta_step = self._commit(g, gg, eta, 1.0)
         dq1 = self._dq(1.0, gg, s, float(self.beta.dot(self.beta)), eta)[0]
-        return dq1, beta_next, inv_eta_step
+        f1 = loss + wealth * (dq1 - (s + dq1) * s)
+        if f1 < 0.0:
+            return f1, None, None
+        return (f1, *self._commit(g, gg, eta, 1.0))
 
     def _round(self, g, nrm, s, loss, wealth):
         gg = nrm * nrm
@@ -307,16 +318,23 @@ class ImplicitCoin(_BettingCoin):
 
     _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
-    def _full_round(self, g, nrm, s):
-        # the closures of _round at h = 1, inlined
+    def _full_round(self, g, nrm, s, loss, wealth):
+        # the closures of _round at h = 1, inlined; dq(1) is a scalar
         beta = self.beta
         eta = 1.0 / self.inv_eta
-        if beta.dot(beta) < self._SMALL_SQ:
+        small = beta.dot(beta) < self._SMALL_SQ
+        if small:
             gg = nrm * nrm
             k2 = 2.0 * gg
-            return -eta * (gg + k2 * s), beta - eta * (g + k2 * beta), k2
-        return ((-2.0 * SHRINK_GAIN) * eta * nrm * s,
-                beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm)
+            dq1 = -eta * (gg + k2 * s)
+        else:
+            dq1 = (-2.0 * SHRINK_GAIN) * eta * nrm * s
+        f1 = loss + wealth * (dq1 - (s + dq1) * s)
+        if f1 < 0.0:
+            return f1, None, None
+        if small:
+            return f1, beta - eta * (g + k2 * beta), k2
+        return f1, beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm
 
     def _round(self, g, nrm, s, loss, wealth):
         beta = self.beta
@@ -361,9 +379,6 @@ class CoordinateImplicitCoin(_BettingCoin):
     def _gdot(self, g, beta):
         return g * beta
 
-    def _spend(self, wealth, x):
-        return float(wealth.dot(x))
-
     def _total(self, wealth):
         return float(wealth.sum())
 
@@ -377,9 +392,11 @@ class CoordinateImplicitCoin(_BettingCoin):
                        (2.0 * SHRINK_GAIN * h) * np.abs(g))
         return beta - (inc * beta + h * (g * small)) / self.inv_eta, inc
 
-    def _full_round(self, g, nrm, s):
+    def _full_round(self, g, nrm, s, loss, wealth):
+        # dq(1) is per coordinate, so beta_next(1) is built first
         beta_next, inv_eta_step = self._commit(g, 1.0)
-        return g * beta_next - s, beta_next, inv_eta_step
+        dq1 = g * beta_next - s
+        return loss + float(wealth.dot(dq1 - (s + dq1) * s)), beta_next, inv_eta_step
 
     def _round(self, g, nrm, s, loss, wealth):
         # per coordinate, dq(h) = h gA + h^2 gB on both branches, so the

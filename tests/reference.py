@@ -6,12 +6,19 @@ solve used before safeguarded Newton replaced it. `closed_form_corner_poly`
 is the cubic (or quadratic) whose roots are `ImplicitCoin`'s corner h.
 `closed_form_w_next` replays an `ImplicitCoin` round from public pieces,
 and `wealth_update` is its multiplicative wealth step. `fold_all` runs a
-diagnostics fold over a list of traces.
+diagnostics fold over a list of traces. The `Reference*` folds and
+`reference_wealth_trace` are the diagnostics in their plain form, with
+`np.linalg.norm`, `@` and f-strings and nothing shared between records or
+folds; the diagnostics must give the same reports and bytes.
 """
+
+import math
 
 import numpy as np
 
-from implicitcoin.learners import SHRINK_GAIN, SHRINK_THRESHOLD
+from implicitcoin.diagnostics import (BetaBallFold, NoOvershootFold,
+                                      WealthIdentityFold, WealthLowerBoundFold)
+from implicitcoin.learners import PROJECTED, SHRINK_GAIN, SHRINK_THRESHOLD
 from implicitcoin.truncated import make_pair
 
 # Evaluation cap of narrow_bracket: bisection halves [0, 1] to 1e-12 in 40,
@@ -120,3 +127,74 @@ def fold_all(fold, traces):
     for tr in traces:
         fold.update(tr)
     return fold.report()
+
+
+class ReferenceNoOvershootFold(NoOvershootFold):
+    def update(self, tr):
+        if not np.any(tr.g):
+            return
+        self.rounds += 1
+        self._note(tr.loss_value + float(tr.g @ (tr.w_next - tr.w)), tr.t)
+
+
+class ReferenceWealthIdentityFold(WealthIdentityFold):
+    def update(self, tr):
+        if tr.t == 1:
+            self._spent = 0.0
+        self.rounds += 1
+        g_plus = tr.h * tr.g
+        self._spent += float(tr.g @ (tr.w - tr.w_next)) + float(g_plus @ tr.w_next)
+        dev = abs(tr.wealth_after - (self.epsilon - self._spent))
+        self._note(-dev / max(1.0, abs(tr.wealth_after)), tr.t)
+
+
+class ReferenceBetaBallFold(BetaBallFold):
+    def __init__(self, norm="l2"):
+        super().__init__(norm)
+        self._reference_norm = {
+            "l2": np.linalg.norm,
+            "linf": lambda v: np.max(np.abs(v)) if v.size else 0.0}[norm]
+
+    def update(self, tr):
+        self.rounds += 1
+        worst = max(float(self._reference_norm(tr.beta)),
+                    float(self._reference_norm(tr.beta_next)))
+        self._note(0.5 - worst, tr.t)
+
+
+class ReferenceWealthLowerBoundFold(WealthLowerBoundFold):
+    def update(self, tr):
+        if tr.t == 1 and self._last_t:
+            self._note(self._run_slack(), self._last_t)
+            self._reset_run()
+        self.rounds += 1
+        if self._gplus_sum is None:
+            self._gplus_sum = np.zeros_like(tr.g)
+        norm_g = float(np.linalg.norm(tr.g))
+        self._gplus_sum += tr.h * tr.g
+        self._pair_sum += norm_g * (tr.h * norm_g)
+        self._mu_sum += 2.0 * norm_g * norm_g * tr.h * (2.0 - tr.h)
+        self._final_wealth = tr.wealth_after
+        self._last_t = tr.t
+
+    def _run_slack(self):
+        gps = 0.0 if self._gplus_sum is None else float(np.linalg.norm(self._gplus_sum))
+        if self.variant == PROJECTED:
+            bound = -1.5 - 7.25 * math.log1p(2.0 * self._pair_sum)
+            gain = gps / 4.0
+        else:
+            bound = -110.25 * math.log(16.0 + 2.0 * self._pair_sum)
+            gain = gps / 8.0
+        if self._mu_sum > 0.0:
+            gain = min(gain, gps * gps / (2.0 * self._mu_sum))
+        return math.log(self._final_wealth) - (bound + gain)
+
+
+def reference_wealth_trace(traces):
+    """The text a `WealthTraceWriter` writes for these records."""
+    rows = ["t,h,wealth,beta_norm,residual\n"]
+    for tr in traces:
+        resid = tr.loss_value + float(tr.g @ (tr.w_next - tr.w))
+        rows.append(f"{tr.t},{tr.h:.10g},{tr.wealth_after:.10g},"
+                    f"{float(np.linalg.norm(tr.beta_next)):.10g},{resid:.10g}\n")
+    return "".join(rows)

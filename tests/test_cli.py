@@ -1,4 +1,7 @@
+import gc
 import platform
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +64,25 @@ def test_trace_wealth_stream(tmp_path, libsvm_file):
     assert len(lines) > 42
     h = float(lines[1].split(",")[1])
     assert 0.0 <= h <= 1.0
+
+
+def test_trace_file_closed_when_the_run_fails(tmp_path, libsvm_file, monkeypatch):
+    # the output directory is missing, so the run fails after training; the
+    # trace file must still be closed, with every row written, and an
+    # unclosed file's ResourceWarning is made an error that lands here
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    trace = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code = main(["run", "--algo", "implicit-coin", "--data", str(libsvm_file),
+                     "--format", "libsvm", "--task", "reg", "--epochs", "2",
+                     "--reps", "2", "--out", str(tmp_path / "missing" / "x.csv"),
+                     "--trace-wealth", str(trace)])
+        gc.collect()
+    assert code == 1
+    assert [u.exc_value for u in unraisable] == []
+    assert len(trace.read_text().splitlines()) > 42
 
 
 def test_trace_wealth_rejected_for_baseline(tmp_path, libsvm_file, capsys):

@@ -7,9 +7,11 @@ from implicitcoin.diagnostics import (BetaBallFold, NoOvershootFold,
                                       WealthIdentityFold, WealthLowerBoundFold,
                                       WealthTraceWriter, figure1_scenario,
                                       folds_for_learner)
-from implicitcoin.learners import (CLOSED_FORM, PROJECTED, ImplicitCoin,
-                                   ProjectedImplicitCoin, StepTrace)
-from reference import fold_all
+from implicitcoin.learners import (CLOSED_FORM, PROJECTED, CoordinateImplicitCoin,
+                                   ImplicitCoin, ProjectedImplicitCoin, StepTrace)
+from reference import (ReferenceBetaBallFold, ReferenceNoOvershootFold,
+                       ReferenceWealthIdentityFold, ReferenceWealthLowerBoundFold,
+                       fold_all, reference_wealth_trace)
 
 
 def drive(learner, n, seed, loss_hi=2.0, adversarial=False):
@@ -41,6 +43,54 @@ def ogd_traces(eta0, rounds=12, target=10.0):
             wealth_before=1.0, wealth_after=1.0))
         w = w_next
     return traces
+
+
+def corner_stream(cls, dim, seed, rounds=300):
+    """Traces of a stream shaped like the benchmark's checked fuzz: every
+    other loss is at the scale of the tentative step, so corners are
+    frequent, and one round in ten has a zero gradient."""
+    rng = np.random.default_rng(seed)
+    traces = []
+    learner = cls(dim, trace_cb=traces.append)
+    for i in range(rounds):
+        g = rng.normal(size=dim)
+        g *= rng.uniform() ** (1.0 / dim) / np.linalg.norm(g)
+        if i % 10 == 9:
+            g = np.zeros(dim)
+        if i % 2 == 0:
+            loss = 10.0 * rng.uniform()
+        else:
+            wealth = float(np.sum(learner.wealth))
+            loss = (rng.uniform() * 2.0 * float(g.dot(g)) * max(wealth, 1e-6)
+                    / float(np.min(learner.inv_eta)))
+        learner.step(loss, g)
+    return traces
+
+
+def hand_built_records(seed=0, rounds=200):
+    """Records no learner emits: restarts every 50 rounds, h in {0, 0.37, 1},
+    fractions out of the ball, all-zero and subnormal gradients, and a beta
+    that is the previous beta_next object in two rounds of three."""
+    rng = np.random.default_rng(seed)
+    records = []
+    beta_next = np.zeros(3)
+    t = 0
+    for i in range(rounds):
+        t = 1 if i % 50 == 0 else t + 1
+        g = rng.normal(size=3) * rng.choice([1.0, 1e-3, 0.0])
+        if i % 17 == 0:
+            g = np.array([0.0, 5e-324, -0.0])
+        h = float(rng.choice([0.0, 0.37, 1.0]))
+        beta = beta_next if i % 3 else rng.normal(size=3) * 0.4
+        beta_next = beta if h == 0.0 else rng.normal(size=3) * 0.4
+        w = rng.normal(size=3)
+        w_next = w if h == 0.0 else w - h * rng.uniform(0.0, 3.0) * g
+        wealth = float(rng.uniform(0.1, 5.0))
+        records.append(StepTrace(
+            t=t, w=w, g=g, loss_value=float(rng.uniform(0.0, 2.0)), h=h, w_next=w_next,
+            beta=beta, beta_next=beta_next, wealth_before=wealth,
+            wealth_after=wealth * float(rng.uniform(0.5, 1.5))))
+    return records
 
 
 class TestNoOvershoot:
@@ -158,6 +208,99 @@ class TestFolding:
         fold = BetaBallFold()
         line = fold.report().line()
         assert line.startswith("check=beta_ball pass")
+
+
+def every_fold(no_overshoot, identity, ball, lower_bound):
+    return [no_overshoot(), identity(1.0), identity(3.0), ball("l2"), ball("linf"),
+            lower_bound(PROJECTED), lower_bound(CLOSED_FORM)]
+
+
+RECORD_SETS = {
+    **{f"{cls.__name__}-d{d}": (lambda cls=cls, d=d: corner_stream(cls, d, seed=d))
+       for cls in (ImplicitCoin, ProjectedImplicitCoin, CoordinateImplicitCoin)
+       for d in (1, 4, 21)},
+    "ogd": lambda: ogd_traces(eta0=3.0) + ogd_traces(eta0=0.5),
+    "hand-built": hand_built_records,
+}
+
+
+class TestReferenceEquivalence:
+    """The folds and the writer against their first formulation in
+    `reference`: the same reports, worst slack bit for bit, and the same
+    trace bytes, with records fed to every fold in turn as a run does."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SETS))
+    def test_same_reports_and_trace_bytes(self, name, tmp_path):
+        traces = RECORD_SETS[name]()
+        folds = every_fold(NoOvershootFold, WealthIdentityFold, BetaBallFold,
+                           WealthLowerBoundFold)
+        path = tmp_path / "trace.csv"
+        writer = WealthTraceWriter(path)
+        for tr in traces:
+            for fold in folds:
+                fold.update(tr)
+            writer.update(tr)
+        writer.close()
+        refs = every_fold(ReferenceNoOvershootFold, ReferenceWealthIdentityFold,
+                          ReferenceBetaBallFold, ReferenceWealthLowerBoundFold)
+        failed = False
+        for fold, ref in zip(folds, refs):
+            got, want = fold.report(), fold_all(ref, traces)
+            assert (got.name, got.rounds, got.first_violation, got.tolerance) == \
+                (want.name, want.rounds, want.first_violation, want.tolerance)
+            assert np.float64(got.worst_slack).tobytes() == \
+                np.float64(want.worst_slack).tobytes()
+            failed |= not got.passed
+        assert path.read_bytes() == reference_wealth_trace(traces).encode()
+        if name in ("ogd", "hand-built"):
+            assert failed  # violations are compared too
+        else:
+            assert any(0.0 < tr.h < 1.0 for tr in traces)
+
+
+def _record(t, g, w_next, beta=None, beta_next=None):
+    g = np.array(g)
+    beta = np.zeros(g.size) if beta is None else np.array(beta)
+    return StepTrace(t=t, w=np.zeros(g.size), g=g, loss_value=1.0, h=1.0,
+                     w_next=np.array(w_next), beta=beta,
+                     beta_next=beta if beta_next is None else beta_next,
+                     wealth_before=1.0, wealth_after=1.0)
+
+
+class TestRecordEdgeCases:
+    def test_subnormal_gradient_counts_and_zero_gradient_skips(self):
+        fold = NoOvershootFold()
+        fold.update(_record(1, [0.0, 5e-324], [0.0, -1.0]))
+        fold.update(_record(2, [0.0, -0.0], [0.0, -1.0]))
+        report = fold.report()
+        assert report.rounds == 1
+        assert report.worst_slack == 1.0  # 1.0 - 5e-324 rounds to 1.0
+
+    def test_out_of_ball_beta_that_is_not_the_last_beta_next_fails(self):
+        fold = BetaBallFold()
+        inside = np.array([0.1])
+        fold.update(_record(1, [1.0], [0.0], beta_next=inside))
+        fold.update(_record(2, [1.0], [0.0], beta=[0.7], beta_next=inside))
+        report = fold.report()
+        assert not report.passed
+        assert report.first_violation == 2
+        assert report.worst_slack == pytest.approx(-0.2)
+
+    def test_shared_quantity_follows_the_record(self, tmp_path):
+        # records A, B, A in turn: each fold and writer row sees its own
+        # record's g.(w_next - w), never the previous record's
+        a = _record(1, [1.0], [0.5])
+        b = _record(2, [1.0], [-3.0])
+        folds = [NoOvershootFold() for _ in range(3)]
+        path = tmp_path / "trace.csv"
+        writer = WealthTraceWriter(path)
+        for fold, tr in zip(folds, (a, b, a)):
+            fold.update(tr)
+            writer.update(tr)
+        writer.close()
+        assert [fold.report().worst_slack for fold in folds] == [1.5, -2.0, 1.5]
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1.5", "-2", "1.5"]
 
 
 class TestFigure1:

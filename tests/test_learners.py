@@ -478,6 +478,42 @@ class TestTraceRecords:
                 np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_record_carries_the_state_the_round_started_from(self, cls):
+        # a record's w and wealth_before are those of the last traced round
+        # while the state is the one it left: they must equal predict() and
+        # the total wealth read before the step, bit for bit, also after an
+        # untraced stretch and after the fraction or the wealth is replaced
+        traces = []
+        l = cls(3, trace_cb=traces.append)
+        rng = np.random.default_rng(43)
+        for i in range(400):
+            if i % 50 == 25:
+                l.trace_cb = None
+            elif i % 50 == 30:
+                l.trace_cb = traces.append
+            if i == 200:
+                l.beta = l.beta * 0.5
+            elif i == 300:
+                l.wealth = l.wealth * 2.0
+            w, wealth = l.predict(), float(np.sum(l.wealth))
+            g = rng.normal(size=3)
+            g *= rng.uniform(0.0, 1.0) / np.linalg.norm(g)
+            if i % 7 == 0:
+                g = np.zeros(3)
+            before = len(traces)
+            w_next = l.step(rng.uniform(0.0, 0.05), g)
+            if len(traces) > before:
+                tr = traces[-1]
+                assert tr.w.tobytes() == w.tobytes()
+                assert tr.wealth_before == wealth
+                assert tr.wealth_after == float(np.sum(l.wealth))
+                assert tr.w_next is w_next
+        assert len(traces) == 400 - 8 * 5
+        assert any(0.0 < tr.h < 1.0 for tr in traces)
+
+
 class TestStateInvariants:
     def test_projected_fraction_inside_half_ball(self):
         l = ProjectedImplicitCoin(3)
