@@ -103,53 +103,110 @@ def _require_finite(X, y, row_label, col_label):
     raise ValueError(f"{row_label(i)}: non-finite value {float(X[i, j])!r} in {col_label(j)}")
 
 
+# Every byte but ":" and " ". Deleting them from the space-joined feature
+# tokens leaves ": : ... :" exactly when every token holds one colon; a
+# count of the colons alone would accept "5 1:2:3" as the pairs 5:1 2:3.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
+# Feature tokens converted per batch. A token lives as about three short
+# strings until its batch is converted, against 16 bytes once parsed, so
+# the batch bounds the parse's peak memory.
+_BATCH_TOKENS = 4096
+
+
 def parse_libsvm(stream, task="classification", name=""):
     """Parse the sparse `label idx:val ...` text format (1-based indices).
 
     Classification labels such as {0,1} or {1,2} are mapped onto {-1,+1};
     many-valued classification targets are kept raw for later thresholding.
+
+    Tokens are converted a batch of lines at a time, by Python's float()
+    and int(), so a token is accepted exactly when float() or int() accepts
+    it; malformed input is scanned token by token only to name its line.
     """
-    labels = []
-    rows = []
-    linenos = []
-    max_idx = 0
+    linenos, parsed = [], []
+    for batch in _line_batches(stream):
+        linenos += batch[0]
+        parsed.append(_convert_batch(*batch))
+    y, idx, val, counts = (np.concatenate(column) for column in zip(*parsed))
+
+    X = np.zeros((len(y), int(idx.max()) if len(idx) else 0))
+    X[np.repeat(np.arange(len(y)), counts), idx - 1] = val
+    _require_finite(X, y, lambda i: f"line {linenos[i]}", lambda j: f"feature {j + 1}")
+    if task == "classification":
+        y, _ = _map_binary_labels(y)
+    return Dataset(X=X, y=y, task=task, name=name)
+
+
+def _line_batches(stream):
+    """Consecutive non-blank lines as (linenos, labels, feature tokens,
+    tokens per line), about _BATCH_TOKENS tokens at a time; the last batch
+    may be empty."""
+    batch = linenos, labels, tokens, counts = [], [], [], []
     for lineno, line in enumerate(_lines(stream), start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if parts:
+            linenos.append(lineno)
+            labels.append(parts[0])
+            tokens += parts[1:]
+            counts.append(len(parts) - 1)
+            if len(tokens) >= _BATCH_TOKENS:
+                yield batch
+                batch = linenos, labels, tokens, counts = [], [], [], []
+    yield batch
+
+
+def _convert_batch(linenos, labels, tokens, counts):
+    """(y, idx, val, counts) of one batch of lines as arrays. Raises the
+    ValueError of the batch's first bad label, token or index order."""
+    n_tok = len(tokens)
+    joined = " ".join(tokens)
+    counts = np.array(counts, dtype=np.int64)
+    try:
+        y = np.fromiter(map(float, labels), np.float64, len(labels))
+        well_formed = (joined.encode().translate(None, _NOT_SEPARATOR)
+                       == b" ".join([b":"] * n_tok))
+        if well_formed:
+            pairs = joined.replace(" ", ":").split(":") if n_tok else []
+            idx_s = pairs[0::2]
+            as_int = {t: int(t) for t in set(idx_s)}  # few distinct indices
+            idx = np.fromiter(map(as_int.__getitem__, idx_s), np.int64, n_tok)
+            val = np.fromiter(map(float, pairs[1::2]), np.float64, n_tok)
+            # every index exceeds the one before it in its row, or 0 at a
+            # row's first token
+            prev = np.empty(n_tok, dtype=np.int64)
+            prev[1:] = idx[:-1]
+            prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+            well_formed = bool((idx > prev).all())
+    except (ValueError, OverflowError):
+        well_formed = False
+    if not well_formed:
+        _raise_libsvm_error(linenos, labels, tokens, counts)
+    return y, idx, val, counts
+
+
+def _raise_libsvm_error(linenos, labels, tokens, counts):
+    """Raise for the first bad label, bad token or out-of-order index."""
+    end = 0
+    for lineno, label, count in zip(linenos, labels, counts.tolist()):
         try:
-            label = float(parts[0])
+            float(label)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
-        feats = []
+            raise ValueError(f"line {lineno}: bad label {label!r}") from None
         prev_idx = 0
-        for tok in parts[1:]:
+        start, end = end, end + count
+        for tok in tokens[start:end]:
             idx_s, _, val_s = tok.partition(":")
             try:
                 idx = int(idx_s)
-                val = float(val_s)
+                float(val_s)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad feature token {tok!r}") from None
             if idx <= prev_idx:
                 raise ValueError(
                     f"line {lineno}: indices must be ascending and >= 1, got {idx}")
             prev_idx = idx
-            feats.append((idx - 1, val))
-        max_idx = max(max_idx, prev_idx)
-        labels.append(label)
-        rows.append(feats)
-        linenos.append(lineno)
-
-    X = np.zeros((len(rows), max_idx))
-    for i, feats in enumerate(rows):
-        for j, v in feats:
-            X[i, j] = v
-    y = np.array(labels, dtype=np.float64)
-    _require_finite(X, y, lambda i: f"line {linenos[i]}", lambda j: f"feature {j + 1}")
-    if task == "classification":
-        y, _ = _map_binary_labels(y)
-    return Dataset(X=X, y=y, task=task, name=name)
+    # every token is well formed, so an index overflowed int64
+    raise ValueError("feature index too large")
 
 
 def serialize_libsvm(ds: Dataset) -> str:

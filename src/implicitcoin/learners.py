@@ -9,22 +9,30 @@ loss + <g, w_next(h) - w> = 0 reads loss + W (dq - h q s) / (1 + (h-1) q):
 the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
-A round pays only for what it uses. A variant's fused `_full_round(g, nrm,
-s, loss, wealth)` returns f(1), the residual of the full round, with its
-beta_next(1) and 1/eta increment. f(1) < 0 means the full round would cross
-the corner; the one-game variants get f(1) from scalars and then return
-Nones instead of building the vector. Only on such a corner does `_round(g,
-nrm, s, loss, wealth)` build two closures, fd(h) -> (residual, slope) and
-commit(h) -> (beta_next, 1/eta increment). Every variant finds the corner by
+A round pays only for what it uses. `_norm(g)` gives the unit-bound norm
+and the gradient magnitude `ag` the hooks take: ||g|| for a one-game variant,
+|g| per coordinate for `CoordinateImplicitCoin`. A variant's fused
+`_full_round(g, ag, s, loss, wealth)` returns f(1), the residual of the full
+round, and `out`: beta_next(1) with its 1/eta increment when f(1) >= 0.
+f(1) < 0 means the full round would cross the corner; then `out` holds the
+round's quantities (the branch, |g|, g^2 ...) that `_round(g, ag, s, loss,
+wealth, out)` reuses to build two closures, fd(h) -> (residual, slope) and
+commit(h) -> (beta_next, 1/eta increment); the one-game variants get f(1)
+from scalars and build no vector for it. Every variant finds the corner by
 `solve_corner`, safeguarded Newton inside the bracket.
 `CoordinateImplicitCoin` plays one game per coordinate, so its s, dq,
-wealth and 1/eta are arrays and the residual sums over them. The iterate
-w = beta * wealth is built only on rounds that do not move; a trace
-record's w is the iterate the last traced round returned, whenever the state
-is still the one that round left.
+wealth and 1/eta are arrays and the residual sums over them.
 
-A learner never writes into an array it has stored or returned, so trace
-records share arrays with the learner and the caller instead of copying.
+The learner holds the iterate it last returned with the (beta, wealth) it
+came from. A round that does not move (h = 0: a zero gradient, or a corner
+at the anchor) returns that held array itself, whenever `self.beta` and
+`self.wealth` are still the objects it came from, and so allocates nothing;
+otherwise it builds w = beta * wealth. A trace record's w and total wealth
+before the round come from the same hold.
+
+A learner never writes into an array it has stored, returned or been
+given, so trace records share arrays with the learner and the caller
+instead of copying, and the gradients may be read-only.
 """
 
 import math
@@ -163,14 +171,17 @@ class _BettingCoin:
         self.grad_norm_warnings = 0
         self.corner_fallbacks = 0
         self.trace_cb = trace_cb
-        # (beta_next, wealth_next, w_next, total wealth) of the last traced round
-        self._traced = (None, None, None, None)
+        # (beta, wealth, w = beta * wealth, total wealth) of the iterate the
+        # last round returned
+        self._held = (None, None, None, None)
 
     def _per_game(self, value):
         return value
 
     def _norm(self, g):
-        return math.sqrt(float(g.dot(g)))
+        """(the unit-bound norm of g, the magnitude the round hooks take)"""
+        nrm = math.sqrt(float(g.dot(g)))
+        return nrm, nrm
 
     def _gdot(self, g, beta):
         return float(g.dot(beta))
@@ -184,38 +195,48 @@ class _BettingCoin:
     def step(self, loss_value, g, ex=None):
         """One round; returns w_next. ex is unused: every algorithm accepts
         the example, and only the oracle needs it. Bad input, or a wealth
-        that would overflow, raises ValueError before any state changes."""
+        that would overflow, raises ValueError before any state changes.
+        A round that does not move returns the held iterate: the array the
+        last round returned, unless the state was replaced since."""
         loss_value = float(loss_value)
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm = self._norm(g)
+        nrm, ag = self._norm(g)
         if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
             g = g / nrm
+            ag = ag / nrm  # the same bits as the magnitude of g / nrm
             nrm = 1.0
             self.grad_norm_warnings += 1
 
         beta, wealth = self.beta, self.wealth
+        held = self._held
+        known = held[0] is beta and held[1] is wealth
         h = 0.0
         evals = None
         if nrm > 0.0:
             s = self._gdot(g, beta)
-            f1, beta_next, inv_eta_step = self._full_round(g, nrm, s, loss_value, wealth)
+            f1, out = self._full_round(g, ag, s, loss_value, wealth)
             h = 1.0
             if f1 < 0.0:
-                fd, commit = self._round(g, nrm, s, loss_value, wealth)
+                fd, commit = self._round(g, ag, s, loss_value, wealth, out)
                 h, evals = solve_corner(fd, loss_value, f1)
                 if h != 0.0:
-                    beta_next, inv_eta_step = commit(h)
+                    out = commit(h)
 
         if h == 0.0:  # a zero gradient, or a corner at the anchor: no move
             beta_next, wealth_next = beta, wealth
-            w_next = beta * wealth
+            if known:
+                w_next, total = held[2], held[3]
+            else:
+                w_next, total = beta * wealth, self._total(wealth)
+                self._held = (beta, wealth, w_next, total)
         else:
+            beta_next, inv_eta_step = out
             wealth_next = wealth * (1.0 - s)
             if h != 1.0:  # a full round has denominator 1
                 wealth_next /= 1.0 + (h - 1.0) * self._gdot(g, beta_next)
@@ -223,6 +244,7 @@ class _BettingCoin:
             if not total < math.inf:
                 raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
             w_next = beta_next * wealth_next
+            self._held = (beta_next, wealth_next, w_next, total)
             self.beta = beta_next
             self.wealth = wealth_next
             self.inv_eta = self.inv_eta + inv_eta_step
@@ -232,25 +254,22 @@ class _BettingCoin:
             self.residual_evals += evals
 
         if self.trace_cb is not None:
-            # unless the state was replaced since, the last traced round
-            # returned this round's w (same bits as beta * wealth) and left
-            # its total wealth
-            last = self._traced
-            known = last[0] is beta and last[1] is wealth
-            total_before = last[3] if known else self._total(wealth)
+            # w (same bits as beta * wealth) and the total wealth before the
+            # round: held unless the state was replaced since
             if h == 0.0:
-                w, total = w_next, total_before
+                w, total_before = w_next, total
+            elif known:
+                w, total_before = held[2], held[3]
             else:
-                w = last[2] if known else beta * wealth
-            self._traced = (beta_next, wealth_next, w_next, total)
+                w, total_before = beta * wealth, self._total(wealth)
             self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
                                     beta_next, total_before, total))
         return w_next
 
-    def _full_round(self, g, nrm, s, loss, wealth):
+    def _full_round(self, g, ag, s, loss, wealth):
         raise NotImplementedError
 
-    def _round(self, g, nrm, s, loss, wealth):
+    def _round(self, g, ag, s, loss, wealth, out):
         raise NotImplementedError
 
 
@@ -292,15 +311,15 @@ class ProjectedImplicitCoin(_BettingCoin):
     def _full_round(self, g, nrm, s, loss, wealth):
         gg = nrm * nrm
         eta = 1.0 / self.inv_eta
-        dq1 = self._dq(1.0, gg, s, float(self.beta.dot(self.beta)), eta)[0]
+        bb = float(self.beta.dot(self.beta))
+        dq1 = self._dq(1.0, gg, s, bb, eta)[0]
         f1 = loss + wealth * (dq1 - (s + dq1) * s)
         if f1 < 0.0:
-            return f1, None, None
-        return (f1, *self._commit(g, gg, eta, 1.0))
+            return f1, bb
+        return f1, self._commit(g, gg, eta, 1.0)
 
-    def _round(self, g, nrm, s, loss, wealth):
+    def _round(self, g, nrm, s, loss, wealth, bb):
         gg = nrm * nrm
-        bb = float(self.beta.dot(self.beta))
         eta = 1.0 / self.inv_eta
         dq = self._dq
         return (_scalar_corner(lambda h: dq(h, gg, s, bb, eta), loss, wealth, s),
@@ -331,15 +350,15 @@ class ImplicitCoin(_BettingCoin):
             dq1 = (-2.0 * SHRINK_GAIN) * eta * nrm * s
         f1 = loss + wealth * (dq1 - (s + dq1) * s)
         if f1 < 0.0:
-            return f1, None, None
+            return f1, small
         if small:
-            return f1, beta - eta * (g + k2 * beta), k2
-        return f1, beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm
+            return f1, (beta - eta * (g + k2 * beta), k2)
+        return f1, (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm)
 
-    def _round(self, g, nrm, s, loss, wealth):
+    def _round(self, g, nrm, s, loss, wealth, small):
         beta = self.beta
         eta = 1.0 / self.inv_eta
-        if beta.dot(beta) < self._SMALL_SQ:
+        if small:
             gg = nrm * nrm
 
             def dq(h):
@@ -374,7 +393,8 @@ class CoordinateImplicitCoin(_BettingCoin):
         return np.full(self.dim, value)
 
     def _norm(self, g):
-        return float(np.abs(g).max()) if self.dim else 0.0
+        ag = np.abs(g)
+        return (float(np.maximum.reduce(ag)) if self.dim else 0.0), ag
 
     def _gdot(self, g, beta):
         return g * beta
@@ -382,34 +402,38 @@ class CoordinateImplicitCoin(_BettingCoin):
     def _total(self, wealth):
         return float(wealth.sum())
 
-    def _commit(self, g, h):
+    def _commit(self, h, small, gsq, ag, gsmall):
         # per coordinate, inc is 2 g^2 h (2 - h) on the small branch and
         # 2 gain |g| h on the shrink branch; beta_next = beta - eta (inc beta
-        # + h g) on the first and beta - eta inc beta on the second
+        # + h g) on the first and beta - eta inc beta on the second. small
+        # is the branch mask, gsq = g^2, ag = |g| and gsmall = g * small.
         beta = self.beta
-        small = np.abs(beta) < SHRINK_THRESHOLD
-        inc = np.where(small, (2.0 * h * (2.0 - h)) * (g * g),
-                       (2.0 * SHRINK_GAIN * h) * np.abs(g))
-        return beta - (inc * beta + h * (g * small)) / self.inv_eta, inc
+        inc = np.where(small, (2.0 * h * (2.0 - h)) * gsq, (2.0 * SHRINK_GAIN * h) * ag)
+        return beta - (inc * beta + h * gsmall) / self.inv_eta, inc
 
-    def _full_round(self, g, nrm, s, loss, wealth):
+    def _full_round(self, g, ag, s, loss, wealth):
         # dq(1) is per coordinate, so beta_next(1) is built first
-        beta_next, inv_eta_step = self._commit(g, 1.0)
+        small = np.abs(self.beta) < SHRINK_THRESHOLD
+        gsq = g * g
+        gsmall = g * small
+        beta_next, inv_eta_step = self._commit(1.0, small, gsq, ag, gsmall)
         dq1 = g * beta_next - s
-        return loss + float(wealth.dot(dq1 - (s + dq1) * s)), beta_next, inv_eta_step
+        f1 = loss + float(wealth.dot(dq1 - (s + dq1) * s))
+        if f1 < 0.0:
+            return f1, (small, gsq, gsmall)
+        return f1, (beta_next, inv_eta_step)
 
-    def _round(self, g, nrm, s, loss, wealth):
+    def _round(self, g, ag, s, loss, wealth, out):
         # per coordinate, dq(h) = h gA + h^2 gB on both branches, so the
         # residual term's numerator N = dq - h q s and denominator
         # D = 1 + (h-1) q are cubics in h. Row k of K holds the h^k
         # coefficients of N (first d columns) and D (last d), and one
         # (2, 4) @ (4, 2d) product with the powers of h and their slopes
         # gives N, D, N' and D'
-        small = np.abs(self.beta) < SHRINK_THRESHOLD
+        small, gsq, gsmall = out
         eta = 1.0 / self.inv_eta
-        gsq = g * g
         gB = (2.0 * eta) * gsq * s * small
-        gA = np.where(small, -eta * gsq - 2.0 * gB, (-2.0 * SHRINK_GAIN) * eta * np.abs(g) * s)
+        gA = np.where(small, -eta * gsq - 2.0 * gB, (-2.0 * SHRINK_GAIN) * eta * ag * s)
         d = self.dim
         K = np.array((np.zeros(d), 1.0 - s, gA - s * s, s - gA,
                       gB - gA * s, gA - gB, -gB * s, gB)).reshape(4, 2 * d)
@@ -429,4 +453,4 @@ class CoordinateImplicitCoin(_BettingCoin):
             return (loss + float(wealth.dot(q)),
                     float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
 
-        return fd, lambda h: self._commit(g, h)
+        return fd, lambda h: self._commit(h, small, gsq, ag, gsmall)

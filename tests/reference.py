@@ -10,8 +10,14 @@ diagnostics fold over a list of traces. The `Reference*` folds and
 `reference_wealth_trace` are the diagnostics in their plain form, with
 `np.linalg.norm`, `@` and f-strings and nothing shared between records or
 folds; the diagnostics must give the same reports and bytes.
+`reference_hinge_eval_grad` and `reference_absolute_eval_grad` are the loss
+oracles as they were when every call built its gradient (`-y * x`,
+`x.copy()`, `-x`, `np.zeros_like`), and `reference_parse_libsvm` is the
+token-by-token LIBSVM parser; the vectorised versions must match them bit
+for bit, error messages included.
 """
 
+import io
 import math
 
 import numpy as np
@@ -198,3 +204,55 @@ def reference_wealth_trace(traces):
         rows.append(f"{tr.t},{tr.h:.10g},{tr.wealth_after:.10g},"
                     f"{float(np.linalg.norm(tr.beta_next)):.10g},{resid:.10g}\n")
     return "".join(rows)
+
+
+def reference_hinge_eval_grad(w, ex):
+    """Hinge loss and a subgradient, the gradient built per call."""
+    margin = 1.0 - ex.y * float(w.dot(ex.x))
+    if margin > 0.0:
+        return margin, -ex.y * ex.x
+    return 0.0, np.zeros_like(ex.x)
+
+
+def reference_absolute_eval_grad(w, ex):
+    """Absolute loss and a subgradient, the gradient built per call."""
+    r = float(w.dot(ex.x)) - ex.y
+    if r > 0.0:
+        return r, ex.x.copy()
+    if r < 0.0:
+        return -r, -ex.x
+    return 0.0, np.zeros_like(ex.x)
+
+
+def reference_parse_libsvm(text):
+    """(X, y) of LIBSVM text parsed token by token, before any label
+    mapping or finiteness check; raises the parser's ValueError messages."""
+    labels, rows, max_idx = [], [], 0
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+        feats, prev_idx = [], 0
+        for tok in parts[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad feature token {tok!r}") from None
+            if idx <= prev_idx:
+                raise ValueError(
+                    f"line {lineno}: indices must be ascending and >= 1, got {idx}")
+            prev_idx = idx
+            feats.append((idx - 1, val))
+        max_idx = max(max_idx, prev_idx)
+        labels.append(label)
+        rows.append(feats)
+    X = np.zeros((len(rows), max_idx))
+    for i, feats in enumerate(rows):
+        for j, v in feats:
+            X[i, j] = v
+    return X, np.array(labels, dtype=np.float64)

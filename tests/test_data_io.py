@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from implicitcoin.data_io import (Dataset, SplitSpec, binarize_by_threshold,
                                   median_threshold, parse_csv, parse_libsvm,
                                   save_transform_record, serialize_libsvm,
                                   shuffle_split, standardize_then_unit_normalize)
+from reference import reference_parse_libsvm
 
 
 class TestParseLibsvm:
@@ -68,6 +71,112 @@ class TestParseLibsvm:
         ds = Dataset(X=X, y=y, task="classification")
         again = parse_libsvm(serialize_libsvm(ds))
         assert again == ds
+
+
+class TestParseLibsvmVectorised:
+    """The batch parse against the token-by-token reference parser."""
+
+    def test_round_trip_is_bit_identical(self):
+        rng = np.random.default_rng(23)
+        scale = 10.0 ** rng.integers(-300, 300, size=(40, 9))
+        X = np.where(rng.random((40, 9)) < 0.5, rng.normal(size=(40, 9)) * scale, 0.0)
+        X[:, -1] = -0.5e-310  # subnormal, and a stable feature count
+        X[3] = 0.0
+        X[3, -1] = 1.0
+        y = rng.normal(size=40)
+        ds = Dataset(X=X, y=y, task="regression")
+        text = serialize_libsvm(ds)
+        again = parse_libsvm(text, task="regression")
+        assert again.X.tobytes() == X.tobytes() and again.y.tobytes() == y.tobytes()
+        ref_X, ref_y = reference_parse_libsvm(text)
+        assert again.X.tobytes() == ref_X.tobytes() and again.y.tobytes() == ref_y.tobytes()
+
+    def test_literals_that_float_and_int_accept(self):
+        text = "+1 1:1e-3 2:+1 3:1_000.5 4:-0.0\n-1 0_2:.5 1_0:2E+3\n\n  \t\n+1\t4:7\r\n"
+        ds = parse_libsvm(text, task="regression")
+        ref_X, ref_y = reference_parse_libsvm(text)
+        assert ds.X.tobytes() == ref_X.tobytes() and ds.y.tobytes() == ref_y.tobytes()
+        assert ds.X.shape == (3, 10)
+        assert ds.X[0, 0] == 1e-3 and ds.X[0, 1] == 1.0 and ds.X[0, 2] == 1000.5
+        assert math.copysign(1.0, ds.X[0, 3]) == -1.0
+        assert ds.X[1, 1] == 0.5 and ds.X[1, 9] == 2000.0 and ds.X[2, 3] == 7.0
+
+    @pytest.mark.parametrize("text", [
+        "1 5 1:2:3\n",          # colon counts balance, the pairs do not
+        "1 1:2:3 5\n",
+        "1 1:1\n2 2:1 7\n",
+        "1 1:1 :2\n",
+        "1 1:1 2:\n",
+        "1 1:1 1_:2\n",
+        "1 1:1 2:1_\n",
+        "1 2:1 2:1\n",
+        "1 1:1\n1 3:1 1:1\n",
+        "1 0:1\n",
+        "1 -1:1\n",
+        "1 1:1\n1:0 1:1\n",
+        "1 1:1\n1 1:1 2:1\nx 2:3:4\n",
+        "1 1:\udcff\n",
+    ])
+    def test_errors_match_the_reference(self, text):
+        with pytest.raises(ValueError) as ref:
+            reference_parse_libsvm(text)
+        with pytest.raises(ValueError, match=r"^line \d+: ") as got:
+            parse_libsvm(text)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("bad_line,bad", [
+        (None, None), (1, "x"), (1000, "1:2:3"), (1999, "7:1 3:1"), (2000, "5")])
+    def test_many_batches_match_the_reference(self, bad_line, bad):
+        # 2,000 lines of 1 to 9 tokens span several conversion batches; an
+        # error in a late batch still names its line
+        rng = np.random.default_rng(37)
+        lines = []
+        for i in range(1, 2001):
+            cols = np.sort(rng.choice(np.arange(1, 30), size=int(rng.integers(1, 10)),
+                                      replace=False))
+            toks = [f"{j}:{rng.normal()!r}" for j in cols]
+            if i == bad_line:
+                toks.append(bad)
+            lines.append(" ".join([repr(float(rng.choice([-1.0, 1.0])))] + toks))
+        text = "\n".join(lines) + "\n"
+        if bad is None:
+            ref_X, ref_y = reference_parse_libsvm(text)
+            ds = parse_libsvm(text)
+            assert ds.X.tobytes() == ref_X.tobytes() and ds.y.tobytes() == ref_y.tobytes()
+            return
+        with pytest.raises(ValueError) as ref:
+            reference_parse_libsvm(text)
+        with pytest.raises(ValueError, match=f"^line {bad_line}: ") as got:
+            parse_libsvm(text)
+        assert str(got.value) == str(ref.value)
+
+    def test_fuzzed_lines_match_the_reference(self):
+        rng = np.random.default_rng(31)
+        atoms = ["1", "2", "3", "10", "0", "-1", "+1", "1e-3", "1_0", ".5", "x", ":",
+                 "1:2", "", "1.5", "-0.0"]
+        for _ in range(2000):
+            lines = []
+            for _ in range(int(rng.integers(1, 4))):
+                toks, k = [str(rng.choice(atoms[:8]))], 0
+                for _ in range(int(rng.integers(0, 5))):
+                    if rng.uniform() < 0.8:
+                        k += int(rng.integers(1, 3)) if rng.uniform() < 0.9 else -1
+                        toks.append(f"{k}:{rng.choice(atoms[:10])}")
+                    else:
+                        toks.append("".join(rng.choice(atoms, size=int(rng.integers(1, 3)))) or "1")
+                lines.append(" ".join(toks))
+            text = "\n".join(lines) + "\n"
+            try:
+                ref_X, ref_y = reference_parse_libsvm(text)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    parse_libsvm(text, task="regression")
+                assert str(got.value) == str(err)
+                continue
+            if not (np.isfinite(ref_X).all() and np.isfinite(ref_y).all()):
+                continue
+            ds = parse_libsvm(text, task="regression")
+            assert ds.X.tobytes() == ref_X.tobytes() and ds.y.tobytes() == ref_y.tobytes()
 
 
 class TestParseCsv:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from implicitcoin import data_io, harness, losses
+from implicitcoin import baselines, data_io, harness, losses
 from implicitcoin.baselines import is_parameter_free
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.harness import (DEFAULT_GRID, ExperimentConfig, RunRecord,
@@ -61,6 +61,31 @@ class TestRunSingle:
         records = run_single(cfg, 0, dataset=small_ds, loss_fn=counting)
         assert len(calls) == 42  # floor(0.7 * 60) rows, 1 epoch
         assert len(records) == 1
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("algorithm", baselines.ALGORITHMS)
+    def test_every_algorithm_runs_on_read_only_gradients(self, small_ds, algorithm, task):
+        # the oracles hand out the example's read-only arrays; no algorithm
+        # writes into one, and a writeable copy gives the same records
+        base = eval_grad_fn("hinge" if task == "classification" else "absolute")
+        writeable = []
+
+        def watching(w, ex):
+            loss, g = base(w, ex)
+            writeable.append(g.flags.writeable)
+            return loss, g
+
+        def copying(w, ex):
+            loss, g = base(w, ex)
+            return loss, g.copy()
+
+        cfg = ExperimentConfig(algorithm=algorithm, task=task, epochs=2, repetitions=1)
+        eta0 = None if is_parameter_free(algorithm) else 0.1
+        records = run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=watching)
+        assert len(records) == 2 and len(writeable) == 2 * 42 and not any(writeable)
+        again = run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=copying)
+        assert [dataclasses.replace(r, wall_ms=0.0) for r in records] == \
+               [dataclasses.replace(r, wall_ms=0.0) for r in again]
 
     def test_deterministic(self, small_ds):
         cfg = ExperimentConfig(algorithm="cocob", epochs=2, repetitions=1, seed=11)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -110,6 +111,51 @@ class TestZeroGradient:
         assert traces[-1].t == 2
 
 
+class TestHeldIterate:
+    """A round that does not move returns the iterate the last round
+    returned, unless the state was replaced since."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_no_move_round_returns_the_held_iterate(self, cls, traced):
+        traces = []
+        l = cls(3, trace_cb=traces.append if traced else None)
+        zero = np.zeros(3)
+        w = l.step(0.5, np.array([0.3, -0.2, 0.1]))
+        for loss, g in ((1.0, zero), (0.0, np.array([0.2, 0.4, -0.1])), (2.0, zero)):
+            w_next = l.step(loss, g)  # a zero gradient, or a corner at the anchor
+            assert w_next is w
+            assert w_next.tobytes() == (l.beta * l.wealth).tobytes()
+        assert l.corner_rounds == 1
+        if traced:
+            assert [tr.h for tr in traces[1:]] == [0.0, 0.0, 0.0]
+            assert all(tr.w is w and tr.w_next is w for tr in traces[1:])
+
+        # replaced state, even with the same bits: the iterate is rebuilt
+        # once, then held again
+        for replace in ("beta", "wealth"):
+            setattr(l, replace, getattr(l, replace) * 1.0)
+            w_new = l.step(1.0, zero)
+            assert w_new is not w
+            assert w_new.tobytes() == (l.beta * l.wealth).tobytes()
+            assert l.step(1.0, zero) is w_new
+            w = w_new
+        l.wealth = l.wealth * 2.0
+        w_new = l.step(1.0, zero)
+        assert w_new.tobytes() == (l.beta * l.wealth).tobytes() != w.tobytes()
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_a_moving_round_builds_a_new_iterate(self, cls):
+        l = cls(2)
+        w = l.step(0.0, np.zeros(2))
+        w_next = l.step(0.5, np.array([0.3, -0.2]))
+        assert w_next is not w
+        assert w_next.tobytes() == l.predict().tobytes()
+        assert w.tobytes() == np.zeros(2).tobytes()  # never written into
+
+
 class TestGradientGuard:
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin])
     def test_rejects_large_norm(self, cls):
@@ -167,7 +213,10 @@ class TestWealthOverflow:
         l = cls(1)
         l.wealth = l.wealth * 1e308
         g = np.array([-1.0])
-        with pytest.raises(ValueError, match="wealth overflows"):
+        # a per-coordinate wealth is an array, and numpy warns as it overflows
+        overflow_warning = (pytest.warns(RuntimeWarning, match="overflow")
+                            if cls is CoordinateImplicitCoin else contextlib.nullcontext())
+        with overflow_warning, pytest.raises(ValueError, match="wealth overflows"):
             for _ in range(50):  # the wealth grows by a factor 1 - <g, beta> > 1
                 state = [np.copy(getattr(l, a)) for a in ("beta", "wealth", "inv_eta", "t")]
                 l.step(1.7e308, g)

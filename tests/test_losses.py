@@ -3,6 +3,7 @@ import pytest
 
 from implicitcoin.losses import (LabeledExample, absolute_eval_grad,
                                  eval_grad_fn, hinge_eval_grad, mean_loss)
+from reference import reference_absolute_eval_grad, reference_hinge_eval_grad
 
 
 def unit(v):
@@ -70,6 +71,61 @@ class TestAbsolute:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             absolute_eval_grad(np.zeros(1), LabeledExample(np.ones(2), 1.0))
+
+
+class TestExampleOwnedGradients:
+    """The oracles hand out the example's own read-only x, -x and zeros."""
+
+    CASES = [(hinge_eval_grad, reference_hinge_eval_grad),
+             (absolute_eval_grad, reference_absolute_eval_grad)]
+
+    @pytest.mark.parametrize("fn,ref", CASES)
+    def test_bit_equal_to_per_call_gradients_and_read_only(self, fn, ref):
+        rng = np.random.default_rng(17)
+        branches = set()
+        for _ in range(3000):
+            d = int(rng.integers(1, 6))
+            x = rng.normal(size=d) * rng.uniform(0.0, 1.0, size=d)
+            x[rng.uniform(size=d) < 0.2] = 0.0  # zero entries keep their sign
+            x[rng.uniform(size=d) < 0.1] = -0.0
+            if fn is hinge_eval_grad:
+                y = float(rng.choice([-1.0, 1.0]))
+            else:
+                y = float(rng.normal()) if rng.uniform() < 0.8 else 0.0
+            ex = LabeledExample(x, y)
+            w = rng.normal(size=d) * 3.0 if rng.uniform() < 0.8 else np.zeros(d)
+            loss, g = fn(w, ex)
+            ref_loss, ref_g = ref(w, ex)
+            assert loss == ref_loss
+            assert g.dtype == ref_g.dtype and g.shape == ref_g.shape
+            assert g.tobytes() == ref_g.tobytes()
+            assert not g.flags.writeable
+            assert any(g is a for a in (ex.x, ex.neg_x, ex.zero))
+            branches.add(next(k for k, a in enumerate((ex.x, ex.neg_x, ex.zero)) if g is a))
+            with pytest.raises(ValueError, match="read-only"):
+                g[0] = 1.0
+        assert branches == {0, 1, 2}
+
+    @pytest.mark.parametrize("fn", [hinge_eval_grad, absolute_eval_grad])
+    def test_repeated_calls_return_the_same_objects(self, fn):
+        ex = LabeledExample(np.array([0.6, -0.8]), -1.0)
+        for w in (np.zeros(2), np.array([-5.0, 5.0]), np.array([5.0, -5.0])):
+            first = fn(w, ex)[1]
+            assert all(fn(w, ex)[1] is first for _ in range(3))
+
+    def test_the_example_owns_its_arrays(self):
+        x = np.array([0.6, -0.8])
+        ex = LabeledExample(x, 1.0)
+        x[0] = 9.0  # the caller's array stays writeable and apart
+        assert ex.x.tobytes() == np.array([0.6, -0.8]).tobytes()
+        assert ex.neg_x.tobytes() == (-ex.x).tobytes()
+        assert ex.zero.tobytes() == np.zeros(2).tobytes()
+        assert not any(a.flags.writeable for a in (ex.x, ex.neg_x, ex.zero))
+
+    def test_built_from_a_list(self):
+        ex = LabeledExample([1, 2], 1)
+        assert ex.x.dtype == np.float64 and ex.y == 1.0
+        assert hinge_eval_grad(np.zeros(2), ex)[1] is ex.neg_x
 
 
 def test_subgradient_inequality_fuzz():
