@@ -102,11 +102,11 @@ class KtCoin:
     keeps g = 0 a true no-op.
     """
 
-    def __init__(self, dim, initial_wealth=1.0):
+    def __init__(self, dim):
         self.dim = int(dim)
         self.w = np.zeros(self.dim)
         self.coin_sum = np.zeros(self.dim)
-        self.wealth = float(initial_wealth)
+        self.wealth = 1.0
         self.k = 0
         self.rounds_bet = 0
 
@@ -129,15 +129,14 @@ class Cocob:
     """Per-coordinate betting with tracked gradient scale, absolute-gradient
     sum and clipped reward (the backprop-style accumulator recipe)."""
 
-    def __init__(self, dim, alpha=COCOB_ALPHA, eps=COCOB_EPS):
+    def __init__(self, dim):
         self.dim = int(dim)
         self.w0 = np.zeros(self.dim)
         self.w = np.zeros(self.dim)
-        self.scale = np.full(self.dim, float(eps))
+        self.scale = np.full(self.dim, COCOB_EPS)
         self.grad_abs_sum = np.zeros(self.dim)
         self.coin_sum = np.zeros(self.dim)
         self.reward = np.zeros(self.dim)
-        self.alpha = float(alpha)
         self.k = 0
 
     def predict(self):
@@ -153,7 +152,7 @@ class Cocob:
         self.reward = np.maximum(self.reward + (self.w - self.w0) * (-g), 0.0)
         fraction = self.coin_sum / (
             self.scale * np.maximum(self.grad_abs_sum + self.scale,
-                                    self.alpha * self.scale))
+                                    COCOB_ALPHA * self.scale))
         self.w = self.w0 + fraction * (self.scale + self.reward)
         return self.w
 

@@ -9,19 +9,18 @@ loss + <g, w_next(h) - w> = 0 reads loss + W (dq - h q s) / (1 + (h-1) q):
 the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
-A round pays only for what it uses. `_norm(g)` gives the unit-bound norm
-and the gradient magnitude `ag` the hooks take: ||g|| for a one-game variant,
-|g| per coordinate for `CoordinateImplicitCoin`. A variant's fused
-`_full_round(g, ag, s, loss, wealth)` returns f(1), the residual of the full
-round, and `out`: beta_next(1) with its 1/eta increment when f(1) >= 0.
-f(1) < 0 means the full round would cross the corner; then `out` holds the
-round's quantities (the branch, |g|, g^2 ...) that `_round(g, ag, s, loss,
-wealth, out)` reuses to build two closures, fd(h) -> (residual, slope) and
-commit(h) -> (beta_next, 1/eta increment); the one-game variants get f(1)
-from scalars and build no vector for it. Every variant finds the corner by
-`solve_corner`, safeguarded Newton inside the bracket.
-`CoordinateImplicitCoin` plays one game per coordinate, so its s, dq,
-wealth and 1/eta are arrays and the residual sums over them.
+Each one-game variant states its update once, as two functions of h:
+`_dq(h, ...)` gives dq(h) and its slope from scalars, and `_commit(g, ...,
+h)` gives beta_next(h) with its 1/eta increment. One round,
+`_BettingCoin._round`, serves both one-game variants: it takes f(1), the
+residual of the full round, from dq(1). If f(1) >= 0 it commits at h = 1;
+otherwise the full round would cross the corner, and `solve_corner`,
+safeguarded Newton inside the bracket, finds h from the residual built on
+the same dq before it commits there. `CoordinateImplicitCoin` plays one
+game per coordinate, so its s, dq, wealth and 1/eta are arrays and the
+residual sums over them; its `_round` builds beta_next(1) for f(1) and, on
+a corner, the residual's cubic coefficients from the same per-coordinate
+terms.
 
 The learner holds the iterate it last returned with the (beta, wealth) it
 came from. A round that does not move (h = 0: a zero gradient, or a corner
@@ -133,23 +132,13 @@ def solve_corner(fd, f0, f1):
     return rootsolve.bisect(f, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi)), evals
 
 
-def _scalar_corner(dq, loss, wealth, s):
-    """fd(h) of a one-game variant from dq(h) -> (dq, dq/dh)."""
-
-    def fd(h):
-        d, dd = dq(h)
-        q = s + d
-        num = d - h * q * s
-        den = 1.0 + (h - 1.0) * q
-        slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
-        return loss + wealth * (num / den), wealth * slope / (den * den)
-
-    return fd
-
-
 class _BettingCoin:
-    """The round of every variant, for one game with a scalar wealth; a
-    per-coordinate variant overrides the reductions below.
+    """The round of every variant. A one-game variant supplies `_dq(h, nrm,
+    s, bb, eta)` (dq and its slope, from the gradient norm, s = <g, beta>,
+    bb = <beta, beta> and eta = 1 / inv_eta) and `_commit(g, nrm, bb, eta,
+    h)` (beta_next and the 1/eta increment); `_round` takes both at h = 1
+    for a full round and at the solved h for a corner. A per-coordinate
+    variant overrides `_round` and the reductions below.
 
     Counters: corner_rounds (rounds whose full step would cross the
     corner), residual_evals (residual evaluations of their solves) and
@@ -160,10 +149,10 @@ class _BettingCoin:
     variant = None
     inv_eta0 = None
 
-    def __init__(self, dim, initial_wealth=1.0, trace_cb=None):
+    def __init__(self, dim, trace_cb=None):
         self.dim = int(dim)
         self.beta = np.zeros(self.dim)
-        self.wealth = self._per_game(float(initial_wealth))
+        self.wealth = self._per_game(1.0)
         self.inv_eta = self._per_game(self.inv_eta0)
         self.t = 0
         self.corner_rounds = 0
@@ -179,9 +168,8 @@ class _BettingCoin:
         return value
 
     def _norm(self, g):
-        """(the unit-bound norm of g, the magnitude the round hooks take)"""
-        nrm = math.sqrt(float(g.dot(g)))
-        return nrm, nrm
+        """the norm the unit bound is on"""
+        return math.sqrt(float(g.dot(g)))
 
     def _gdot(self, g, beta):
         return float(g.dot(beta))
@@ -204,33 +192,25 @@ class _BettingCoin:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm, ag = self._norm(g)
+        nrm = self._norm(g)
         if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
             g = g / nrm
-            ag = ag / nrm  # the same bits as the magnitude of g / nrm
             nrm = 1.0
             self.grad_norm_warnings += 1
 
         beta, wealth = self.beta, self.wealth
         held = self._held
-        known = held[0] is beta and held[1] is wealth
         h = 0.0
         evals = None
         if nrm > 0.0:
             s = self._gdot(g, beta)
-            f1, out = self._full_round(g, ag, s, loss_value, wealth)
-            h = 1.0
-            if f1 < 0.0:
-                fd, commit = self._round(g, ag, s, loss_value, wealth, out)
-                h, evals = solve_corner(fd, loss_value, f1)
-                if h != 0.0:
-                    out = commit(h)
+            h, out, evals = self._round(g, nrm, s, loss_value, wealth)
 
         if h == 0.0:  # a zero gradient, or a corner at the anchor: no move
             beta_next, wealth_next = beta, wealth
-            if known:
+            if held[0] is beta and held[1] is wealth:
                 w_next, total = held[2], held[3]
             else:
                 w_next, total = beta * wealth, self._total(wealth)
@@ -258,7 +238,7 @@ class _BettingCoin:
             # round: held unless the state was replaced since
             if h == 0.0:
                 w, total_before = w_next, total
-            elif known:
+            elif held[0] is beta and held[1] is wealth:
                 w, total_before = held[2], held[3]
             else:
                 w, total_before = beta * wealth, self._total(wealth)
@@ -266,11 +246,27 @@ class _BettingCoin:
                                     beta_next, total_before, total))
         return w_next
 
-    def _full_round(self, g, ag, s, loss, wealth):
-        raise NotImplementedError
+    def _round(self, g, nrm, s, loss, wealth):
+        """(h, (beta_next, 1/eta increment) or None when h = 0, residual
+        evaluations or None for a full round)"""
+        bb = float(self.beta.dot(self.beta))
+        eta = 1.0 / self.inv_eta
+        dq = self._dq
+        dq1 = dq(1.0, nrm, s, bb, eta)[0]
+        f1 = loss + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
+        if not f1 < 0.0:
+            return 1.0, self._commit(g, nrm, bb, eta, 1.0), None
 
-    def _round(self, g, ag, s, loss, wealth, out):
-        raise NotImplementedError
+        def fd(h):  # loss + W (dq - h q s) / (1 + (h-1) q) and its slope
+            d, dd = dq(h, nrm, s, bb, eta)
+            q = s + d
+            num = d - h * q * s
+            den = 1.0 + (h - 1.0) * q
+            slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
+            return loss + wealth * (num / den), wealth * slope / (den * den)
+
+        h, evals = solve_corner(fd, loss, f1)
+        return h, (self._commit(g, nrm, bb, eta, h) if h != 0.0 else None), evals
 
 
 class ProjectedImplicitCoin(_BettingCoin):
@@ -282,9 +278,10 @@ class ProjectedImplicitCoin(_BettingCoin):
     inv_eta0 = PROJECTED_INV_ETA0
 
     @staticmethod
-    def _dq(h, gg, s, bb, eta):
+    def _dq(h, nrm, s, bb, eta):
         """dq(h) and its slope: a scalar replay of `_commit`, <g, .> and the
         projection factor only."""
+        gg = nrm * nrm
         k = gg * h * (2.0 - h)
         dk = gg * (2.0 - 2.0 * h)
         step = -eta * (h * gg + 2.0 * k * s)
@@ -299,31 +296,15 @@ class ProjectedImplicitCoin(_BettingCoin):
         dscale = 2.0 * draw_sq / scale
         return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
 
-    def _commit(self, g, gg, eta, h):
+    def _commit(self, g, nrm, bb, eta, h):
         beta = self.beta
-        k = gg * h * (2.0 - h)
-        raw = beta - eta * (h * g + (2.0 * k) * beta)
+        k = nrm * nrm * h * (2.0 - h)
+        # h * g is g at h = 1, so a full round skips that product
+        raw = beta - eta * ((g if h == 1.0 else h * g) + (2.0 * k) * beta)
         scale = 2.0 * math.sqrt(float(raw.dot(raw)))
         if scale > 1.0 + PROJECTION_SLACK:
             raw = raw / scale
         return raw, 2.0 * k
-
-    def _full_round(self, g, nrm, s, loss, wealth):
-        gg = nrm * nrm
-        eta = 1.0 / self.inv_eta
-        bb = float(self.beta.dot(self.beta))
-        dq1 = self._dq(1.0, gg, s, bb, eta)[0]
-        f1 = loss + wealth * (dq1 - (s + dq1) * s)
-        if f1 < 0.0:
-            return f1, bb
-        return f1, self._commit(g, gg, eta, 1.0)
-
-    def _round(self, g, nrm, s, loss, wealth, bb):
-        gg = nrm * nrm
-        eta = 1.0 / self.inv_eta
-        dq = self._dq
-        return (_scalar_corner(lambda h: dq(h, gg, s, bb, eta), loss, wealth, s),
-                lambda h: self._commit(g, gg, eta, h))
 
 
 class ImplicitCoin(_BettingCoin):
@@ -337,47 +318,21 @@ class ImplicitCoin(_BettingCoin):
 
     _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
-    def _full_round(self, g, nrm, s, loss, wealth):
-        # the closures of _round at h = 1, inlined; dq(1) is a scalar
-        beta = self.beta
-        eta = 1.0 / self.inv_eta
-        small = beta.dot(beta) < self._SMALL_SQ
-        if small:
+    def _dq(self, h, nrm, s, bb, eta):
+        if bb < self._SMALL_SQ:
             gg = nrm * nrm
-            k2 = 2.0 * gg
-            dq1 = -eta * (gg + k2 * s)
-        else:
-            dq1 = (-2.0 * SHRINK_GAIN) * eta * nrm * s
-        f1 = loss + wealth * (dq1 - (s + dq1) * s)
-        if f1 < 0.0:
-            return f1, small
-        if small:
-            return f1, (beta - eta * (g + k2 * beta), k2)
-        return f1, (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * nrm), 2.0 * SHRINK_GAIN * nrm)
+            k = gg * h * (2.0 - h)
+            return (-eta * (h * gg + 2.0 * k * s),
+                    -eta * (gg + 2.0 * gg * (2.0 - 2.0 * h) * s))
+        return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s, (-2.0 * SHRINK_GAIN) * eta * nrm * s
 
-    def _round(self, g, nrm, s, loss, wealth, small):
+    def _commit(self, g, nrm, bb, eta, h):
         beta = self.beta
-        eta = 1.0 / self.inv_eta
-        if small:
-            gg = nrm * nrm
-
-            def dq(h):
-                k = gg * h * (2.0 - h)
-                return (-eta * (h * gg + 2.0 * k * s),
-                        -eta * (gg + 2.0 * gg * (2.0 - 2.0 * h) * s))
-
-            def commit(h):
-                k = gg * h * (2.0 - h)
-                return beta - eta * (h * g + (2.0 * k) * beta), 2.0 * k
-        else:
-            def dq(h):
-                return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s, (-2.0 * SHRINK_GAIN) * eta * nrm * s
-
-            def commit(h):
-                return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
-                        2.0 * SHRINK_GAIN * h * nrm)
-
-        return _scalar_corner(dq, loss, wealth, s), commit
+        if bb < self._SMALL_SQ:
+            k = nrm * nrm * h * (2.0 - h)  # the projected variant's raw step
+            return beta - eta * ((g if h == 1.0 else h * g) + (2.0 * k) * beta), 2.0 * k
+        return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
+                2.0 * SHRINK_GAIN * h * nrm)
 
 
 class CoordinateImplicitCoin(_BettingCoin):
@@ -393,8 +348,10 @@ class CoordinateImplicitCoin(_BettingCoin):
         return np.full(self.dim, value)
 
     def _norm(self, g):
-        ag = np.abs(g)
-        return (float(np.maximum.reduce(ag)) if self.dim else 0.0), ag
+        # a zero gradient builds no |g|; a nan entry counts as nonzero
+        if not np.count_nonzero(g):
+            return 0.0
+        return float(np.maximum.reduce(np.abs(g)))
 
     def _gdot(self, g, beta):
         return g * beta
@@ -402,35 +359,31 @@ class CoordinateImplicitCoin(_BettingCoin):
     def _total(self, wealth):
         return float(wealth.sum())
 
-    def _commit(self, h, small, gsq, ag, gsmall):
+    def _round(self, g, nrm, s, loss, wealth):
         # per coordinate, inc is 2 g^2 h (2 - h) on the small branch and
         # 2 gain |g| h on the shrink branch; beta_next = beta - eta (inc beta
-        # + h g) on the first and beta - eta inc beta on the second. small
-        # is the branch mask, gsq = g^2, ag = |g| and gsmall = g * small.
+        # + h g) on the first and beta - eta inc beta on the second. dq(1)
+        # is per coordinate, so beta_next(1) is built first
         beta = self.beta
-        inc = np.where(small, (2.0 * h * (2.0 - h)) * gsq, (2.0 * SHRINK_GAIN * h) * ag)
-        return beta - (inc * beta + h * gsmall) / self.inv_eta, inc
-
-    def _full_round(self, g, ag, s, loss, wealth):
-        # dq(1) is per coordinate, so beta_next(1) is built first
-        small = np.abs(self.beta) < SHRINK_THRESHOLD
+        ag = np.abs(g)
+        small = np.abs(beta) < SHRINK_THRESHOLD
         gsq = g * g
         gsmall = g * small
-        beta_next, inv_eta_step = self._commit(1.0, small, gsq, ag, gsmall)
-        dq1 = g * beta_next - s
-        f1 = loss + float(wealth.dot(dq1 - (s + dq1) * s))
-        if f1 < 0.0:
-            return f1, (small, gsq, gsmall)
-        return f1, (beta_next, inv_eta_step)
 
-    def _round(self, g, ag, s, loss, wealth, out):
-        # per coordinate, dq(h) = h gA + h^2 gB on both branches, so the
-        # residual term's numerator N = dq - h q s and denominator
-        # D = 1 + (h-1) q are cubics in h. Row k of K holds the h^k
-        # coefficients of N (first d columns) and D (last d), and one
-        # (2, 4) @ (4, 2d) product with the powers of h and their slopes
-        # gives N, D, N' and D'
-        small, gsq, gsmall = out
+        def commit(h):
+            inc = np.where(small, (2.0 * h * (2.0 - h)) * gsq, (2.0 * SHRINK_GAIN * h) * ag)
+            return beta - (inc * beta + h * gsmall) / self.inv_eta, inc
+
+        out = commit(1.0)
+        dq1 = g * out[0] - s
+        f1 = loss + float(wealth.dot(dq1 - (s + dq1) * s))
+        if not f1 < 0.0:
+            return 1.0, out, None
+        # dq(h) = h gA + h^2 gB on both branches, so the residual term's
+        # numerator N = dq - h q s and denominator D = 1 + (h-1) q are
+        # cubics in h. Row k of K holds the h^k coefficients of N (first d
+        # columns) and D (last d), and one (2, 4) @ (4, 2d) product with the
+        # powers of h and their slopes gives N, D, N' and D'
         eta = 1.0 / self.inv_eta
         gB = (2.0 * eta) * gsq * s * small
         gA = np.where(small, -eta * gsq - 2.0 * gB, (-2.0 * SHRINK_GAIN) * eta * ag * s)
@@ -453,4 +406,5 @@ class CoordinateImplicitCoin(_BettingCoin):
             return (loss + float(wealth.dot(q)),
                     float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
 
-        return fd, lambda h: self._commit(h, small, gsq, ag, gsmall)
+        h, evals = solve_corner(fd, loss, f1)
+        return h, (commit(h) if h != 0.0 else None), evals

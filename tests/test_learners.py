@@ -169,6 +169,26 @@ class TestGradientGuard:
         with pytest.raises(ValueError, match="unit bound"):
             l.step(1.0, np.array([1.5, 0.0]))
 
+    @pytest.mark.parametrize("tiny,moves", [(5e-324, False), (1e-170, True)])
+    def test_coordinate_entry_squaring_to_zero_takes_a_full_round(self, tiny, moves):
+        # the bound is on max |g|, so an entry whose square underflows to 0
+        # still plays a full round instead of a zero-gradient one
+        traces = []
+        l = CoordinateImplicitCoin(3, trace_cb=traces.append)
+        l.step(1.0, np.array([0.0, tiny, 0.0]))
+        assert traces[-1].h == 1.0
+        assert (l.beta[1] != 0.0) == moves
+
+    def test_coordinate_nan_among_zeros_is_rejected(self):
+        # the zero-gradient test counts a nan entry as nonzero, so it still
+        # reaches the bound check
+        l = CoordinateImplicitCoin(3)
+        l.step(1.0, np.array([0.3, 0.0, 0.1]))
+        beta, wealth = l.beta, l.wealth
+        with pytest.raises(ValueError, match="unit bound"):
+            l.step(1.0, np.array([0.0, np.nan, 0.0]))
+        assert l.beta is beta and l.wealth is wealth and l.t == 1
+
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
     def test_tiny_excess_renormalized_with_warning(self, cls):
@@ -443,21 +463,19 @@ class TestCornerSolve:
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
     @pytest.mark.parametrize("loss", [1e-310, 5e-324])
-    def test_subnormal_loss_corner(self, cls, loss):
+    def test_subnormal_loss_corner(self, cls, loss, monkeypatch):
         # the corner sits among the subnormals: h must lie within float
         # resolution of the root of the round's own residual, which can be a
         # run of exact zeros here, and the step must stop short of the
         # corner, not a float-noise step past it
         traces, residuals = [], []
         l = cls(2, trace_cb=traces.append)
-        corner_round = l._round
 
-        def recording(*args):
-            fd, commit = corner_round(*args)
+        def recording(fd, f0, f1):
             residuals.append(fd)
-            return fd, commit
+            return solve_corner(fd, f0, f1)
 
-        l._round = recording
+        monkeypatch.setattr(learners, "solve_corner", recording)
         g = np.array([0.5, -0.5])
         l.step(1.0, g)
         l.step(loss, g)
