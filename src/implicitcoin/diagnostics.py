@@ -1,18 +1,29 @@
 """Executable invariant checks over per-round traces.
 
-Each check is a pure fold: feed StepTrace records through update() and read a
-BoundReport at the end. Slack is signed with positive meaning satisfied; a
+Each check is a fold: feed StepTrace records through update() and read a
+BoundReport from report(). Slack is signed with positive meaning satisfied; a
 check passes when the worst slack stays above minus its tolerance.
 
 Every fold recomputes its quantities from the record's arrays, never from the
-learner's own residual. Records are never mutated, so a quantity that several
-folds read, g.(w_next - w), is computed once per record and shared
-(`_step_gain`), and `BetaBallFold` carries the norm of the previous record's
-beta_next while the next record's beta is that same array.
+learner's own residual. A fold, like `WealthTraceWriter`, only holds the
+records that update() gives it, in a window, and consumes a full window in
+one vectorised pass: it stacks the fields it reads into arrays, takes row dot
+products through matmul (the bits of `@` on each row) and running sums
+through `np.cumsum` (the bits of a `+=` loop), so its report and its rows are
+those of a fold that takes one record at a time, bit for bit. A window holds
+records of one gradient size, at most WINDOW_RECORDS of them and at most
+WINDOW_ENTRIES gradient entries in all, and at least one record. The folds and
+the writer that a run feeds the same records in turn stack each field of a
+window once, since the window consumed last is kept with its arrays.
+
+Results are complete only at report() of a fold and close() of the writer,
+which consume the partial window. Until then a record and its arrays must
+not be mutated.
 """
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -23,30 +34,126 @@ IDENTITY_TOL = 1e-9        # long alternating sums
 LOG_WEALTH_TOL = 1e-6      # sums of logs over many rounds
 ALGEBRA_TOL = 1e-12        # direct algebraic identities
 
-# (record, its g.(w_next - w)) for the last record any fold asked about
-_step_gain_memo = (None, 0.0)
+WINDOW_RECORDS = 256       # records a window holds at most
+WINDOW_ENTRIES = 1 << 16   # gradient entries a window holds at most, unless one record has more
 
 
-def _step_gain(tr):
-    """g.(w_next - w) of a record, computed once however many folds read it.
+class _Window:
+    """The records one pass consumes, with each stacked field and derived
+    quantity built once, on first use, and shared: read only."""
 
-    The memo holds the record itself, so an identity match is never a record
-    that was freed and whose address was reused; records A, B, A recompute A.
-    """
-    global _step_gain_memo
-    record, value = _step_gain_memo
-    if record is not tr:
-        value = float(tr.g.dot(tr.w_next - tr.w))
-        _step_gain_memo = (tr, value)
-    return value
+    def __init__(self, records):
+        self.records = records
+        self._built = {}
+
+    def __len__(self):
+        return len(self.records)
+
+    def _memo(self, key, build):
+        value = self._built.get(key)
+        if value is None:
+            value = self._built[key] = build()
+        return value
+
+    def column(self, field):
+        """the field of every record, as a tuple"""
+        return self._memo(("column", field),
+                          lambda: tuple(map(attrgetter(field), self.records)))
+
+    def stack(self, field):
+        """the field of every record stacked into an array, one row per record"""
+        return self._memo(field, lambda: np.array(self.column(field)))
+
+    def gain(self):
+        """g.(w_next - w) of every record"""
+        return self._memo("gain", lambda: _rowdot(
+            self.stack("g"), self.stack("w_next") - self.stack("w")))
+
+    def norm(self, field, kind="l2"):
+        """the l2 or linf norm of the field's array in every record"""
+        return self._memo((kind, field), lambda: _NORMS[kind](self.stack(field)))
 
 
-def _l2(v):
-    return math.sqrt(float(v.dot(v)))
+# the window consumed last, kept with its arrays: folds and a writer fed the
+# same records in turn, as a run feeds them, build each quantity once per
+# window. It is reused only for the very same record objects, so no result
+# depends on it.
+_last_window = _Window([])
 
 
-def _linf(v):
-    return float(abs(v).max()) if v.size else 0.0
+def _window_of(records):
+    global _last_window
+    last = _last_window
+    if len(last.records) != len(records) or not all(map(is_, last.records, records)):
+        last = _last_window = _Window(records)
+    return last
+
+
+def _rowdot(a, b):
+    """a[k] @ b[k] for every row k, with the same bits (and those of
+    a[k].dot(b[k]), which can give -0.0 where `@` gives 0.0)"""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _l2_rows(v):
+    return np.sqrt(_rowdot(v, v))
+
+
+def _linf_rows(v):
+    return np.abs(v).max(axis=1, initial=0.0)
+
+
+_NORMS = {"l2": _l2_rows, "linf": _linf_rows}
+
+
+def _accumulate(start, terms):
+    """The running sums start + terms[0], then + terms[1], ... with the bits
+    of a `+=` loop, since np.cumsum adds in order; overwrites terms."""
+    terms[0] += start
+    return np.cumsum(terms, axis=0, out=terms)
+
+
+def _stretches(restart):
+    """(start, stop, restarted) for the stretches of a window that the
+    records flagged in restart begin; restarted tells whether the stretch
+    begins at such a record"""
+    cuts = [0, *np.flatnonzero(restart).tolist(), restart.size]
+    return [(a, b, k > 0) for k, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
+
+
+class _Windowed:
+    """Holds the records passed to update() and hands them, a window at a
+    time and in order, to `_consume`."""
+
+    def __init__(self):
+        self._window = []
+        self._size = None  # gradient size of the held records
+        self._cap = 0      # records a window of that size holds
+
+    def update(self, tr):
+        window = self._window
+        window.append(tr)
+        if len(window) >= self._cap or tr.g.size != self._size:
+            self._settle()
+
+    def _settle(self):
+        size = self._window[-1].g.size
+        if size != self._size:  # the records before this one end their window
+            self._size = size
+            self._cap = max(1, min(WINDOW_RECORDS, WINDOW_ENTRIES // max(size, 1)))
+            last = self._window.pop()
+            self._flush()
+            self._window.append(last)
+        if len(self._window) >= self._cap:
+            self._flush()
+
+    def _flush(self):
+        """consume the records held so far"""
+        window, self._window = self._window, []
+        if window:
+            # the scalar columns follow Python float arithmetic, which never warns
+            with np.errstate(all="ignore"):
+                self._consume(_window_of(window))
 
 
 @dataclass
@@ -68,11 +175,12 @@ class BoundReport:
                 f"worst_slack={self.worst_slack:.6g}{first}")
 
 
-class _Fold:
+class _Fold(_Windowed):
     name = ""
     tolerance = 0.0
 
     def __init__(self):
+        super().__init__()
         self.rounds = 0
         self.worst_slack = math.inf
         self.first_violation = None
@@ -83,7 +191,25 @@ class _Fold:
         if slack < -self.tolerance and self.first_violation is None:
             self.first_violation = t
 
+    def _note_all(self, slack, ts):
+        """`_note(slack[k], ts[k])` for every k in order, in one pass: the
+        first least slack, nan ignored, and the first violation"""
+        if not slack.size:
+            return
+        k = slack.argmin()  # the first least, or the first nan
+        if slack[k] != slack[k]:
+            kept = np.flatnonzero(slack == slack)
+            if not kept.size:
+                return
+            k = kept[slack[kept].argmin()]
+        least = float(slack[k])
+        if least < self.worst_slack:
+            self.worst_slack = least
+        if least < -self.tolerance and self.first_violation is None:
+            self.first_violation = ts[int((slack < -self.tolerance).argmax())]
+
     def report(self):
+        self._flush()
         return BoundReport(name=self.name, rounds=self.rounds,
                            worst_slack=self.worst_slack, tolerance=self.tolerance,
                            first_violation=self.first_violation)
@@ -95,11 +221,13 @@ class NoOvershootFold(_Fold):
     name = "no_overshoot"
     tolerance = CORNER_TOL
 
-    def update(self, tr):
-        if not np.count_nonzero(tr.g):  # exact: a subnormal entry counts
-            return
-        self.rounds += 1
-        self._note(tr.loss_value + _step_gain(tr), tr.t)
+    def _consume(self, window):
+        # a zero gradient is not a round here (nan is never noted); exact: a
+        # subnormal entry counts
+        nonzero = window.stack("g").any(axis=1)
+        self.rounds += int(np.count_nonzero(nonzero))
+        slack = window.stack("loss_value") + window.gain()
+        self._note_all(np.where(nonzero, slack, np.nan), window.column("t"))
 
 
 class WealthIdentityFold(_Fold):
@@ -118,17 +246,18 @@ class WealthIdentityFold(_Fold):
         self.epsilon = float(epsilon)
         self._spent = 0.0
 
-    def update(self, tr):
-        if tr.t == 1:
-            self._spent = 0.0
-        self.rounds += 1
-        # g.(w - w_next) is the shared g.(w_next - w) negated, exact up to
-        # the sign of a zero, which the running sum (never -0.0) cannot see;
-        # and 1.0 * g is g
-        g_plus = tr.g if tr.h == 1.0 else tr.h * tr.g
-        self._spent += -_step_gain(tr) + float(g_plus.dot(tr.w_next))
-        dev = abs(tr.wealth_after - (self.epsilon - self._spent))
-        self._note(-dev / max(1.0, abs(tr.wealth_after)), tr.t)
+    def _consume(self, window):
+        h, wealth = window.stack("h"), window.stack("wealth_after")
+        # g.(w - w_next) + g+.w_next per round, g+ = h g (1.0 * g is g);
+        # g.(w - w_next) is the shared gain negated, exact up to the sign of
+        # a zero, which the running sum (never -0.0) cannot see
+        spent = -window.gain() + _rowdot(h[:, None] * window.stack("g"), window.stack("w_next"))
+        for a, b, restarted in _stretches(window.stack("t") == 1):
+            _accumulate(0.0 if restarted else self._spent, spent[a:b])
+            self._spent = float(spent[b - 1])
+        self.rounds += len(window)
+        dev = np.abs(wealth - (self.epsilon - spent))
+        self._note_all(-dev / np.maximum(1.0, np.abs(wealth)), window.column("t"))
 
 
 class BetaBallFold(_Fold):
@@ -139,17 +268,15 @@ class BetaBallFold(_Fold):
 
     def __init__(self, norm="l2"):
         super().__init__()
-        self._norm = {"l2": _l2, "linf": _linf}[norm]
-        self._last = (None, 0.0)  # the previous record's beta_next and its norm
+        _NORMS[norm]  # raises KeyError for an unknown norm
+        self._norm = norm
 
-    def update(self, tr):
-        self.rounds += 1
-        beta, beta_next = tr.beta, tr.beta_next
-        last, last_norm = self._last
-        norm = last_norm if beta is last else self._norm(beta)
-        norm_next = norm if beta_next is beta else self._norm(beta_next)
-        self._last = (beta_next, norm_next)
-        self._note(0.5 - max(norm, norm_next), tr.t)
+    def _consume(self, window):
+        norm, norm_next = window.norm("beta", self._norm), window.norm("beta_next", self._norm)
+        self.rounds += len(window)
+        # max(norm, norm_next) of Python floats: norm unless norm_next is larger
+        worst = np.where(norm_next > norm, norm_next, norm)
+        self._note_all(0.5 - worst, window.column("t"))
 
 
 class WealthLowerBoundFold(_Fold):
@@ -180,24 +307,33 @@ class WealthLowerBoundFold(_Fold):
         self._final_wealth = self.epsilon
         self._last_t = 0
 
-    def update(self, tr):
-        if tr.t == 1 and self._last_t:
-            # a fresh learner started; close out the previous run first
-            self._note(self._run_slack(), self._last_t)
-            self._reset_run()
-        self.rounds += 1
-        g = tr.g
-        if self._gplus_sum is None:
-            self._gplus_sum = np.zeros_like(g)
-        norm_g = _l2(g)
-        self._gplus_sum += g if tr.h == 1.0 else tr.h * g
-        self._pair_sum += norm_g * (tr.h * norm_g)
-        self._mu_sum += 2.0 * norm_g * norm_g * tr.h * (2.0 - tr.h)
-        self._final_wealth = tr.wealth_after
-        self._last_t = tr.t
+    def _consume(self, window):
+        t, wealth = window.column("t"), window.column("wealth_after")
+        ts, h, g = window.stack("t"), window.stack("h"), window.stack("g")
+        norm_g = window.norm("g")
+        g_plus = h[:, None] * g  # 1.0 * g is g
+        pair = norm_g * (h * norm_g)
+        mu = 2.0 * norm_g * norm_g * h * (2.0 - h)
+        # a t == 1 record after another record starts a fresh learner's run
+        restart = ts == 1
+        restart[0] &= self._last_t != 0
+        restart[1:] &= ts[:-1] != 0
+        for a, b, restarted in _stretches(restart):
+            if restarted:  # close out the previous run first
+                self._note(self._run_slack(), self._last_t)
+                self._reset_run()
+            start = np.zeros(g.shape[1]) if self._gplus_sum is None else self._gplus_sum
+            self._gplus_sum = _accumulate(start, g_plus[a:b])[-1].copy()
+            self._pair_sum = float(_accumulate(self._pair_sum, pair[a:b])[-1])
+            self._mu_sum = float(_accumulate(self._mu_sum, mu[a:b])[-1])
+            self._final_wealth = wealth[b - 1]
+            self._last_t = t[b - 1]
+        self.rounds += len(window)
 
     def _run_slack(self):
-        gps = 0.0 if self._gplus_sum is None else _l2(self._gplus_sum)
+        gps = 0.0
+        if self._gplus_sum is not None:
+            gps = math.sqrt(float(self._gplus_sum.dot(self._gplus_sum)))
         if self.variant == PROJECTED:
             bound = -1.5 - 7.25 * math.log1p(2.0 * self._pair_sum)
             gain = gps / 4.0
@@ -209,6 +345,7 @@ class WealthLowerBoundFold(_Fold):
         return math.log(self._final_wealth) - (bound + gain)
 
     def report(self):
+        self._flush()
         self._note(self._run_slack(), self._last_t)
         return super().report()
 
@@ -225,21 +362,36 @@ def folds_for_learner(algorithm, dim):
     return []
 
 
-class WealthTraceWriter:
-    """Streams per-round rows (t, h, wealth, beta_norm, residual) to CSV."""
+# %-formatting gives the same digits as format(x, ".10g")
+_TRACE_ROW = "%s,%.10g,%.10g,%.10g,%.10g\n"
+
+
+class WealthTraceWriter(_Windowed):
+    """Writes per-round rows (t, h, wealth, beta_norm, residual) to CSV, one
+    write per window of records."""
 
     def __init__(self, path):
+        super().__init__()
         self._fh = open(path, "w")
         self._fh.write("t,h,wealth,beta_norm,residual\n")
 
-    def update(self, tr):
-        # %-formatting gives the same digits as format(x, ".10g")
-        self._fh.write("%s,%.10g,%.10g,%.10g,%.10g\n" % (
-            tr.t, tr.h, tr.wealth_after, _l2(tr.beta_next),
-            tr.loss_value + _step_gain(tr)))
+    def _consume(self, window):
+        n = len(window)
+        row = [None] * (5 * n)
+        row[0::5] = window.column("t")
+        row[1::5] = window.column("h")
+        row[2::5] = window.column("wealth_after")
+        row[3::5] = window.norm("beta_next").tolist()
+        row[4::5] = (window.stack("loss_value") + window.gain()).tolist()
+        self._fh.write(_TRACE_ROW * n % tuple(row))
 
     def close(self):
-        self._fh.close()
+        """Write the rows still held, then close the file, also when that
+        write fails."""
+        try:
+            self._flush()
+        finally:
+            self._fh.close()
 
 
 def figure1_scenario(rounds=60, target=10.0, corner_deadline=50):

@@ -344,20 +344,26 @@ class CoordinateImplicitCoin(_BettingCoin):
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
 
+    # (g, |g|) of the last gradient `_norm` measured
+    _abs_g = (None, None)
+
     def _per_game(self, value):
         return np.full(self.dim, value)
 
     def _norm(self, g):
-        # a zero gradient builds no |g|; a nan entry counts as nonzero
+        # a zero gradient builds no |g|; a nan entry counts as nonzero. |g|
+        # is kept for `_round`, which uses it while g is that same array
         if not np.count_nonzero(g):
             return 0.0
-        return float(np.maximum.reduce(np.abs(g)))
+        ag = np.abs(g)
+        self._abs_g = (g, ag)
+        return float(np.maximum.reduce(ag))
 
     def _gdot(self, g, beta):
         return g * beta
 
     def _total(self, wealth):
-        return float(wealth.sum())
+        return float(np.add.reduce(wealth))  # the bits of wealth.sum()
 
     def _round(self, g, nrm, s, loss, wealth):
         # per coordinate, inc is 2 g^2 h (2 - h) on the small branch and
@@ -365,7 +371,9 @@ class CoordinateImplicitCoin(_BettingCoin):
         # + h g) on the first and beta - eta inc beta on the second. dq(1)
         # is per coordinate, so beta_next(1) is built first
         beta = self.beta
-        ag = np.abs(g)
+        measured, ag = self._abs_g
+        if measured is not g:  # renormalised since `_norm`
+            ag = np.abs(g)
         small = np.abs(beta) < SHRINK_THRESHOLD
         gsq = g * g
         gsmall = g * small

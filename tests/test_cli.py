@@ -1,4 +1,5 @@
 import gc
+import math
 import platform
 import sys
 import warnings
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import implicitcoin
+from implicitcoin import losses
 from implicitcoin.cli import main
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
+from implicitcoin.diagnostics import WINDOW_RECORDS
 from implicitcoin.harness import read_csv
 
 
@@ -83,6 +86,44 @@ def test_trace_file_closed_when_the_run_fails(tmp_path, libsvm_file, monkeypatch
     assert code == 1
     assert [u.exc_value for u in unraisable] == []
     assert len(trace.read_text().splitlines()) > 42
+
+
+def test_aborted_run_leaves_a_closed_trace_of_the_rounds_before(tmp_path, libsvm_file,
+                                                                monkeypatch, capsys):
+    # the oracle returns a nan loss past the first full window of trace
+    # rows, so the learner rejects the round and the run aborts there
+    args = ["run", "--algo", "implicit-coin", "--data", str(libsvm_file),
+            "--format", "libsvm", "--task", "reg", "--epochs", "10", "--reps", "1",
+            "--check-bounds"]
+    full = tmp_path / "full.csv"
+    assert main([*args, "--out", str(tmp_path / "a.csv"), "--trace-wealth", str(full)]) == 0
+    abort_at = WINDOW_RECORDS + 44
+    eval_grad_fn = losses.eval_grad_fn
+    calls = []
+
+    def poisoned_fn(kind):
+        oracle = eval_grad_fn(kind)
+
+        def poisoned(w, ex):
+            calls.append(1)
+            loss, g = oracle(w, ex)
+            return (math.nan if len(calls) == abort_at else loss), g
+        return poisoned
+
+    monkeypatch.setattr(losses, "eval_grad_fn", poisoned_fn)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    trace = tmp_path / "aborted.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code = main([*args, "--out", str(tmp_path / "b.csv"), "--trace-wealth", str(trace)])
+        gc.collect()
+    assert code == 1
+    assert f"RunAborted: round {abort_at}" in capsys.readouterr().err
+    assert [u.exc_value for u in unraisable] == []
+    lines = trace.read_text().splitlines()
+    assert len(lines) == abort_at  # the header and the rounds before the abort
+    assert lines == full.read_text().splitlines()[:abort_at]
 
 
 def test_trace_wealth_rejected_for_baseline(tmp_path, libsvm_file, capsys):

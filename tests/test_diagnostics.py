@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin.diagnostics import (BetaBallFold, NoOvershootFold,
-                                      WealthIdentityFold, WealthLowerBoundFold,
-                                      WealthTraceWriter, figure1_scenario,
-                                      folds_for_learner)
+from implicitcoin.diagnostics import (WINDOW_ENTRIES, WINDOW_RECORDS, BetaBallFold,
+                                      NoOvershootFold, WealthIdentityFold,
+                                      WealthLowerBoundFold, WealthTraceWriter,
+                                      figure1_scenario, folds_for_learner)
 from implicitcoin.learners import (CLOSED_FORM, PROJECTED, CoordinateImplicitCoin,
                                    ImplicitCoin, ProjectedImplicitCoin, StepTrace)
 from reference import (ReferenceBetaBallFold, ReferenceNoOvershootFold,
@@ -215,6 +215,34 @@ def every_fold(no_overshoot, identity, ball, lower_bound):
             lower_bound(PROJECTED), lower_bound(CLOSED_FORM)]
 
 
+def same_as_reference(traces, path, after_each=lambda consumers: None):
+    """Feeds the records to every fold and a writer in turn, as a run does,
+    and asserts the reports of the `reference` folds, worst slack bit for
+    bit, and the reference trace bytes. after_each sees the folds and the
+    writer after each record. Returns the reports."""
+    folds = every_fold(NoOvershootFold, WealthIdentityFold, BetaBallFold,
+                       WealthLowerBoundFold)
+    writer = WealthTraceWriter(path)
+    for tr in traces:
+        for fold in folds:
+            fold.update(tr)
+        writer.update(tr)
+        after_each(folds + [writer])
+    writer.close()
+    refs = every_fold(ReferenceNoOvershootFold, ReferenceWealthIdentityFold,
+                      ReferenceBetaBallFold, ReferenceWealthLowerBoundFold)
+    reports = []
+    for fold, ref in zip(folds, refs):
+        got, want = fold.report(), fold_all(ref, traces)
+        assert (got.name, got.rounds, got.first_violation, got.tolerance) == \
+            (want.name, want.rounds, want.first_violation, want.tolerance)
+        assert np.float64(got.worst_slack).tobytes() == \
+            np.float64(want.worst_slack).tobytes()
+        reports.append(got)
+    assert path.read_bytes() == reference_wealth_trace(traces).encode()
+    return reports
+
+
 RECORD_SETS = {
     **{f"{cls.__name__}-d{d}": (lambda cls=cls, d=d: corner_stream(cls, d, seed=d))
        for cls in (ImplicitCoin, ProjectedImplicitCoin, CoordinateImplicitCoin)
@@ -222,6 +250,66 @@ RECORD_SETS = {
     "ogd": lambda: ogd_traces(eta0=3.0) + ogd_traces(eta0=0.5),
     "hand-built": hand_built_records,
 }
+
+W = WINDOW_RECORDS
+
+
+def restarting_streams():
+    """Three learners back to back at d = 3, 3.5 windows of records: the
+    second starts mid-window and the third on a window boundary."""
+    first = corner_stream(ImplicitCoin, 3, seed=31, rounds=W + W // 4)
+    second = corner_stream(ProjectedImplicitCoin, 3, seed=32, rounds=2 * W - len(first))
+    return first + second + corner_stream(CoordinateImplicitCoin, 3, seed=33,
+                                          rounds=3 * W // 2)
+
+
+def zero_gradient_window():
+    """3.5 windows of an `ImplicitCoin` stream at d = 2 whose second window
+    has only zero gradients."""
+    rng = np.random.default_rng(41)
+    traces = []
+    learner = ImplicitCoin(2, trace_cb=traces.append)
+    for i in range(7 * W // 2):
+        g = np.zeros(2) if W <= i < 2 * W else rng.uniform(-0.7, 0.7, size=2)
+        learner.step(float(rng.uniform(0.0, 2.0)), g)
+    return traces
+
+
+def exact_identity_with_nans():
+    """Four windows of hand-built records at d = 3 whose wealth identity
+    holds exactly, so every identity slack is -0.0, except in four records
+    of the third window: a nan loss, a nan beta, a nan beta_next and a nan
+    wealth. The beta beside the nan beta_next has the largest norm, so the
+    beta ball's worst slack is where max(norm, nan) is the norm. Every
+    fourth loss is -0.0."""
+    rng = np.random.default_rng(61)
+    records = []
+    for i in range(4 * W):
+        beta = rng.uniform(-0.2, 0.2, size=3)
+        beta_next = rng.uniform(-0.2, 0.2, size=3)
+        loss, wealth = (-0.0 if i % 4 == 0 else float(rng.uniform(0.0, 2.0))), 1.0
+        k = i - 2 * W - 7
+        if k == 0:
+            loss = math.nan
+        elif k == 1:
+            beta = np.array([0.1, math.nan, 0.0])
+        elif k == 2:
+            beta, beta_next = np.array([0.0, 0.49, 0.0]), np.array([0.1, math.nan, 0.0])
+        elif k == 3:
+            wealth = math.nan
+        # w = w_next = 0: nothing is spent, and the wealth stays 1.0
+        records.append(StepTrace(
+            t=i + 1, w=np.zeros(3), g=rng.uniform(-0.5, 0.5, size=3), loss_value=loss,
+            h=float(rng.choice([0.25, 1.0])), w_next=np.zeros(3), beta=beta,
+            beta_next=beta_next, wealth_before=1.0, wealth_after=wealth))
+    return records
+
+
+def two_dimensions():
+    """Two `ImplicitCoin` streams, d = 2 and then d = 5, 3.3 windows of
+    records; the dimension changes mid-window."""
+    return (corner_stream(ImplicitCoin, 2, seed=51, rounds=W + W // 3)
+            + corner_stream(ImplicitCoin, 5, seed=52, rounds=2 * W))
 
 
 class TestReferenceEquivalence:
@@ -232,30 +320,69 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("name", sorted(RECORD_SETS))
     def test_same_reports_and_trace_bytes(self, name, tmp_path):
         traces = RECORD_SETS[name]()
-        folds = every_fold(NoOvershootFold, WealthIdentityFold, BetaBallFold,
-                           WealthLowerBoundFold)
-        path = tmp_path / "trace.csv"
-        writer = WealthTraceWriter(path)
-        for tr in traces:
-            for fold in folds:
-                fold.update(tr)
-            writer.update(tr)
-        writer.close()
-        refs = every_fold(ReferenceNoOvershootFold, ReferenceWealthIdentityFold,
-                          ReferenceBetaBallFold, ReferenceWealthLowerBoundFold)
-        failed = False
-        for fold, ref in zip(folds, refs):
-            got, want = fold.report(), fold_all(ref, traces)
-            assert (got.name, got.rounds, got.first_violation, got.tolerance) == \
-                (want.name, want.rounds, want.first_violation, want.tolerance)
-            assert np.float64(got.worst_slack).tobytes() == \
-                np.float64(want.worst_slack).tobytes()
-            failed |= not got.passed
-        assert path.read_bytes() == reference_wealth_trace(traces).encode()
+        reports = same_as_reference(traces, tmp_path / "trace.csv")
         if name in ("ogd", "hand-built"):
-            assert failed  # violations are compared too
+            assert any(not rep.passed for rep in reports)  # violations are compared too
         else:
             assert any(0.0 < tr.h < 1.0 for tr in traces)
+
+    def test_restarts_mid_window_and_on_a_window_boundary(self, tmp_path):
+        traces = restarting_streams()
+        assert [k for k, tr in enumerate(traces) if tr.t == 1] == [0, W + W // 4, 2 * W]
+        same_as_reference(traces, tmp_path / "trace.csv")
+
+    def test_window_of_zero_gradients(self, tmp_path):
+        traces = zero_gradient_window()
+        no_overshoot = same_as_reference(traces, tmp_path / "trace.csv")[0]
+        assert no_overshoot.rounds == len(traces) - W
+        fold = NoOvershootFold()
+        for tr in traces[W:2 * W]:
+            fold.update(tr)
+        assert fold.report().rounds == 0
+
+    def test_nan_slacks_and_a_negative_zero_worst_slack(self, tmp_path):
+        traces = exact_identity_with_nans()
+        reports = same_as_reference(traces, tmp_path / "trace.csv")
+        identity = reports[1]
+        assert identity.name == "wealth_identity"
+        assert np.float64(identity.worst_slack).tobytes() == np.float64(-0.0).tobytes()
+        assert reports[3].worst_slack == pytest.approx(0.01)  # the l2 beta ball
+        assert "nan" in (tmp_path / "trace.csv").read_text()
+
+    def test_one_fold_fed_two_dimensions(self, tmp_path):
+        traces = two_dimensions()
+        assert {tr.g.size for tr in traces} == {2, 5}
+        same_as_reference(traces, tmp_path / "trace.csv")
+
+    def test_a_window_holds_one_record_past_the_entry_cap(self, tmp_path):
+        d = 70_000
+        assert d > WINDOW_ENTRIES
+        traces = corner_stream(ImplicitCoin, d, seed=7, rounds=4)
+
+        def nothing_held(consumers):
+            assert all(not c._window for c in consumers)
+
+        same_as_reference(traces, tmp_path / "trace.csv", after_each=nothing_held)
+
+
+class TestNoteAll:
+    def test_one_pass_is_noting_each_slack_in_turn(self):
+        # the first least slack with the sign of its zero, nan ignored, and
+        # the first violation, carried across passes
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, 1.0, -1e-9, -0.5, math.nan, math.inf, -math.inf]
+        for _ in range(2000):
+            slack = rng.choice(values, size=int(rng.integers(1, 30)))
+            cut = int(rng.integers(0, slack.size + 1))
+            ts = list(range(1, slack.size + 1))
+            one, passes = NoOvershootFold(), NoOvershootFold()
+            for s, t in zip(slack, ts):
+                one._note(float(s), t)
+            passes._note_all(slack[:cut], ts[:cut])
+            passes._note_all(slack[cut:], ts[cut:])
+            assert np.float64(passes.worst_slack).tobytes() == \
+                np.float64(one.worst_slack).tobytes()
+            assert passes.first_violation == one.first_violation
 
 
 def _record(t, g, w_next, beta=None, beta_next=None):
@@ -301,6 +428,29 @@ class TestRecordEdgeCases:
         assert [fold.report().worst_slack for fold in folds] == [1.5, -2.0, 1.5]
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["1.5", "-2", "1.5"]
+
+
+class TestSignedZeroStep:
+    def test_negative_zero_loss_and_step_at_d1_as_the_reference(self, tmp_path):
+        # g.(w_next - w) is (-1.0)(0.0): `@` gives 0.0 where ndarray.dot
+        # gives -0.0, so the residual is 0.0, not -0.0
+        tr = StepTrace(t=1, w=np.zeros(1), g=np.array([-1.0]), loss_value=-0.0, h=1.0,
+                       w_next=np.zeros(1), beta=np.zeros(1), beta_next=np.zeros(1),
+                       wealth_before=1.0, wealth_after=1.0)
+        no_overshoot = same_as_reference([tr], tmp_path / "trace.csv")[0]
+        assert np.float64(no_overshoot.worst_slack).tobytes() == np.float64(0.0).tobytes()
+        assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "1,1,1,0,0"
+
+
+class TestWriterClose:
+    def test_file_closed_when_the_last_write_fails(self, tmp_path):
+        writer = WealthTraceWriter(tmp_path / "trace.csv")
+        writer.update(_record(1, [1.0, 0.0], [0.5, 0.0]))
+        # a beta_next of the wrong size cannot be stacked with the others
+        writer.update(_record(2, [1.0, 0.0], [0.5, 0.0], beta_next=np.zeros(3)))
+        with pytest.raises(ValueError):
+            writer.close()
+        assert writer._fh.closed
 
 
 class TestFigure1:

@@ -196,6 +196,23 @@ class TestGradientGuard:
         l.step(1.0, np.array([1.0 + 5e-10]))
         assert l.grad_norm_warnings == 1
 
+    def test_renormalized_coordinate_round_is_the_round_on_the_unit_gradient(self):
+        # |g| measured before the renormalisation must not reach the round:
+        # the shrink branch (|beta_0| >= 3/8 after the warm-up) reads it
+        renormalized, unit = CoordinateImplicitCoin(3), CoordinateImplicitCoin(3)
+        for l in (renormalized, unit):
+            for _ in range(25):
+                l.step(1e6, np.array([-1.0, 0.5, 0.0]))
+        assert renormalized.beta[0] >= 3.0 / 8.0
+        g = np.array([1.0 + 5e-10, -0.25, 0.0])
+        for loss in (0.1, 1e6):  # a corner, then a full round
+            renormalized.step(loss, g)
+            unit.step(loss, g / (1.0 + 5e-10))
+        assert renormalized.grad_norm_warnings == 2 and unit.grad_norm_warnings == 0
+        assert renormalized.corner_rounds == unit.corner_rounds == 1
+        for attr in ("beta", "wealth", "inv_eta"):
+            assert getattr(renormalized, attr).tobytes() == getattr(unit, attr).tobytes()
+
     def test_rejects_negative_loss(self):
         with pytest.raises(ValueError, match=">= 0"):
             ImplicitCoin(1).step(-0.5, np.array([1.0]))
