@@ -8,7 +8,8 @@ step rejects a nan, infinite or negative loss and a nan or infinite gradient
 entry with ValueError before any state changes. Like the betting learners,
 an algorithm never writes into an iterate it has returned: every update
 rebinds `w`, so step hands back `self.w` itself. g.dot(g) is g @ g without
-the matmul ufunc's overhead on short vectors.
+the matmul ufunc's overhead on short vectors, and Sgd and AProx convert g
+with np.asarray only when it is not already a float64 ndarray.
 """
 
 import math
@@ -16,6 +17,8 @@ import math
 import numpy as np
 
 from .learners import CoordinateImplicitCoin, ImplicitCoin
+
+_F64 = np.dtype(np.float64)
 
 COCOB_ALPHA = 100.0
 COCOB_EPS = 1e-8
@@ -50,7 +53,8 @@ class Sgd:
     def step(self, loss_value, g, ex=None):
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        g = np.asarray(g, dtype=np.float64)
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            g = np.asarray(g, dtype=np.float64)
         gg = float(g.dot(g))
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
@@ -67,7 +71,8 @@ class AProx(Sgd):
     def step(self, loss_value, g, ex=None):
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        g = np.asarray(g, dtype=np.float64)
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            g = np.asarray(g, dtype=np.float64)
         gg = float(g.dot(g))
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")

@@ -133,9 +133,10 @@ class PreparedRepetition(NamedTuple):
 
 
 def prepare_repetition(config: ExperimentConfig, dataset, repetition):
-    """prepare_splits plus one LabeledExample per training row."""
+    """prepare_splits plus one LabeledExample per training row, built as a
+    batch (`losses.labeled_examples`)."""
     train, val, test, record = prepare_splits(config, dataset, repetition)
-    examples = [losses.LabeledExample(x, y) for x, y in zip(train.X, train.y)]
+    examples = losses.labeled_examples(train.X, train.y)
     return PreparedRepetition(train, val, test, record, examples)
 
 

@@ -1,6 +1,6 @@
 """Parameter-free coin-betting learners driven by truncated linear models.
 
-All variants play one round, `_BettingCoin.step`: predict w = beta * wealth,
+Every variant plays one fused round in its `step`: predict w = beta * wealth,
 receive one loss value and one subgradient g, scale g by h in [0, 1] (h < 1
 exactly when the full step would cross the model's corner), then update the
 betting fraction and the wealth multiplicatively. With s = <g, beta> and
@@ -9,18 +9,23 @@ loss + <g, w_next(h) - w> = 0 reads loss + W (dq - h q s) / (1 + (h-1) q):
 the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
-Each one-game variant states its update once, as two functions of h:
-`_dq(h, ...)` gives dq(h) and its slope from scalars, and `_commit(g, ...,
-h)` gives beta_next(h) with its 1/eta increment. One round,
-`_BettingCoin._round`, serves both one-game variants: it takes f(1), the
-residual of the full round, from dq(1). If f(1) >= 0 it commits at h = 1;
-otherwise the full round would cross the corner, and `solve_corner`,
-safeguarded Newton inside the bracket, finds h from the residual built on
-the same dq before it commits there. `CoordinateImplicitCoin` plays one
-game per coordinate, so its s, dq, wealth and 1/eta are arrays and the
-residual sums over them; its `_round` builds beta_next(1) for f(1) and, on
-a corner, the residual's cubic coefficients from the same per-coordinate
-terms.
+A round checks its input from one g.g (from |g| for the per-coordinate
+variant), and a zero gradient returns at once. Otherwise it takes f(1), the
+residual of the full round, from dq(1) and commits at h = 1 if f(1) >= 0;
+else the full round would cross the corner, and `solve_corner`, safeguarded
+Newton inside the bracket, finds h from the residual built on the same
+formula before the round commits there. Each update is stated once, as a
+function of h that the round takes at h = 1 and at the solved corner:
+`_step_dq`/`_step_beta` for the unprojected step, which the projected
+variant projects and `ImplicitCoin` takes on small fractions,
+`_shrink_dq`/`_shrink_beta` for `ImplicitCoin`'s shrink branch, and
+`_cw_beta` for the per-coordinate games, whose corner residual comes from
+cubic coefficients in h.
+
+Traced and untraced rounds run the same arithmetic. The trace record is
+built in the round's tail (`_BettingCoin._stay` and `_move`) from values the
+round computed anyway, so a `trace_cb` never changes an iterate, a counter or
+a bit of the state.
 
 The learner holds the iterate it last returned with the (beta, wealth) it
 came from. A round that does not move (h = 0: a zero gradient, or a corner
@@ -62,6 +67,26 @@ CORNER_WIDTH_ULPS = 4.0
 # resolution in about 60 steps, so a solve that needs more has met a
 # residual it cannot speed up.
 CORNER_MAX_EVALS = 64
+
+_F64 = np.dtype(np.float64)
+_SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
+
+# The per-coordinate corner residual's numerator N = dq - h q s and
+# denominator D = 1 + (h-1) q are cubics in h, since dq(h) = h gA + h^2 gB.
+# Row 2k (2k+1) holds the h^k coefficient of N (D) over the basis
+# (1, s, s^2, gA, gA s, gB, gB s); every entry is 0 or +-1 and no row has
+# more than two nonzero entries, so the product has the bits of the
+# elementwise sums.
+_CW_COEFFS = np.array((
+    (0, 0, 0, 0, 0, 0, 0),     # N: h^0
+    (1, -1, 0, 0, 0, 0, 0),    # D: 1 - s
+    (0, 0, -1, 1, 0, 0, 0),    # N: h^1, gA - s^2
+    (0, 1, 0, -1, 0, 0, 0),    # D: s - gA
+    (0, 0, 0, 0, -1, 1, 0),    # N: h^2, gB - gA s
+    (0, 0, 0, 1, 0, -1, 0),    # D: gA - gB
+    (0, 0, 0, 0, 0, 0, -1),    # N: h^3, -gB s
+    (0, 0, 0, 0, 0, 1, 0),     # D: gB
+), dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -132,13 +157,88 @@ def solve_corner(fd, f0, f1):
     return rootsolve.bisect(f, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi)), evals
 
 
+# -- the one-game updates as functions of h ------------------------------------
+# gg = g.g (the square of the checked norm), s = <g, beta>, eta = 1 / inv_eta.
+
+def _step_dq(h, gg, s, eta):
+    """dq(h) of the unprojected step beta - eta (h g + 2 k beta), with
+    k = g.g h (2 - h)."""
+    return -eta * (h * gg + 2.0 * (gg * h * (2.0 - h)) * s)
+
+
+def _step_slope(h, gg, s, eta):
+    """d dq / dh of the unprojected step."""
+    return -eta * (gg + 2.0 * (gg * (2.0 - 2.0 * h)) * s)
+
+
+def _step_beta(beta, g, gg, eta, h):
+    """The unprojected step's beta_next(h) and its 1/eta increment 2k. At
+    h = 1, h g is g, so a full round skips that product."""
+    k2 = 2.0 * (gg * h * (2.0 - h))
+    return beta - eta * ((g if h == 1.0 else h * g) + k2 * beta), k2
+
+
+def _projected_dq(h, gg, s, bb, eta):
+    """dq(h) and its slope of the unprojected step projected onto the
+    half-unit ball: a scalar replay of <g, .> and the projection factor,
+    with bb = <beta, beta>."""
+    k = gg * h * (2.0 - h)
+    dk = gg * (2.0 - 2.0 * h)
+    step, dstep = _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta)
+    raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
+              + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
+    scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
+    if scale <= 1.0 + PROJECTION_SLACK:
+        return step, dstep
+    draw_sq = (-2.0 * eta * (s + 2.0 * dk * bb)
+               + eta * eta * (2.0 * h * gg + 4.0 * (k + h * dk) * s + 8.0 * k * dk * bb))
+    dscale = 2.0 * draw_sq / scale
+    return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
+
+
+def _shrink_dq(h, nrm, s, eta):
+    """dq(h) of the shrink branch beta (1 - 2 gain eta h ||g||); linear in
+    h, so its slope is dq(1)."""
+    return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
+
+
+def _shrink_beta(beta, nrm, eta, h):
+    return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
+            2.0 * SHRINK_GAIN * h * nrm)
+
+
+def _one_game_corner(dq, loss, s, wealth, f1):
+    """solve_corner on the residual built from dq(h) -> (dq, slope)."""
+    def fd(h):  # loss + W (dq - h q s) / (1 + (h-1) q) and its slope
+        d, dd = dq(h)
+        q = s + d
+        num = d - h * q * s
+        den = 1.0 + (h - 1.0) * q
+        slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
+        return loss + wealth * (num / den), wealth * slope / (den * den)
+
+    return solve_corner(fd, loss, f1)
+
+
+def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, gain, h):
+    """Per-coordinate beta_next(h) and 1/eta increment: inc is 2 g^2 h (2 - h)
+    where |beta| is small and 2 gain |g| h elsewhere, and beta_next =
+    beta - (inc beta + h g [small]) / inv_eta. small is None when every
+    coordinate is small. At h = 1 the scalar factors are 2, 2 gain and 1,
+    so a full round takes gsq + gsq (the bits of 2 gsq), ag * gain (gain
+    holds 2 gain) and gsmall itself, without a scalar-array product."""
+    if h == 1.0:
+        inc = gsq + gsq if small is None else np.where(small, gsq + gsq, ag * gain)
+        return beta - (inc * beta + gsmall) / inv_eta, inc
+    inc = (2.0 * h * (2.0 - h)) * gsq
+    if small is not None:
+        inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
+    return beta - (inc * beta + h * gsmall) / inv_eta, inc
+
+
 class _BettingCoin:
-    """The round of every variant. A one-game variant supplies `_dq(h, nrm,
-    s, bb, eta)` (dq and its slope, from the gradient norm, s = <g, beta>,
-    bb = <beta, beta> and eta = 1 / inv_eta) and `_commit(g, nrm, bb, eta,
-    h)` (beta_next and the 1/eta increment); `_round` takes both at h = 1
-    for a full round and at the solved h for a corner. A per-coordinate
-    variant overrides `_round` and the reductions below.
+    """State, counters and the fused round of the one-game variants; the
+    per-coordinate variant overrides `step`.
 
     Counters: corner_rounds (rounds whose full step would cross the
     corner), residual_evals (residual evaluations of their solves) and
@@ -151,6 +251,7 @@ class _BettingCoin:
 
     def __init__(self, dim, trace_cb=None):
         self.dim = int(dim)
+        self._shape = (self.dim,)
         self.beta = np.zeros(self.dim)
         self.wealth = self._per_game(1.0)
         self.inv_eta = self._per_game(self.inv_eta0)
@@ -167,14 +268,8 @@ class _BettingCoin:
     def _per_game(self, value):
         return value
 
-    def _norm(self, g):
-        """the norm the unit bound is on"""
-        return math.sqrt(float(g.dot(g)))
-
-    def _gdot(self, g, beta):
-        return float(g.dot(beta))
-
-    def _total(self, wealth):
+    @staticmethod
+    def _total(wealth):
         return wealth
 
     def predict(self):
@@ -189,84 +284,115 @@ class _BettingCoin:
         loss_value = float(loss_value)
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.dim,):
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            g = np.asarray(g, dtype=np.float64)
+        if g.shape != self._shape:
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm = self._norm(g)
+        nrm = math.sqrt(float(g.dot(g)))
         if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
             g = g / nrm
             nrm = 1.0
             self.grad_norm_warnings += 1
+        if nrm == 0.0:  # a zero gradient
+            held = self._held
+            if self.trace_cb is None and held[0] is self.beta and held[1] is self.wealth:
+                self.t += 1
+                return held[2]
+            return self._stay(loss_value, g, None)
 
         beta, wealth = self.beta, self.wealth
-        held = self._held
-        h = 0.0
-        evals = None
-        if nrm > 0.0:
-            s = self._gdot(g, beta)
-            h, out, evals = self._round(g, nrm, s, loss_value, wealth)
-
-        if h == 0.0:  # a zero gradient, or a corner at the anchor: no move
-            beta_next, wealth_next = beta, wealth
-            if held[0] is beta and held[1] is wealth:
-                w_next, total = held[2], held[3]
-            else:
-                w_next, total = beta * wealth, self._total(wealth)
-                self._held = (beta, wealth, w_next, total)
+        gg = nrm * nrm
+        s = float(g.dot(beta))
+        bb = float(beta.dot(beta))
+        eta = 1.0 / self.inv_eta
+        # the projected variant projects the unprojected step; the
+        # closed-form one takes it while the fraction is small, else shrinks
+        projects = self.variant == PROJECTED
+        shrinks = not projects and not bb < _SMALL_SQ
+        if projects:
+            dq1 = _projected_dq(1.0, gg, s, bb, eta)[0]
+        elif shrinks:
+            dq1 = _shrink_dq(1.0, nrm, s, eta)
         else:
-            beta_next, inv_eta_step = out
-            wealth_next = wealth * (1.0 - s)
-            if h != 1.0:  # a full round has denominator 1
-                wealth_next /= 1.0 + (h - 1.0) * self._gdot(g, beta_next)
-            total = self._total(wealth_next)
-            if not total < math.inf:
-                raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
-            w_next = beta_next * wealth_next
-            self._held = (beta_next, wealth_next, w_next, total)
-            self.beta = beta_next
-            self.wealth = wealth_next
-            self.inv_eta = self.inv_eta + inv_eta_step
+            dq1 = _step_dq(1.0, gg, s, eta)
+        h, evals = 1.0, None
+        f1 = loss_value + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
+        if f1 < 0.0:  # the full round would cross the corner
+            if projects:
+                def dq(h):
+                    return _projected_dq(h, gg, s, bb, eta)
+            elif shrinks:
+                def dq(h):
+                    return _shrink_dq(h, nrm, s, eta), dq1
+            else:
+                def dq(h):
+                    return _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta)
+            h, evals = _one_game_corner(dq, loss_value, s, wealth, f1)
+            if h == 0.0:  # a corner at the anchor
+                return self._stay(loss_value, g, evals)
+
+        if shrinks:
+            beta_next, inc = _shrink_beta(beta, nrm, eta, h)
+        else:
+            beta_next, inc = _step_beta(beta, g, gg, eta, h)
+            if projects:
+                scale = 2.0 * math.sqrt(float(beta_next.dot(beta_next)))
+                if scale > 1.0 + PROJECTION_SLACK:
+                    beta_next = beta_next / scale
+        wealth_next = wealth * (1.0 - s)
+        if h != 1.0:  # a full round has denominator 1
+            wealth_next /= 1.0 + (h - 1.0) * float(g.dot(beta_next))
+        return self._move(loss_value, g, h, evals, beta_next, wealth_next, wealth_next, inc)
+
+    # -- the round's tail: state, hold, counters and the trace record ----------
+
+    def _stay(self, loss_value, g, evals):
+        """A round that does not move (h = 0); returns the held iterate."""
+        beta, wealth = self.beta, self.wealth
+        held = self._held
+        if held[0] is beta and held[1] is wealth:
+            w, total = held[2], held[3]
+        else:
+            w, total = beta * wealth, self._total(wealth)
+            self._held = (beta, wealth, w, total)
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
+        if self.trace_cb is not None:
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
+                                    total, total))
+        return w
 
+    def _move(self, loss_value, g, h, evals, beta_next, wealth_next, total, inc):
+        """A round that moves to (beta_next, wealth_next), whose total wealth
+        is total; returns w_next. Raises before any state changes when the
+        wealth overflows."""
+        if not total < math.inf:
+            raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
+        beta, wealth = self.beta, self.wealth
+        held = self._held
+        w_next = beta_next * wealth_next
+        self._held = (beta_next, wealth_next, w_next, total)
+        self.beta = beta_next
+        self.wealth = wealth_next
+        self.inv_eta = self.inv_eta + inc
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
         if self.trace_cb is not None:
             # w (same bits as beta * wealth) and the total wealth before the
             # round: held unless the state was replaced since
-            if h == 0.0:
-                w, total_before = w_next, total
-            elif held[0] is beta and held[1] is wealth:
+            if held[0] is beta and held[1] is wealth:
                 w, total_before = held[2], held[3]
             else:
                 w, total_before = beta * wealth, self._total(wealth)
             self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
                                     beta_next, total_before, total))
         return w_next
-
-    def _round(self, g, nrm, s, loss, wealth):
-        """(h, (beta_next, 1/eta increment) or None when h = 0, residual
-        evaluations or None for a full round)"""
-        bb = float(self.beta.dot(self.beta))
-        eta = 1.0 / self.inv_eta
-        dq = self._dq
-        dq1 = dq(1.0, nrm, s, bb, eta)[0]
-        f1 = loss + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
-        if not f1 < 0.0:
-            return 1.0, self._commit(g, nrm, bb, eta, 1.0), None
-
-        def fd(h):  # loss + W (dq - h q s) / (1 + (h-1) q) and its slope
-            d, dd = dq(h, nrm, s, bb, eta)
-            q = s + d
-            num = d - h * q * s
-            den = 1.0 + (h - 1.0) * q
-            slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
-            return loss + wealth * (num / den), wealth * slope / (den * den)
-
-        h, evals = solve_corner(fd, loss, f1)
-        return h, (self._commit(g, nrm, bb, eta, h) if h != 0.0 else None), evals
 
 
 class ProjectedImplicitCoin(_BettingCoin):
@@ -276,35 +402,6 @@ class ProjectedImplicitCoin(_BettingCoin):
 
     variant = PROJECTED
     inv_eta0 = PROJECTED_INV_ETA0
-
-    @staticmethod
-    def _dq(h, nrm, s, bb, eta):
-        """dq(h) and its slope: a scalar replay of `_commit`, <g, .> and the
-        projection factor only."""
-        gg = nrm * nrm
-        k = gg * h * (2.0 - h)
-        dk = gg * (2.0 - 2.0 * h)
-        step = -eta * (h * gg + 2.0 * k * s)
-        dstep = -eta * (gg + 2.0 * dk * s)
-        raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
-                  + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
-        scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
-        if scale <= 1.0 + PROJECTION_SLACK:
-            return step, dstep
-        draw_sq = (-2.0 * eta * (s + 2.0 * dk * bb)
-                   + eta * eta * (2.0 * h * gg + 4.0 * (k + h * dk) * s + 8.0 * k * dk * bb))
-        dscale = 2.0 * draw_sq / scale
-        return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
-
-    def _commit(self, g, nrm, bb, eta, h):
-        beta = self.beta
-        k = nrm * nrm * h * (2.0 - h)
-        # h * g is g at h = 1, so a full round skips that product
-        raw = beta - eta * ((g if h == 1.0 else h * g) + (2.0 * k) * beta)
-        scale = 2.0 * math.sqrt(float(raw.dot(raw)))
-        if scale > 1.0 + PROJECTION_SLACK:
-            raw = raw / scale
-        return raw, 2.0 * k
 
 
 class ImplicitCoin(_BettingCoin):
@@ -316,24 +413,6 @@ class ImplicitCoin(_BettingCoin):
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
 
-    _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
-
-    def _dq(self, h, nrm, s, bb, eta):
-        if bb < self._SMALL_SQ:
-            gg = nrm * nrm
-            k = gg * h * (2.0 - h)
-            return (-eta * (h * gg + 2.0 * k * s),
-                    -eta * (gg + 2.0 * gg * (2.0 - 2.0 * h) * s))
-        return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s, (-2.0 * SHRINK_GAIN) * eta * nrm * s
-
-    def _commit(self, g, nrm, bb, eta, h):
-        beta = self.beta
-        if bb < self._SMALL_SQ:
-            k = nrm * nrm * h * (2.0 - h)  # the projected variant's raw step
-            return beta - eta * ((g if h == 1.0 else h * g) + (2.0 * k) * beta), 2.0 * k
-        return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
-                2.0 * SHRINK_GAIN * h * nrm)
-
 
 class CoordinateImplicitCoin(_BettingCoin):
     """Per-coordinate closed-form variant: every coordinate runs its own 1-d
@@ -344,75 +423,95 @@ class CoordinateImplicitCoin(_BettingCoin):
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
 
-    # (g, |g|) of the last gradient `_norm` measured
-    _abs_g = (None, None)
+    def __init__(self, dim, trace_cb=None):
+        super().__init__(dim, trace_cb)
+        # per-coordinate constants, so the round multiplies and compares
+        # arrays with arrays
+        self._ones = np.ones(self.dim)
+        self._threshold = np.full(self.dim, SHRINK_THRESHOLD)
+        self._gain = np.full(self.dim, 2.0 * SHRINK_GAIN)
 
     def _per_game(self, value):
         return np.full(self.dim, value)
 
-    def _norm(self, g):
-        # a zero gradient builds no |g|; a nan entry counts as nonzero. |g|
-        # is kept for `_round`, which uses it while g is that same array
-        if not np.count_nonzero(g):
-            return 0.0
-        ag = np.abs(g)
-        self._abs_g = (g, ag)
-        return float(np.maximum.reduce(ag))
-
-    def _gdot(self, g, beta):
-        return g * beta
-
-    def _total(self, wealth):
+    @staticmethod
+    def _total(wealth):
         return float(np.add.reduce(wealth))  # the bits of wealth.sum()
 
-    def _round(self, g, nrm, s, loss, wealth):
-        # per coordinate, inc is 2 g^2 h (2 - h) on the small branch and
-        # 2 gain |g| h on the shrink branch; beta_next = beta - eta (inc beta
-        # + h g) on the first and beta - eta inc beta on the second. dq(1)
-        # is per coordinate, so beta_next(1) is built first
-        beta = self.beta
-        measured, ag = self._abs_g
-        if measured is not g:  # renormalised since `_norm`
+    def step(self, loss_value, g, ex=None):
+        loss_value = float(loss_value)
+        if not 0.0 <= loss_value < math.inf:  # also rejects nan
+            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            g = np.asarray(g, dtype=np.float64)
+        if g.shape != self._shape:
+            raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
+        # a zero gradient builds no |g|; a nan entry counts as nonzero
+        if not np.count_nonzero(g):
+            held = self._held
+            if self.trace_cb is None and held[0] is self.beta and held[1] is self.wealth:
+                self.t += 1
+                return held[2]
+            return self._stay(loss_value, g, None)
+        ag = np.abs(g)
+        nrm = float(ag[ag.argmax()])  # the first nan, if there is one
+        if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
+            raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
+        if nrm > 1.0:
+            g = g / nrm
             ag = np.abs(g)
-        small = np.abs(beta) < SHRINK_THRESHOLD
+            self.grad_norm_warnings += 1
+
+        beta, wealth, inv_eta = self.beta, self.wealth, self.inv_eta
+        s = g * beta
+        small = np.abs(beta) < self._threshold
         gsq = g * g
-        gsmall = g * small
+        if np.count_nonzero(small) == self.dim:
+            # every coordinate on the small branch: a mask of ones, which
+            # g * small and np.where would only copy through
+            small, gsmall = None, g
+        else:
+            gsmall = g * small
+        beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, self._gain, 1.0)
+        dq1 = g * beta_next - s
+        f1 = loss_value + float(wealth.dot(dq1 - (s + dq1) * s))
+        h, evals = 1.0, None
+        if f1 < 0.0:  # the full round would cross the corner
+            # dq(h) = h gA + h^2 gB on both branches; one (2, 4) @ (4, 2d)
+            # product with the powers of h and their slopes gives N, D, N'
+            # and D' (see _CW_COEFFS)
+            eta = self._ones / inv_eta
+            gB = (eta + eta) * gsq * s  # 2 eta g^2 s on the small branch, else 0
+            if small is not None:
+                gB *= small
+            gA = -eta * gsq - (gB + gB)
+            if small is not None:
+                gA = np.where(small, gA, (-2.0 * SHRINK_GAIN) * eta * ag * s)
+            d = self.dim
+            K = _CW_COEFFS.dot(np.array((self._ones, s, s * s, gA, gA * s, gB, gB * s)))
+            K = K.reshape(4, 2 * d)
+            powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
+            powers[0, 0] = powers[1, 1] = 1.0
 
-        def commit(h):
-            inc = np.where(small, (2.0 * h * (2.0 - h)) * gsq, (2.0 * SHRINK_GAIN * h) * ag)
-            return beta - (inc * beta + h * gsmall) / self.inv_eta, inc
+            def fd(h):
+                hh = h * h
+                powers[0, 1] = h
+                powers[0, 2] = hh
+                powers[0, 3] = hh * h
+                powers[1, 2] = 2.0 * h
+                powers[1, 3] = 3.0 * hh
+                r = powers.dot(K)
+                den = r[0, d:]
+                q = r[0, :d] / den
+                return (loss_value + float(wealth.dot(q)),
+                        float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
 
-        out = commit(1.0)
-        dq1 = g * out[0] - s
-        f1 = loss + float(wealth.dot(dq1 - (s + dq1) * s))
-        if not f1 < 0.0:
-            return 1.0, out, None
-        # dq(h) = h gA + h^2 gB on both branches, so the residual term's
-        # numerator N = dq - h q s and denominator D = 1 + (h-1) q are
-        # cubics in h. Row k of K holds the h^k coefficients of N (first d
-        # columns) and D (last d), and one (2, 4) @ (4, 2d) product with the
-        # powers of h and their slopes gives N, D, N' and D'
-        eta = 1.0 / self.inv_eta
-        gB = (2.0 * eta) * gsq * s * small
-        gA = np.where(small, -eta * gsq - 2.0 * gB, (-2.0 * SHRINK_GAIN) * eta * ag * s)
-        d = self.dim
-        K = np.array((np.zeros(d), 1.0 - s, gA - s * s, s - gA,
-                      gB - gA * s, gA - gB, -gB * s, gB)).reshape(4, 2 * d)
-        powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
-        powers[0, 0] = powers[1, 1] = 1.0
-
-        def fd(h):
-            hh = h * h
-            powers[0, 1] = h
-            powers[0, 2] = hh
-            powers[0, 3] = hh * h
-            powers[1, 2] = 2.0 * h
-            powers[1, 3] = 3.0 * hh
-            r = powers.dot(K)
-            den = r[0, d:]
-            q = r[0, :d] / den
-            return (loss + float(wealth.dot(q)),
-                    float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
-
-        h, evals = solve_corner(fd, loss, f1)
-        return h, (commit(h) if h != 0.0 else None), evals
+            h, evals = solve_corner(fd, loss_value, f1)
+            if h == 0.0:  # a corner at the anchor
+                return self._stay(loss_value, g, evals)
+            beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, self._gain, h)
+        wealth_next = wealth * (self._ones - s)  # the bits of 1.0 - s
+        if h != 1.0:  # a full round has denominator 1
+            wealth_next /= self._ones + (h - 1.0) * (g * beta_next)
+        return self._move(loss_value, g, h, evals, beta_next, wealth_next,
+                          float(np.add.reduce(wealth_next)), inc)

@@ -6,11 +6,18 @@ same bits, without the matmul ufunc's overhead on short vectors.
 Every subgradient an oracle returns is one of three read-only arrays that
 the example owns: x, -x and zeros. An oracle call allocates no vector, so an
 example is meant to be built once and evaluated many times; a caller that
-wants to modify a gradient copies it first.
+wants to modify a gradient copies it first. `labeled_examples` builds a
+whole training matrix's examples at once: one read-only copy of X, -X
+computed once and one zero row shared by every example.
+
+An oracle converts w with np.asarray only when it is not already a float64
+ndarray.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
+
+_F64 = np.dtype(np.float64)
 
 
 def _read_only(a):
@@ -43,6 +50,32 @@ class LabeledExample:
         object.__setattr__(self, "zero", _read_only(np.zeros(x.shape)))
 
 
+# bound here, so a wrapper installed as `losses.LabeledExample` (a tracer, a
+# counting test) leaves the batch builder alone
+_LabeledExample = LabeledExample
+
+
+def labeled_examples(X, y):
+    """One LabeledExample per row of X with target y[i], in row order, each
+    bit for bit LabeledExample(X[i], y[i]). X is copied once into a
+    read-only float64 matrix and negated once: an example's x and neg_x are
+    rows of those two matrices, and every example shares one read-only zero
+    row."""
+    X = _read_only(np.array(X, dtype=np.float64))
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError(f"need a 2-d feature matrix with one target per row, "
+                         f"got X of shape {X.shape} and {len(y)} targets")
+    neg = _read_only(-X)
+    zero = _read_only(np.zeros(X.shape[1]))
+    new = object.__new__
+    examples = []
+    for x, neg_x, target in zip(X, neg, y):
+        ex = new(_LabeledExample)
+        ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero)
+        examples.append(ex)
+    return examples
+
+
 def hinge_eval_grad(w, ex: LabeledExample):
     """Hinge loss max(0, 1 - y<w,x>) and a subgradient at w.
 
@@ -50,7 +83,8 @@ def hinge_eval_grad(w, ex: LabeledExample):
     valid subgradient and avoids spurious updates. The subgradient -y x is
     ex.neg_x for y = +1 and ex.x for y = -1: no vector is built.
     """
-    w = np.asarray(w, dtype=np.float64)
+    if type(w) is not np.ndarray or w.dtype is not _F64:
+        w = np.asarray(w, dtype=np.float64)
     x, y = ex.x, ex.y
     if w.shape != x.shape:
         raise ValueError(f"dimension mismatch: w has shape {w.shape}, features {x.shape}")
@@ -65,7 +99,8 @@ def hinge_eval_grad(w, ex: LabeledExample):
 def absolute_eval_grad(w, ex: LabeledExample):
     """Absolute loss |<w,x> - y| and a subgradient at w (sign(0) := 0):
     ex.x, ex.neg_x or ex.zero, never a new vector."""
-    w = np.asarray(w, dtype=np.float64)
+    if type(w) is not np.ndarray or w.dtype is not _F64:
+        w = np.asarray(w, dtype=np.float64)
     x = ex.x
     if w.shape != x.shape:
         raise ValueError(f"dimension mismatch: w has shape {w.shape}, features {x.shape}")

@@ -5,7 +5,9 @@ solvers that the tests still pin down.
 solve used before safeguarded Newton replaced it. `closed_form_corner_poly`
 is the cubic (or quadratic) whose roots are `ImplicitCoin`'s corner h.
 `closed_form_w_next` replays an `ImplicitCoin` round from public pieces,
-and `wealth_update` is its multiplicative wealth step. `fold_all` runs a
+and `wealth_update` is its multiplicative wealth step;
+`coordinate_w_next` replays a `CoordinateImplicitCoin` round one coordinate
+at a time. `fold_all` runs a
 diagnostics fold over a list of traces. The `Reference*` folds and
 `reference_wealth_trace` are the diagnostics in their plain form, with
 `np.linalg.norm`, `@` and f-strings and nothing shared between records or
@@ -94,6 +96,24 @@ def closed_form_w_next(beta, wealth, inv_eta, g, h):
     else:
         beta_next = beta * (1.0 - 2.0 * SHRINK_GAIN * norm_gp / inv_eta)
     return beta_next * wealth_update(wealth, beta, pair, beta_next)
+
+
+def coordinate_w_next(beta, wealth, inv_eta, g, h):
+    """`CoordinateImplicitCoin`'s next iterate and 1/eta when g is scaled by
+    h: every coordinate plays its own one-dimensional game, on the small
+    branch while |beta_i| < SHRINK_THRESHOLD and shrunk otherwise."""
+    w_next, inv_eta_next = np.empty(len(beta)), np.empty(len(beta))
+    for i, (gi, bi, wi, ii) in enumerate(zip(g, beta, wealth, inv_eta)):
+        gp = h * gi
+        if abs(bi) < SHRINK_THRESHOLD:
+            inc = 2.0 * (2.0 * abs(gi) * abs(gp) - gp * gp)
+            nb = bi - (gp + inc * bi) / ii
+        else:
+            inc = 2.0 * SHRINK_GAIN * abs(gp)
+            nb = bi * (1.0 - inc / ii)
+        w_next[i] = nb * wi * (1.0 - gi * bi) / (1.0 + (h - 1.0) * gi * nb)
+        inv_eta_next[i] = ii + inc
+    return w_next, inv_eta_next
 
 
 def closed_form_residual(beta, wealth, inv_eta, loss, g):

@@ -63,6 +63,30 @@ class TestAProx:
             w = w_next
 
 
+@pytest.mark.parametrize("cls", [Sgd, AProx])
+class TestStepInputConversion:
+    """g is converted only when it is not a float64 ndarray, and every other
+    input still is."""
+
+    @pytest.mark.parametrize("rows,convert", [
+        ([[0.1, -0.3], [0.6, 0.7]], lambda g: g.tolist()),
+        ([[1.0, 0.0], [0.0, -1.0]], lambda g: g.astype(np.int64)),
+        ([[0.1, -0.3], [0.6, 0.7]], lambda g: g.astype(np.float32)),
+    ], ids=["list", "int", "float32"])
+    def test_converted_gradients_give_the_step_of_their_float64_values(self, cls, rows,
+                                                                       convert):
+        ref, other = cls(2, 0.3), cls(2, 0.3)
+        for row in rows:
+            g = convert(np.array(row))
+            w_ref = ref.step(0.2, np.asarray(g, dtype=np.float64))
+            assert other.step(0.2, g).tobytes() == w_ref.tobytes()
+
+    @pytest.mark.parametrize("g", [[0.1, 0.2, 0.3], np.ones(3, dtype=np.float32)])
+    def test_shape_mismatch_still_raises(self, cls, g):
+        with pytest.raises(ValueError):
+            cls(2, 0.3).step(0.2, g)
+
+
 class TestImportanceAware:
     """`iwa` is the AProx step under its own registry name."""
 

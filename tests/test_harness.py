@@ -267,7 +267,16 @@ class TestPreparedRepetitions:
                 return fn(*args, **kwargs)
             return wrapped
 
+        def counted_rows(fn):
+            def wrapped(*args, **kwargs):
+                examples = fn(*args, **kwargs)
+                counts["example"] += len(examples)
+                return examples
+            return wrapped
+
         monkeypatch.setattr(data_io, "shuffle_split", counted("split", data_io.shuffle_split))
+        monkeypatch.setattr(losses, "labeled_examples", counted_rows(losses.labeled_examples))
+        # the batch builder binds the class itself, so a wrapper here sees no row
         monkeypatch.setattr(losses, "LabeledExample", counted("example", losses.LabeledExample))
         monkeypatch.setattr(harness, "run_single", counted("run", harness.run_single))
         cfg = ExperimentConfig(algorithm=algorithm, epochs=3, repetitions=2)

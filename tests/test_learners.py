@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from implicitcoin import learners
+from implicitcoin.losses import hinge_eval_grad, labeled_examples
 from implicitcoin.learners import (CORNER_WIDTH_ULPS, CoordinateImplicitCoin,
                                    ImplicitCoin, ProjectedImplicitCoin,
                                    SHRINK_GAIN, SHRINK_THRESHOLD, solve_corner)
 from implicitcoin.rootsolve import bisect, roots_in_unit
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
 from reference import (closed_form_corner_poly, closed_form_residual,
-                       closed_form_w_next, wealth_update)
+                       closed_form_w_next, coordinate_w_next, wealth_update)
 
 # a bisection of [0, 1] to this tolerance stops at float resolution
 FULL_BRACKET_TOL = 1e-18
@@ -157,11 +158,14 @@ class TestHeldIterate:
 
 
 class TestGradientGuard:
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin])
-    def test_rejects_large_norm(self, cls):
-        l = cls(2)
+    def test_rejects_large_norm(self, cls, traced):
+        traces = []
+        l = cls(2, trace_cb=traces.append if traced else None)
         with pytest.raises(ValueError, match="unit bound"):
             l.step(1.0, np.array([1.0, 1.0]))
+        assert l.t == 0 and traces == []
 
     def test_coordinate_bound_is_per_entry(self):
         l = CoordinateImplicitCoin(2)
@@ -221,33 +225,39 @@ class TestGradientGuard:
         with pytest.raises(ValueError, match="shape"):
             ImplicitCoin(2).step(1.0, np.zeros(3))
 
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
     @pytest.mark.parametrize("loss", [np.nan, np.inf])
-    def test_rejects_non_finite_loss(self, cls, loss):
-        l = cls(2)
+    def test_rejects_non_finite_loss(self, cls, loss, traced):
+        traces = []
+        l = cls(2, trace_cb=traces.append if traced else None)
         with pytest.raises(ValueError, match="finite"):
             l.step(loss, np.array([0.3, 0.1]))
-        assert l.t == 0
+        assert l.t == 0 and traces == []
 
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_gradient_entry(self, cls, bad):
-        l = cls(2)
+    def test_rejects_non_finite_gradient_entry(self, cls, bad, traced):
+        traces = []
+        l = cls(2, trace_cb=traces.append if traced else None)
         l.step(1.0, np.array([0.3, 0.1]))
         wealth = np.copy(l.wealth)
         with pytest.raises(ValueError, match="unit bound"):
             l.step(1.0, np.array([0.1, bad]))
         np.testing.assert_array_equal(l.wealth, wealth)
-        assert l.t == 1
+        assert l.t == 1 and len(traces) == (1 if traced else 0)
 
 
 class TestWealthOverflow:
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
-    def test_overflow_raises_before_any_state_changes(self, cls):
-        l = cls(1)
+    def test_overflow_raises_before_any_state_changes(self, cls, traced):
+        traces = []
+        l = cls(1, trace_cb=traces.append if traced else None)
         l.wealth = l.wealth * 1e308
         g = np.array([-1.0])
         # a per-coordinate wealth is an array, and numpy warns as it overflows
@@ -261,6 +271,7 @@ class TestWealthOverflow:
         for a, before in zip(("beta", "wealth", "inv_eta", "t"), state):
             np.testing.assert_array_equal(getattr(l, a), before)
         assert np.all(np.isfinite(l.predict()))
+        assert len(traces) == (l.t if traced else 0)  # no record of the raising round
 
 
 class TestCornerBehaviour:
@@ -650,6 +661,36 @@ class TestStateInvariants:
         assert l.inv_eta == pytest.approx(20.0 + 2.0 * SHRINK_GAIN, abs=1e-12)
 
 
+class TestCoordinateMatchesReference:
+    @pytest.mark.parametrize("dim", [4, 8, 21])
+    def test_mixed_branch_rounds_follow_the_per_coordinate_games(self, dim):
+        # a drifting coin pushes half the fractions onto the shrink branch,
+        # so rounds mix both branches, full and at a corner
+        traces = []
+        l = CoordinateImplicitCoin(dim, trace_cb=traces.append)
+        G, U = c1_stream(17 + dim, dim, rounds=600, drift=True)
+        seen = {"full": 0, "corner": 0}
+        for i, (g, u) in enumerate(zip(G, U)):
+            state = (l.beta, l.wealth, l.inv_eta)
+            w = l.predict()
+            loss = 10.0 * u if i % 2 == 0 else u * 2.0 * float(g @ g) * float(
+                np.sum(l.wealth)) / float(np.min(l.inv_eta))
+            w_next = l.step(loss, g)
+            tr = traces[-1]
+            small = np.abs(state[0]) < SHRINK_THRESHOLD
+            if tr.h == 0.0 or small.all() or not small.any():
+                continue
+            seen["full" if tr.h == 1.0 else "corner"] += 1
+            ref_w, ref_inv_eta = coordinate_w_next(*state, tr.g, tr.h)
+            np.testing.assert_allclose(w_next, ref_w, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(l.inv_eta, ref_inv_eta, rtol=1e-12)
+            if tr.h < 1.0:  # the corner of the reference residual, to 1e-6
+                h_ref = bisect(lambda h: loss + float(
+                    tr.g @ (coordinate_w_next(*state, tr.g, h)[0] - w)), 0.0, 1.0, 1e-9)
+                assert abs(tr.h - h_ref) <= 1e-6
+        assert seen["full"] >= 5 and seen["corner"] >= 20
+
+
 class TestCoordinateMatchesClosedFormIn1d:
     def test_trajectories_agree(self):
         rng = np.random.default_rng(53)
@@ -666,3 +707,118 @@ class TestCoordinateMatchesClosedFormIn1d:
             wa = a.step(la, ga)
             wb = b.step(lb, gb)
             assert abs(float(wa[0]) - float(wb[0])) <= 1e-12
+
+
+def c1_stream(seed, dim, rounds=300, drift=False):
+    """C1-shaped rounds (gradient norms u^(1/d), losses alternating between
+    a plain draw and the scale of the tentative step), with every 7th
+    gradient zero and every 11th lifted 5e-10 past the unit bound. drift
+    adds a persistent coin on the first coordinates, which drives their
+    fractions onto the shrink branch."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(rounds, dim))
+    if drift:
+        half = max(1, dim // 2)
+        G[:, :half] = -2.0 + 0.3 * G[:, :half]
+    G *= (rng.uniform(size=rounds) ** (1.0 / dim) / np.linalg.norm(G, axis=1))[:, None]
+    G[::7] = 0.0
+    return G, rng.uniform(size=rounds)
+
+
+def drive_c1(learner, G, U):
+    """Feed the stream; returns the returned iterates' bytes."""
+    coordinate = isinstance(learner, CoordinateImplicitCoin)
+    out = []
+    for i, (g, u) in enumerate(zip(G, U)):
+        if i % 11 == 5 and np.any(g):  # float excess over the bound: renormalised
+            g = g * ((1.0 + 5e-10) / (np.max(np.abs(g)) if coordinate else np.linalg.norm(g)))
+        if i % 2 == 0:
+            loss = 10.0 * u
+        else:
+            loss = u * 2.0 * float(g @ g) * max(float(np.sum(learner.wealth)), 1e-6) / float(
+                np.min(learner.inv_eta))
+        out.append(learner.step(loss, g).tobytes())
+    return out
+
+
+def drive_hinge(learner, seed, rows=150, epochs=3):
+    """A hinge-loss run on unit rows, where an inactive hinge gives a zero
+    gradient."""
+    rng = np.random.default_rng(seed)
+    d = learner.dim
+    X = rng.normal(size=(rows, d))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    y = np.where(X @ rng.normal(size=d) >= 0.0, 1.0, -1.0)
+    examples = labeled_examples(X, y)
+    w, out = learner.predict(), []
+    for _ in range(epochs):
+        for ex in examples:
+            w = learner.step(*hinge_eval_grad(w, ex))
+            out.append(w.tobytes())
+    return out
+
+
+def learner_state(l):
+    return ([np.asarray(getattr(l, a), dtype=np.float64).tobytes()
+             for a in ("beta", "wealth", "inv_eta")]
+            + [l.t, l.corner_rounds, l.residual_evals, l.grad_norm_warnings])
+
+
+class TestTracedEqualsUntraced:
+    """A trace_cb only watches: the traced round runs the same arithmetic,
+    so iterates, state and counters are bit-identical without it."""
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("dim", [1, 4, 21])
+    @pytest.mark.parametrize("seed", [5, 111, 90001])
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_c1_stream(self, cls, seed, dim, drift):
+        G, U = c1_stream(seed, dim, drift=drift)
+        traces = []
+        traced, plain = cls(dim, trace_cb=traces.append), cls(dim)
+        assert drive_c1(traced, G, U) == drive_c1(plain, G, U)
+        assert learner_state(traced) == learner_state(plain)
+        assert len(traces) == len(U) and plain.grad_norm_warnings > 0
+        assert any(0.0 < tr.h < 1.0 for tr in traces)
+        assert any(tr.h == 0.0 for tr in traces)
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    def test_hinge_stream_with_zero_gradients(self, cls):
+        traces = []
+        traced, plain = cls(21, trace_cb=traces.append), cls(21)
+        assert drive_hinge(traced, 7) == drive_hinge(plain, 7)
+        assert learner_state(traced) == learner_state(plain)
+        assert sum(not np.any(tr.g) for tr in traces) > len(traces) // 10
+
+
+class TestInputConversion:
+    """The gradient is converted only when it is not a float64 ndarray, and
+    every other input still is."""
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    @pytest.mark.parametrize("rows,convert", [
+        ([[0.1, -0.3, 0.7], [0.6, 0.0, -0.2]], lambda g: g.tolist()),
+        ([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], lambda g: g.astype(np.int64)),
+        ([[0.1, -0.3, 0.7], [0.6, 0.0, -0.2]], lambda g: g.astype(np.float32)),
+    ], ids=["list", "int", "float32"])
+    def test_converted_gradients_give_the_round_of_their_float64_values(self, cls, rows,
+                                                                       convert):
+        ref, other = cls(3), cls(3)
+        for row in rows:
+            g = convert(np.array(row))
+            w_ref = ref.step(0.3, np.asarray(g, dtype=np.float64))
+            assert other.step(0.3, g).tobytes() == w_ref.tobytes()
+        assert learner_state(ref) == learner_state(other)
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
+                                     CoordinateImplicitCoin])
+    @pytest.mark.parametrize("g", [[0.1, 0.2, 0.0], np.zeros(3, dtype=np.float32),
+                                   np.zeros((1, 2))])
+    def test_shape_mismatch_still_raises(self, cls, g):
+        l = cls(2)
+        with pytest.raises(ValueError, match="shape"):
+            l.step(0.3, g)
+        assert l.t == 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from implicitcoin import losses
 from implicitcoin.losses import (LabeledExample, absolute_eval_grad,
-                                 eval_grad_fn, hinge_eval_grad, mean_loss)
+                                 eval_grad_fn, hinge_eval_grad, labeled_examples,
+                                 mean_loss)
 from reference import reference_absolute_eval_grad, reference_hinge_eval_grad
 
 
@@ -126,6 +128,76 @@ class TestExampleOwnedGradients:
         ex = LabeledExample([1, 2], 1)
         assert ex.x.dtype == np.float64 and ex.y == 1.0
         assert hinge_eval_grad(np.zeros(2), ex)[1] is ex.neg_x
+
+
+class TestLabeledExamples:
+    """The batch builder: one read-only copy of X, -X once and one shared
+    zero row, each example bit for bit LabeledExample(x, y)."""
+
+    def test_bit_equal_to_one_example_per_row(self):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(40, 5))
+        X[rng.uniform(size=X.shape) < 0.2] = 0.0
+        X[rng.uniform(size=X.shape) < 0.1] = -0.0
+        y = rng.choice([-1.0, 1.0], size=40)
+        batch = labeled_examples(X, y)
+        assert len(batch) == 40
+        for ex, x, t in zip(batch, X, y):
+            one = LabeledExample(x, t)
+            assert type(ex) is LabeledExample and type(ex.y) is float and ex.y == one.y
+            for name in ("x", "neg_x", "zero"):
+                a, b = getattr(ex, name), getattr(one, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            for fn in (hinge_eval_grad, absolute_eval_grad):
+                w = rng.normal(size=5)
+                got, want = fn(w, ex), fn(w, one)
+                assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        assert all(ex.zero is batch[0].zero for ex in batch)
+
+    def test_copies_the_matrix_once(self):
+        X = np.array([[0.6, -0.8], [1.0, 0.0]])
+        batch = labeled_examples(X, [1, -1])
+        X[0, 0] = 9.0  # the caller's matrix stays writeable and apart
+        assert batch[0].x.tobytes() == np.array([0.6, -0.8]).tobytes()
+        assert batch[0].x.base is batch[1].x.base
+        assert batch[1].y == -1.0
+        assert labeled_examples([[1, 2]], [1])[0].x.dtype == np.float64
+
+    def test_a_wrapped_class_attribute_leaves_the_builder_alone(self, monkeypatch):
+        # a tracer or a counting test may replace losses.LabeledExample
+        monkeypatch.setattr(losses, "LabeledExample", lambda x, y: None)
+        assert type(labeled_examples(np.eye(2), [1.0, -1.0])[0]) is LabeledExample
+
+    @pytest.mark.parametrize("X,y", [(np.zeros(3), [1.0, 1.0, 1.0]),
+                                     (np.zeros((3, 2)), [1.0, 1.0])])
+    def test_rejects_a_bad_shape(self, X, y):
+        with pytest.raises(ValueError, match="one target per row"):
+            labeled_examples(X, y)
+
+
+class TestOracleInputConversion:
+    """w is converted only when it is not a float64 ndarray, and every other
+    input still is."""
+
+    @pytest.mark.parametrize("fn", [hinge_eval_grad, absolute_eval_grad])
+    @pytest.mark.parametrize("w,convert", [
+        ([0.1, -0.3], lambda w: w.tolist()),
+        ([2.0, -1.0], lambda w: w.astype(np.int64)),
+        ([0.1, -0.3], lambda w: w.astype(np.float32)),
+    ], ids=["list", "int", "float32"])
+    def test_converted_iterates_give_the_result_of_their_float64_values(self, fn, w,
+                                                                       convert):
+        ex = LabeledExample(np.array([0.6, -0.8]), -1.0)
+        w = convert(np.array(w))
+        got, want = fn(w, ex), fn(np.asarray(w, dtype=np.float64), ex)
+        assert got[0] == want[0] and got[1] is want[1]
+
+    @pytest.mark.parametrize("fn", [hinge_eval_grad, absolute_eval_grad])
+    @pytest.mark.parametrize("w", [[0.1, 0.2, 0.3], np.zeros(3, dtype=np.float32)])
+    def test_dimension_mismatch_still_raises(self, fn, w):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fn(w, LabeledExample(np.array([0.6, -0.8]), 1.0))
 
 
 def test_subgradient_inequality_fuzz():
