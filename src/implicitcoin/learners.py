@@ -220,20 +220,16 @@ def _one_game_corner(dq, loss, s, wealth, f1):
     return solve_corner(fd, loss, f1)
 
 
-def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, gain, h):
+def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
     """Per-coordinate beta_next(h) and 1/eta increment: inc is 2 g^2 h (2 - h)
     where |beta| is small and 2 gain |g| h elsewhere, and beta_next =
     beta - (inc beta + h g [small]) / inv_eta. small is None when every
-    coordinate is small. At h = 1 the scalar factors are 2, 2 gain and 1,
-    so a full round takes gsq + gsq (the bits of 2 gsq), ag * gain (gain
-    holds 2 gain) and gsmall itself, without a scalar-array product."""
-    if h == 1.0:
-        inc = gsq + gsq if small is None else np.where(small, gsq + gsq, ag * gain)
-        return beta - (inc * beta + gsmall) / inv_eta, inc
+    coordinate is small. At h = 1, h g is g, so a full round skips that
+    product."""
     inc = (2.0 * h * (2.0 - h)) * gsq
     if small is not None:
         inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
-    return beta - (inc * beta + h * gsmall) / inv_eta, inc
+    return beta - (inc * beta + (gsmall if h == 1.0 else h * gsmall)) / inv_eta, inc
 
 
 class _BettingCoin:
@@ -275,12 +271,10 @@ class _BettingCoin:
     def predict(self):
         return self.beta * self.wealth
 
-    def step(self, loss_value, g, ex=None):
-        """One round; returns w_next. ex is unused: every algorithm accepts
-        the example, and only the oracle needs it. Bad input, or a wealth
-        that would overflow, raises ValueError before any state changes.
-        A round that does not move returns the held iterate: the array the
-        last round returned, unless the state was replaced since."""
+    def _checked(self, loss_value, g):
+        """The round's input as (float loss, float64 g of the learner's
+        shape); a loss that is negative or not finite, or a gradient of
+        another shape, raises ValueError."""
         loss_value = float(loss_value)
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
@@ -288,19 +282,31 @@ class _BettingCoin:
             g = np.asarray(g, dtype=np.float64)
         if g.shape != self._shape:
             raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        nrm = math.sqrt(float(g.dot(g)))
+        return loss_value, g
+
+    def _excess(self, nrm):
+        """Whether a gradient of norm nrm must be renormalised: float excess
+        over the unit bound is counted, more (or a nan) raises ValueError."""
         if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
             raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
         if nrm > 1.0:
+            self.grad_norm_warnings += 1
+            return True
+        return False
+
+    def step(self, loss_value, g, ex=None):
+        """One round; returns w_next. ex is unused: every algorithm accepts
+        the example, and only the oracle needs it. Bad input, or a wealth
+        that would overflow, raises ValueError before any state changes.
+        A round that does not move returns the held iterate: the array the
+        last round returned, unless the state was replaced since."""
+        loss_value, g = self._checked(loss_value, g)
+        nrm = math.sqrt(float(g.dot(g)))
+        if nrm == 0.0:  # a zero gradient
+            return self._stay(loss_value, g, None)
+        if self._excess(nrm):
             g = g / nrm
             nrm = 1.0
-            self.grad_norm_warnings += 1
-        if nrm == 0.0:  # a zero gradient
-            held = self._held
-            if self.trace_cb is None and held[0] is self.beta and held[1] is self.wealth:
-                self.t += 1
-                return held[2]
-            return self._stay(loss_value, g, None)
 
         beta, wealth = self.beta, self.wealth
         gg = nrm * nrm
@@ -429,7 +435,6 @@ class CoordinateImplicitCoin(_BettingCoin):
         # arrays with arrays
         self._ones = np.ones(self.dim)
         self._threshold = np.full(self.dim, SHRINK_THRESHOLD)
-        self._gain = np.full(self.dim, 2.0 * SHRINK_GAIN)
 
     def _per_game(self, value):
         return np.full(self.dim, value)
@@ -439,28 +444,15 @@ class CoordinateImplicitCoin(_BettingCoin):
         return float(np.add.reduce(wealth))  # the bits of wealth.sum()
 
     def step(self, loss_value, g, ex=None):
-        loss_value = float(loss_value)
-        if not 0.0 <= loss_value < math.inf:  # also rejects nan
-            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if type(g) is not np.ndarray or g.dtype is not _F64:
-            g = np.asarray(g, dtype=np.float64)
-        if g.shape != self._shape:
-            raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
+        loss_value, g = self._checked(loss_value, g)
         # a zero gradient builds no |g|; a nan entry counts as nonzero
         if not np.count_nonzero(g):
-            held = self._held
-            if self.trace_cb is None and held[0] is self.beta and held[1] is self.wealth:
-                self.t += 1
-                return held[2]
             return self._stay(loss_value, g, None)
         ag = np.abs(g)
         nrm = float(ag[ag.argmax()])  # the first nan, if there is one
-        if not nrm <= 1.0 + GRAD_NORM_SLACK:  # also rejects nan entries
-            raise ValueError(f"gradient norm {nrm} exceeds the unit bound")
-        if nrm > 1.0:
+        if self._excess(nrm):
             g = g / nrm
             ag = np.abs(g)
-            self.grad_norm_warnings += 1
 
         beta, wealth, inv_eta = self.beta, self.wealth, self.inv_eta
         s = g * beta
@@ -472,7 +464,7 @@ class CoordinateImplicitCoin(_BettingCoin):
             small, gsmall = None, g
         else:
             gsmall = g * small
-        beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, self._gain, 1.0)
+        beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, 1.0)
         dq1 = g * beta_next - s
         f1 = loss_value + float(wealth.dot(dq1 - (s + dq1) * s))
         h, evals = 1.0, None
@@ -509,7 +501,7 @@ class CoordinateImplicitCoin(_BettingCoin):
             h, evals = solve_corner(fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
                 return self._stay(loss_value, g, evals)
-            beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, self._gain, h)
+            beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h)
         wealth_next = wealth * (self._ones - s)  # the bits of 1.0 - s
         if h != 1.0:  # a full round has denominator 1
             wealth_next /= self._ones + (h - 1.0) * (g * beta_next)

@@ -1,7 +1,7 @@
 """Per-round cost of the betting learners by round type, next to Sgd.step.
 
     python3 tools/round_costs.py [--dims 8 21] [--rows 1000] [--epochs 2]
-                                 [--trials 9] [--seed 1] [--compare OTHER_SRC]
+                                 [--trials 9] [--compare OTHER_SRC]
 
 For every dimension it draws a hinge-loss problem (unit-norm rows, noisy
 labels), records each betting learner's own (loss, g) rounds under the hinge
@@ -99,19 +99,16 @@ def main(argv=None):
     parser.add_argument("--rows", type=int, default=1000)
     parser.add_argument("--epochs", type=int, default=2)
     parser.add_argument("--trials", type=int, default=9)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="source tree to measure (default: this checkout's src)")
     parser.add_argument("--compare", metavar="OTHER_SRC",
                         help="a second source tree, replayed alongside on the same rounds")
     args = parser.parse_args(argv)
 
-    trees = {"this": load_tree(args.src, "_round_costs_this")}
+    trees = {"this": load_tree(os.path.join(ROOT, "src"), "_round_costs_this")}
     if args.compare:
         trees["other"] = load_tree(args.compare, "_round_costs_other")
     recorder = trees["this"]
     overhead = timer_cost()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(1)
 
     # (dim, learner, tree) -> type -> per-trial microseconds
     cells = {}
