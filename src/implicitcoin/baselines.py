@@ -5,11 +5,14 @@ and consumes exactly one subgradient per round, so the benchmark harness can
 drive them all through one loop. String names are registered at the bottom.
 
 step rejects a nan, infinite or negative loss and a nan or infinite gradient
-entry with ValueError before any state changes. Like the betting learners,
-an algorithm never writes into an iterate it has returned: every update
-rebinds `w`, so step hands back `self.w` itself. g.dot(g) is g @ g without
-the matmul ufunc's overhead on short vectors, and Sgd and AProx convert g
-with np.asarray only when it is not already a float64 ndarray.
+entry with ValueError before any state changes. A round checks its input
+from one g.g: the example's cached sq_norm when g is the example's own x or
+neg_x, none at all when g is its zero row (a zero round), else g.dot(g),
+which is g @ g without the matmul ufunc's overhead on short vectors. Like
+the betting learners, an algorithm never writes into an iterate it has
+returned: every update rebinds `w`, so step hands back `self.w` itself, and
+Sgd and AProx convert g with np.asarray only when it is not already a
+float64 ndarray.
 """
 
 import math
@@ -24,14 +27,19 @@ COCOB_ALPHA = 100.0
 COCOB_EPS = 1e-8
 
 
-def _checked(loss_value, g):
+def _checked(loss_value, g, ex):
     """The round's gradient as a float array, after rejecting a
     nan/inf/negative loss and nan/inf gradient entries. Sgd and AProx, the
     tuned kinds' hot path, inline the same checks."""
     if not 0.0 <= loss_value < math.inf:  # also rejects nan
         raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
     g = np.asarray(g, dtype=np.float64)
-    gg = float(g.dot(g))
+    if ex is not None and (g is ex.x or g is ex.neg_x):
+        gg = ex.sq_norm
+    elif ex is not None and g is ex.zero:
+        return g
+    else:
+        gg = float(g.dot(g))
     if not gg < math.inf:  # nan or inf entries (or a norm past float range)
         raise ValueError(f"gradient must be finite, got g.g = {gg}")
     return g
@@ -53,9 +61,15 @@ class Sgd:
     def step(self, loss_value, g, ex=None):
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if type(g) is not np.ndarray or g.dtype is not _F64:
-            g = np.asarray(g, dtype=np.float64)
-        gg = float(g.dot(g))
+        if ex is not None and (g is ex.x or g is ex.neg_x):
+            gg = ex.sq_norm
+        elif ex is not None and g is ex.zero:  # w - eta 0 has the bits of w
+            self.k += 1
+            return self.w
+        else:
+            if type(g) is not np.ndarray or g.dtype is not _F64:
+                g = np.asarray(g, dtype=np.float64)
+            gg = float(g.dot(g))
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
@@ -71,9 +85,14 @@ class AProx(Sgd):
     def step(self, loss_value, g, ex=None):
         if not 0.0 <= loss_value < math.inf:  # also rejects nan
             raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if type(g) is not np.ndarray or g.dtype is not _F64:
-            g = np.asarray(g, dtype=np.float64)
-        gg = float(g.dot(g))
+        if ex is not None and (g is ex.x or g is ex.neg_x):
+            gg = ex.sq_norm
+        elif ex is not None and g is ex.zero:
+            gg = 0.0
+        else:
+            if type(g) is not np.ndarray or g.dtype is not _F64:
+                g = np.asarray(g, dtype=np.float64)
+            gg = float(g.dot(g))
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
@@ -119,7 +138,7 @@ class KtCoin:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = _checked(loss_value, g)
+        g = _checked(loss_value, g, ex)
         self.k += 1
         if not np.any(g):
             return self.w
@@ -148,7 +167,7 @@ class Cocob:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = _checked(loss_value, g)
+        g = _checked(loss_value, g, ex)
         self.k += 1
         ag = np.abs(g)
         self.scale = np.maximum(self.scale, ag)

@@ -72,9 +72,10 @@ def run_command(args):
             writer.update(tr)
 
     try:
+        thresholds = []
         records = harness.tune_and_run(
             config, dataset,
-            trace_cb=trace_cb if (folds or writer) else None)
+            trace_cb=trace_cb if (folds or writer) else None, thresholds=thresholds)
 
         extra = []
         if args.check_bounds:
@@ -85,7 +86,7 @@ def run_command(args):
             else:
                 extra.append("# no applicable checks for this algorithm")
         harness.emit_csv(records, args.out, extra_lines=extra)
-        harness.write_metadata(config, args.out + ".meta.txt", dataset)
+        harness.write_metadata(config, args.out + ".meta.txt", thresholds)
     finally:
         if writer is not None:
             writer.close()

@@ -94,22 +94,15 @@ def load_dataset(config: ExperimentConfig) -> data_io.Dataset:
                                  name=config.data_path)
 
 
-def split_with_threshold(config: ExperimentConfig, dataset, repetition):
-    """The repetition's raw 70/15/15 split and its binarization threshold:
-    the median of the training targets when a classification task's targets
-    are not already +-1, else None."""
+def prepare_splits(config: ExperimentConfig, dataset, repetition):
+    """Split 70/15/15, binarize classification targets when they are not
+    already +-1 (at the median of the training targets), and run the
+    preprocessing chain."""
     spec = data_io.SplitSpec(seed=config.seed, repetition=repetition)
     train, val, test = data_io.shuffle_split(dataset, spec)
     threshold = None
     if config.task == "classification" and not set(np.unique(train.y)) <= {-1.0, 1.0}:
         threshold = data_io.median_threshold(train.y)
-    return train, val, test, threshold
-
-
-def prepare_splits(config: ExperimentConfig, dataset, repetition):
-    """Split, binarize classification targets when needed (median of the
-    training targets), and run the preprocessing chain."""
-    train, val, test, threshold = split_with_threshold(config, dataset, repetition)
     if threshold is not None:
         train, val, test = (data_io.binarize_by_threshold(d, threshold)
                             for d in (train, val, test))
@@ -205,12 +198,15 @@ def _mean_rows(per_rep_records, config):
     return rows
 
 
-def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None):
+def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None,
+                 thresholds=None):
     """Full protocol. Tuned kinds sweep the grid per repetition and keep the
     step size with the best final-epoch validation loss (ties go to the
     smaller eta0); parameter-free kinds run once per repetition. Each
     repetition is prepared once for all its runs. Averaged rows are appended
-    last."""
+    last. thresholds, a list when given, receives each repetition's
+    binarization threshold (None when there is none) in repetition order,
+    for write_metadata, so that nothing splits a repetition again."""
     if dataset is None:
         dataset = load_dataset(config)
     tuned = not baselines.is_parameter_free(config.algorithm)
@@ -222,6 +218,8 @@ def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None):
     selected = []
     for rep in range(config.repetitions):
         prepared = prepare_repetition(config, dataset, rep)
+        if thresholds is not None:
+            thresholds.append(prepared.record.binarize_threshold)
         if not tuned:
             selected.extend(run_single(config, rep, None, dataset,
                                        trace_cb=trace_cb, prepared=prepared))
@@ -278,17 +276,12 @@ def read_csv(path):
     return rows
 
 
-def write_metadata(config: ExperimentConfig, path, dataset=None):
+def write_metadata(config: ExperimentConfig, path, thresholds):
     """Record the protocol substitutions that the benchmark leaves open:
     the grid actually used, the split PRNG, any binarization thresholds,
-    and the package, Python and numpy versions for replay. Only a
-    classification task can have thresholds, so only it is split here."""
-    thresholds = []
-    if config.task == "classification":
-        if dataset is None:
-            dataset = load_dataset(config)
-        thresholds = [split_with_threshold(config, dataset, rep)[3]
-                      for rep in range(config.repetitions)]
+    and the package, Python and numpy versions for replay. thresholds are
+    the repetitions' binarization thresholds (None where there is none), as
+    tune_and_run hands them back."""
     with open(path, "w") as fh:
         fh.write(f"algorithm={config.algorithm}\n")
         fh.write(f"task={config.task}\n")

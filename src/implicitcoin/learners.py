@@ -10,7 +10,12 @@ the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
 A round checks its input from one g.g (from |g| for the per-coordinate
-variant), and a zero gradient returns at once. Otherwise it takes f(1), the
+variant), and a zero gradient returns at once. When the round is handed the
+example whose oracle produced g, and g is the example's own x or neg_x, the
+check reads the statistics the example carries (`losses.LabeledExample`:
+sq_norm, or abs_x and abs_max) instead of recomputing them, and g = ex.zero
+is a zero round; they are the bits the round would compute, so the choice
+changes no number. Otherwise it takes f(1), the
 residual of the full round, from dq(1) and commits at h = 1 if f(1) >= 0;
 else the full round would cross the corner, and `solve_corner`, safeguarded
 Newton inside the bracket, finds h from the residual built on the same
@@ -295,13 +300,19 @@ class _BettingCoin:
         return False
 
     def step(self, loss_value, g, ex=None):
-        """One round; returns w_next. ex is unused: every algorithm accepts
-        the example, and only the oracle needs it. Bad input, or a wealth
-        that would overflow, raises ValueError before any state changes.
-        A round that does not move returns the held iterate: the array the
-        last round returned, unless the state was replaced since."""
+        """One round; returns w_next. ex, when given, is the example whose
+        oracle produced g: the input check reads its cached g.g when g is
+        one of its arrays. Bad input, or a wealth that would overflow,
+        raises ValueError before any state changes. A round that does not
+        move returns the held iterate: the array the last round returned,
+        unless the state was replaced since."""
         loss_value, g = self._checked(loss_value, g)
-        nrm = math.sqrt(float(g.dot(g)))
+        if ex is not None and (g is ex.x or g is ex.neg_x):
+            nrm = math.sqrt(ex.sq_norm)
+        elif ex is not None and g is ex.zero:
+            nrm = 0.0
+        else:
+            nrm = math.sqrt(float(g.dot(g)))
         if nrm == 0.0:  # a zero gradient
             return self._stay(loss_value, g, None)
         if self._excess(nrm):
@@ -445,11 +456,15 @@ class CoordinateImplicitCoin(_BettingCoin):
 
     def step(self, loss_value, g, ex=None):
         loss_value, g = self._checked(loss_value, g)
-        # a zero gradient builds no |g|; a nan entry counts as nonzero
-        if not np.count_nonzero(g):
+        if ex is not None and (g is ex.x or g is ex.neg_x):
+            ag, nrm = ex.abs_x, ex.abs_max
+        elif (ex is not None and g is ex.zero) or not np.count_nonzero(g):
+            nrm = 0.0  # a zero gradient builds no |g|; a nan entry is nonzero
+        else:
+            ag = np.abs(g)
+            nrm = float(ag[ag.argmax()])  # the first nan, if there is one
+        if nrm == 0.0:
             return self._stay(loss_value, g, None)
-        ag = np.abs(g)
-        nrm = float(ag[ag.argmax()])  # the first nan, if there is one
         if self._excess(nrm):
             g = g / nrm
             ag = np.abs(g)

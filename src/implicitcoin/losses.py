@@ -10,6 +10,13 @@ wants to modify a gradient copies it first. `labeled_examples` builds a
 whole training matrix's examples at once: one read-only copy of X, -X
 computed once and one zero row shared by every example.
 
+An example also carries the statistics its gradients' input checks read:
+sq_norm, x.x (the bits of (-x).(-x) as well), and for the per-coordinate
+learner abs_x, the read-only |x| (the same for -x), and abs_max, its largest
+entry (nan if an entry is nan). A step that is handed the example reads them
+only when g is the example's own x or neg_x, and takes g = ex.zero as a zero
+round; any other gradient is measured afresh.
+
 An oracle converts w with np.asarray only when it is not already a float64
 ndarray.
 """
@@ -34,20 +41,31 @@ class LabeledExample:
     subgradient inside the unit ball.
 
     x is the example's own read-only copy of the features; neg_x (-x, the
-    same bits as -1.0 * x) and zero are built with it and are read-only too.
+    same bits as -1.0 * x) and zero are built with it and are read-only too,
+    as are the input-check statistics sq_norm (x.x), abs_x (|x|) and abs_max
+    (its largest entry).
     """
 
     x: np.ndarray
     y: float
     neg_x: np.ndarray = field(init=False, repr=False, compare=False)
     zero: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norm: float = field(init=False, repr=False, compare=False)
+    abs_x: np.ndarray = field(init=False, repr=False, compare=False)
+    abs_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=np.float64))
+        if x.ndim != 1:
+            raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
+        abs_x = _read_only(np.abs(x))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "neg_x", _read_only(-x))
         object.__setattr__(self, "zero", _read_only(np.zeros(x.shape)))
+        object.__setattr__(self, "sq_norm", float(x.dot(x)))
+        object.__setattr__(self, "abs_x", abs_x)
+        object.__setattr__(self, "abs_max", float(abs_x.max(initial=0.0)))
 
 
 # bound here, so a wrapper installed as `losses.LabeledExample` (a tracer, a
@@ -60,18 +78,26 @@ def labeled_examples(X, y):
     bit for bit LabeledExample(X[i], y[i]). X is copied once into a
     read-only float64 matrix and negated once: an example's x and neg_x are
     rows of those two matrices, and every example shares one read-only zero
-    row."""
+    row. The statistics are taken for all rows at once: x.x as stacked
+    matmul row dots, which run the per-row x.dot(x) kernel (np.einsum sums in
+    another order and differs in the last bit), and |X| with its row
+    maxima."""
     X = _read_only(np.array(X, dtype=np.float64))
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError(f"need a 2-d feature matrix with one target per row, "
                          f"got X of shape {X.shape} and {len(y)} targets")
     neg = _read_only(-X)
     zero = _read_only(np.zeros(X.shape[1]))
+    sq_norms = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0].tolist()
+    abs_X = _read_only(np.abs(X))
+    abs_maxes = abs_X.max(axis=1, initial=0.0).tolist()
     new = object.__new__
     examples = []
-    for x, neg_x, target in zip(X, neg, y):
+    for x, neg_x, target, sq_norm, abs_x, abs_max in zip(X, neg, y, sq_norms,
+                                                         abs_X, abs_maxes):
         ex = new(_LabeledExample)
-        ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero)
+        ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero,
+                           sq_norm=sq_norm, abs_x=abs_x, abs_max=abs_max)
         examples.append(ex)
     return examples
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import implicitcoin
-from implicitcoin import losses
+from implicitcoin import data_io, harness, losses
 from implicitcoin.cli import main
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.diagnostics import WINDOW_RECORDS
@@ -47,6 +47,35 @@ def test_metadata_records_provenance(tmp_path, libsvm_file):
                  f"python={platform.python_version()}",
                  f"numpy={np.__version__}"):
         assert line in lines
+
+
+def test_classification_run_splits_each_repetition_once(tmp_path, libsvm_file,
+                                                        monkeypatch):
+    # the metadata's binarization thresholds are those of the prepared
+    # repetitions, handed on instead of split again
+    splits = []
+    split = data_io.shuffle_split
+
+    def counting(*args):
+        splits.append(1)
+        return split(*args)
+
+    monkeypatch.setattr(data_io, "shuffle_split", counting)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--algo", "cw-implicit-coin", "--data", str(libsvm_file),
+                 "--format", "libsvm", "--task", "clf", "--epochs", "1",
+                 "--reps", "3", "--seed", "4", "--out", str(out)]) == 0
+    assert len(splits) == 3
+    monkeypatch.undo()
+    config = harness.ExperimentConfig(
+        algorithm="cw-implicit-coin", data_path=str(libsvm_file),
+        task="classification", epochs=1, repetitions=3, seed=4)
+    dataset = harness.load_dataset(config)
+    lines = (tmp_path / "out.csv.meta.txt").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("binarize_threshold")] == [
+        f"binarize_threshold_rep{rep}="
+        f"{harness.prepare_splits(config, dataset, rep)[3].binarize_threshold!r}"
+        for rep in range(3)]
 
 
 def test_check_bounds_appends_diagnostics_block(tmp_path, libsvm_file):

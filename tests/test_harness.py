@@ -364,7 +364,7 @@ def test_metadata_file(tmp_path, small_ds):
     cfg = ExperimentConfig(algorithm="sgd", data_path=str(data),
                            task="regression", epochs=1, repetitions=1)
     meta = tmp_path / "meta.txt"
-    harness.write_metadata(cfg, meta)
+    harness.write_metadata(cfg, meta, [None])
     text = meta.read_text()
     assert "split_prng=pcg64" in text
     assert "eta0_grid=0.0001" in text
@@ -372,36 +372,139 @@ def test_metadata_file(tmp_path, small_ds):
 
 
 def test_metadata_does_not_split_a_regression_task(tmp_path, small_ds, monkeypatch):
-    calls = []
-    split = data_io.shuffle_split
-
-    def counting(*args):
-        calls.append(1)
-        return split(*args)
-
-    monkeypatch.setattr(data_io, "shuffle_split", counting)
     for algorithm in ("sgd", "implicit-coin"):
         cfg = ExperimentConfig(algorithm=algorithm, task="regression", epochs=1,
                                repetitions=3)
-        harness.write_metadata(cfg, tmp_path / "meta.txt", small_ds)
+        thresholds = []
+        tune_and_run(cfg, dataset=small_ds, thresholds=thresholds)
+        assert thresholds == [None] * 3
+
+        def no_split(*args):
+            raise AssertionError("write_metadata split a repetition")
+
+        monkeypatch.setattr(data_io, "shuffle_split", no_split)
+        harness.write_metadata(cfg, tmp_path / "meta.txt", thresholds)
+        monkeypatch.undo()
         assert "binarize_threshold" not in (tmp_path / "meta.txt").read_text()
-    assert calls == []
 
 
-def test_metadata_thresholds_match_prepared_splits_without_standardizing(
+def test_metadata_thresholds_match_prepared_splits_without_splitting_again(
         tmp_path, monkeypatch):
     ds = make_synthetic_regression(n=80, dim=3, seed=21)
     cfg = ExperimentConfig(algorithm="implicit-coin", task="classification",
                            epochs=1, repetitions=3, seed=2)
     expected = [harness.prepare_splits(cfg, ds, rep)[3].binarize_threshold
                 for rep in range(3)]
+    thresholds = []
+    tune_and_run(cfg, dataset=ds, thresholds=thresholds)
 
-    def no_standardize(*args):
-        raise AssertionError("write_metadata standardized a split")
+    def no_split(*args):
+        raise AssertionError("write_metadata split a repetition")
 
-    monkeypatch.setattr(data_io, "standardize_then_unit_normalize", no_standardize)
+    monkeypatch.setattr(data_io, "shuffle_split", no_split)
     meta = tmp_path / "meta.txt"
-    harness.write_metadata(cfg, meta, ds)
+    harness.write_metadata(cfg, meta, thresholds)
     lines = meta.read_text().splitlines()
     assert [f"binarize_threshold_rep{rep}={t!r}" for rep, t in enumerate(expected)] \
         == [ln for ln in lines if ln.startswith("binarize_threshold")]
+
+
+class TestExampleStatistics:
+    """The statistics an example carries change no number: run_single gives
+    the records of a run whose steps never see the example, and a gradient
+    that is not one of the example's own arrays is measured afresh."""
+
+    @staticmethod
+    def run(monkeypatch, algorithm, task, loss_fn=None, with_examples=True,
+            trace_cb=None):
+        """run_single's records (by repr, so -0.0 counts) and the learner's
+        counters; without examples, every step is called as step(loss, g)."""
+        make = baselines.make_algorithm
+        learners = []
+
+        def made(*args, **kwargs):
+            learner = make(*args, **kwargs)
+            if not with_examples:
+                step = learner.step
+                learner.step = lambda loss_value, g, ex=None: step(loss_value, g)
+            learners.append(learner)
+            return learner
+
+        monkeypatch.setattr(baselines, "make_algorithm", made)
+        ds = make_synthetic_regression(n=80, dim=5, seed=31)
+        cfg = ExperimentConfig(algorithm=algorithm, task=task, epochs=2,
+                               repetitions=1, seed=6)
+        eta0 = None if is_parameter_free(algorithm) else 0.5
+        try:
+            records = run_single(cfg, 0, eta0, ds, loss_fn=loss_fn, trace_cb=trace_cb)
+        finally:
+            monkeypatch.undo()
+        counters = {k: getattr(learners[0], k) for k in (
+            "k", "t", "corner_rounds", "residual_evals", "grad_norm_warnings")
+            if hasattr(learners[0], k)}
+        return repr(without_wall(records)), counters
+
+    @staticmethod
+    def copies(algorithm, task, norm=None, poison_round=None):
+        """An oracle whose gradient is a fresh array: the example's own, or
+        scaled to the given norm in the unit bound the learner checks (the
+        largest entry for cw-implicit-coin), or with a nan entry at one
+        round."""
+        oracle = losses.eval_grad_fn("hinge" if task == "classification" else "absolute")
+        rounds = [0]
+
+        def loss_fn(w, ex):
+            loss, g = oracle(w, ex)
+            rounds[0] += 1
+            g = g.copy()
+            if norm is not None and np.any(g):
+                g *= norm / (np.max(np.abs(g)) if algorithm == "cw-implicit-coin"
+                             else np.linalg.norm(g))
+            if rounds[0] == poison_round:
+                g[0] = np.nan
+            return loss, g
+
+        return loss_fn
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("algorithm", baselines.ALGORITHMS)
+    def test_cached_and_measured_statistics_give_the_same_records(
+            self, algorithm, task, monkeypatch):
+        plain = self.run(monkeypatch, algorithm, task, with_examples=False)
+        assert self.run(monkeypatch, algorithm, task) == plain
+        assert self.run(monkeypatch, algorithm, task, self.copies(algorithm, task)) == plain
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("algorithm", baselines.ALGORITHMS)
+    def test_a_modified_copy_is_measured_afresh(self, algorithm, task, monkeypatch):
+        # just past the unit bound: the betting learners renormalise it
+        just_past = 1.0 + 1e-12
+        got = self.run(monkeypatch, algorithm, task, self.copies(algorithm, task, just_past))
+        assert got == self.run(monkeypatch, algorithm, task,
+                               self.copies(algorithm, task, just_past), with_examples=False)
+        if algorithm.endswith("implicit-coin"):
+            assert got[1]["grad_norm_warnings"] > 0
+        # far past it (rejected by the betting learners), or a nan entry
+        for bad in ({"norm": 2.0}, {"poison_round": 7}):
+            outcomes = []
+            for with_examples in (True, False):
+                try:
+                    outcomes.append(self.run(monkeypatch, algorithm, task,
+                                             self.copies(algorithm, task, **bad),
+                                             with_examples=with_examples))
+                except harness.RunAborted as err:
+                    outcomes.append((err.round_index, str(err)))
+            assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 7  # the nan round is rejected
+
+    @pytest.mark.parametrize("algorithm", ["implicit-coin", "cw-implicit-coin"])
+    def test_traced_and_untraced_runs_agree_with_examples(self, algorithm, monkeypatch):
+        def recorder(records):
+            return lambda tr: records.append((tr.h, tr.wealth_after, tr.w_next.tobytes()))
+
+        traced, plain = [], []
+        got = self.run(monkeypatch, algorithm, "classification", trace_cb=recorder(traced))
+        assert got == self.run(monkeypatch, algorithm, "classification")
+        self.run(monkeypatch, algorithm, "classification", with_examples=False,
+                 trace_cb=recorder(plain))
+        assert traced == plain and any(h == 0.0 for h, _, _ in traced)

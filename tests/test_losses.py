@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from implicitcoin import losses
+from implicitcoin import baselines, losses
 from implicitcoin.losses import (LabeledExample, absolute_eval_grad,
                                  eval_grad_fn, hinge_eval_grad, labeled_examples,
                                  mean_loss)
@@ -145,10 +147,13 @@ class TestLabeledExamples:
         for ex, x, t in zip(batch, X, y):
             one = LabeledExample(x, t)
             assert type(ex) is LabeledExample and type(ex.y) is float and ex.y == one.y
-            for name in ("x", "neg_x", "zero"):
+            for name in ("x", "neg_x", "zero", "abs_x"):
                 a, b = getattr(ex, name), getattr(one, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
+            for name in ("sq_norm", "abs_max"):
+                a, b = getattr(ex, name), getattr(one, name)
+                assert type(a) is type(b) is float and a.hex() == b.hex()
             for fn in (hinge_eval_grad, absolute_eval_grad):
                 w = rng.normal(size=5)
                 got, want = fn(w, ex), fn(w, one)
@@ -174,6 +179,85 @@ class TestLabeledExamples:
     def test_rejects_a_bad_shape(self, X, y):
         with pytest.raises(ValueError, match="one target per row"):
             labeled_examples(X, y)
+
+
+def bits(value):
+    """A float's bits, with every nan alike."""
+    return "nan" if math.isnan(value) else value.hex()
+
+
+class TestInputStatistics:
+    """An example's cached statistics are, bit for bit, what a step computes
+    from its gradients, and a step handed the example behaves as one that
+    measures g itself: a zero row plays a zero round and a nan row raises
+    the same error."""
+
+    @staticmethod
+    def rows(d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(30, d)) * rng.uniform(1e-3, 10.0, size=(30, 1))
+        X[rng.uniform(size=X.shape) < 0.2] = -0.0
+        X[3] = 0.0                       # a zero feature row
+        X[5, d // 2] = 5e-324            # a subnormal entry
+        X[7, -1] = np.nan
+        X[8, 0] = -np.inf
+        X[9:11] = 0.0
+        X[9, 0] = 2.0                    # past the unit bound
+        X[10, -1] = 1.0 + 1e-12          # just past it: renormalised
+        return X, np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
+
+    def test_features_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            LabeledExample(np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 4, 21])
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_cached_values_are_the_per_round_values(self, d, batch):
+        X, y = self.rows(d)
+        examples = (labeled_examples(X, y) if batch
+                    else [LabeledExample(x, t) for x, t in zip(X, y)])
+        for ex in examples:
+            for g in (ex.x, ex.neg_x):
+                ag = np.abs(g)
+                assert bits(ex.sq_norm) == bits(float(g.dot(g)))
+                assert ex.abs_x.tobytes() == ag.tobytes() and not ex.abs_x.flags.writeable
+                assert bits(ex.abs_max) == bits(float(ag[ag.argmax()]))
+        assert examples[3].sq_norm == examples[3].abs_max == 0.0
+
+    @pytest.mark.parametrize("name", baselines.ALGORITHMS)
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_a_step_with_the_example_is_a_step_without_it(self, name, batch):
+        d = 4
+        X, y = self.rows(d)
+        X[:3] /= np.linalg.norm(X[:3], axis=1)[:, None]  # rows the learners accept
+        examples = (labeled_examples(X, y) if batch
+                    else [LabeledExample(x, t) for x, t in zip(X, y)])
+        eta0 = None if baselines.is_parameter_free(name) else 0.5
+        cached, measured = (baselines.make_algorithm(name, d, eta0=eta0) for _ in range(2))
+        for ex in examples[:3]:
+            for g in (ex.x, ex.neg_x, ex.zero):
+                w = cached.step(0.25, g, ex)
+                assert w.tobytes() == measured.step(0.25, g).tobytes()
+        zero_row = examples[3]
+        for g in (zero_row.x, zero_row.neg_x, zero_row.zero):
+            w_next = cached.step(0.25, g, zero_row)
+            assert w_next.tobytes() == measured.step(0.25, g).tobytes() == w.tobytes()
+            if hasattr(cached, "beta"):  # a betting learner returns its held iterate
+                assert w_next is w
+        for ex in examples[7:11]:
+            for g in (ex.x, ex.neg_x):
+                try:
+                    got = cached.step(0.25, g, ex).tobytes()
+                except ValueError as err:
+                    got = str(err)
+                try:
+                    want = measured.step(0.25, g).tobytes()
+                except ValueError as err:
+                    want = str(err)
+                assert got == want
+        assert cached.predict().tobytes() == measured.predict().tobytes()
+        if hasattr(cached, "beta"):
+            assert cached.grad_norm_warnings == measured.grad_norm_warnings == 2
 
 
 class TestOracleInputConversion:

@@ -8,7 +8,10 @@ labels), records each betting learner's own (loss, g) rounds under the hinge
 oracle, and sorts them into zero-gradient, full (h = 1) and corner (h < 1)
 rounds. It then replays the recorded rounds on fresh, untraced learners,
 timing every `step`, and `Sgd.step` on the nonzero gradients of the
-`ImplicitCoin` stream. Trials interleave the learners (and, with --compare,
+`ImplicitCoin` stream. A round is replayed as `run_single` plays it,
+`step(loss, g, ex)`, where g is the array of the tree's own example `ex`
+(x, -x or zeros) that the oracle returned, so a step reads the statistics
+the example carries wherever it would in a run. Trials interleave the learners (and, with --compare,
 the two source trees, both loaded in this one process) in a rotating order,
 so a slow phase of the machine hits every column alike. A cell is the median
 over trials of the mean microseconds per round, the timer's own cost taken
@@ -50,22 +53,30 @@ def hinge_problem(rng, rows, dim):
     return X, y
 
 
+GRADIENTS = ("x", "neg_x", "zero")  # the example arrays an oracle returns
+
+
 def record(ic, cls, X, y, epochs):
-    """The (loss, g) rounds a learner plays under the hinge oracle, with the
-    type of each round."""
+    """The rounds a learner plays under the hinge oracle, as (loss, row,
+    name of the example array that was g), with the type of each round."""
     hs = []
     learner = getattr(ic.learners, cls)(X.shape[1], trace_cb=lambda tr: hs.append(tr.h))
     examples = [ic.losses.LabeledExample(x, t) for x, t in zip(X, y)]
-    rounds = []
+    rounds, types = [], []
     w = learner.predict()
     for _ in range(epochs):
-        for ex in examples:
+        for i, ex in enumerate(examples):
             loss, g = ic.losses.hinge_eval_grad(w, ex)
-            w = learner.step(loss, g)
-            rounds.append((loss, g))
-    types = ["zero" if not np.any(g) else "full" if h == 1.0 else "corner"
-             for (_, g), h in zip(rounds, hs)]
+            w = learner.step(loss, g, ex)
+            rounds.append((loss, i, next(n for n in GRADIENTS if getattr(ex, n) is g)))
+            types.append("zero" if not np.any(g) else "full" if hs[-1] == 1.0 else "corner")
     return rounds, types
+
+
+def bind(ic, X, y, rounds):
+    """The recorded rounds as (loss, g, ex) on the tree's own examples."""
+    examples = [ic.losses.LabeledExample(x, t) for x, t in zip(X, y)]
+    return [(loss, getattr(examples[i], name), examples[i]) for loss, i, name in rounds]
 
 
 def timer_cost(n=20000):
@@ -85,9 +96,9 @@ def replay(make, rounds, types, overhead):
     step = make().step
     clock = time.perf_counter
     spent = dict.fromkeys(TYPES, 0.0)
-    for (loss, g), kind in zip(rounds, types):
+    for (loss, g, ex), kind in zip(rounds, types):
         t0 = clock()
-        step(loss, g)
+        step(loss, g, ex)
         spent[kind] += clock() - t0 - overhead
     counts = {k: types.count(k) for k in TYPES}
     return {k: spent[k] / counts[k] for k in TYPES if counts[k]}
@@ -120,13 +131,13 @@ def main(argv=None):
             for tree, ic in trees.items():
                 jobs.append(((dim, cls, tree), (lambda ic=ic, cls=cls, dim=dim:
                                                  getattr(ic.learners, cls)(dim)),
-                             rounds, types))
+                             bind(ic, X, y, rounds), types))
             if cls == "ImplicitCoin":
                 moving = [r for r, t in zip(rounds, types) if t != "zero"]
                 for tree, ic in trees.items():
                     jobs.append(((dim, "Sgd", tree), (lambda ic=ic, dim=dim:
                                                       ic.baselines.Sgd(dim, 0.1)),
-                                 moving, ["full"] * len(moving)))
+                                 bind(ic, X, y, moving), ["full"] * len(moving)))
 
     for trial in range(args.trials):
         shift = trial % len(jobs)
