@@ -14,7 +14,11 @@ those of a fold that takes one record at a time, bit for bit. A window holds
 records of one gradient size, at most WINDOW_RECORDS of them and at most
 WINDOW_ENTRIES gradient entries in all, and at least one record. The folds and
 the writer that a run feeds the same records in turn stack each field of a
-window once, since the window consumed last is kept with its arrays.
+window once, since the window consumed last is kept with its arrays. An
+array field is stacked by one concatenate, and when every record's w and
+beta are the previous record's w_next and beta_next objects, as in one
+learner's records, w and beta are the rows before w_next and beta_next in
+one stacked array: the bits of np.array over the records either way.
 
 Results are complete only at report() of a fold and close() of the writer,
 which consume the partial window. Until then a record and its arrays must
@@ -61,13 +65,37 @@ class _Window:
                           lambda: tuple(map(attrgetter(field), self.records)))
 
     def stack(self, field):
-        """the field of every record stacked into an array, one row per record"""
-        return self._memo(field, lambda: np.array(self.column(field)))
+        """the field of every record stacked into an array, one row per
+        record: the bits of np.array(self.column(field))"""
+        built = self._built
+        if field not in built:
+            column = self.column(field)
+            pair = _CHAINS.get(field)
+            if type(column[0]) is not np.ndarray:
+                built[field] = np.array(column)
+            elif pair is not None and self._chained(*pair):
+                # the rows of `before` are those of `after` shifted down by one
+                before, after = pair
+                rows = _rows((getattr(self.records[0], before), *self.column(after)))
+                built[before], built[after] = rows[:-1], rows[1:]
+            else:
+                built[field] = _rows(column)
+        return built[field]
+
+    def _chained(self, before, after):
+        """whether every record's `before` array is the previous record's
+        `after` array, as in the records of one learner's rounds"""
+        return all(map(is_, self.column(before)[1:], self.column(after)[:-1]))
 
     def gain(self):
         """g.(w_next - w) of every record"""
         return self._memo("gain", lambda: _rowdot(
             self.stack("g"), self.stack("w_next") - self.stack("w")))
+
+    def residual(self):
+        """loss + g.(w_next - w) of every record: the round model's value at
+        the post-update point"""
+        return self._memo("residual", lambda: self.stack("loss_value") + self.gain())
 
     def norm(self, field, kind="l2"):
         """the l2 or linf norm of the field's array in every record"""
@@ -87,6 +115,21 @@ def _window_of(records):
     if len(last.records) != len(records) or not all(map(is_, last.records, records)):
         last = _last_window = _Window(records)
     return last
+
+
+# the array fields whose arrays a learner hands on: a round's w (beta) is the
+# w_next (beta_next) of the round before
+_CHAINS = {"w": ("w", "w_next"), "w_next": ("w", "w_next"),
+           "beta": ("beta", "beta_next"), "beta_next": ("beta", "beta_next")}
+
+
+def _rows(arrays):
+    """np.array(arrays) for 1-d arrays of one size, built by one concatenate;
+    any other arrays are stacked by np.array itself"""
+    first = arrays[0]
+    if first.ndim != 1 or len(set(map(len, arrays))) != 1:
+        return np.array(arrays)
+    return np.concatenate(arrays).reshape(len(arrays), first.size)
 
 
 def _rowdot(a, b):
@@ -226,8 +269,7 @@ class NoOvershootFold(_Fold):
         # subnormal entry counts
         nonzero = window.stack("g").any(axis=1)
         self.rounds += int(np.count_nonzero(nonzero))
-        slack = window.stack("loss_value") + window.gain()
-        self._note_all(np.where(nonzero, slack, np.nan), window.column("t"))
+        self._note_all(np.where(nonzero, window.residual(), np.nan), window.column("t"))
 
 
 class WealthIdentityFold(_Fold):
@@ -382,7 +424,7 @@ class WealthTraceWriter(_Windowed):
         row[1::5] = window.column("h")
         row[2::5] = window.column("wealth_after")
         row[3::5] = window.norm("beta_next").tolist()
-        row[4::5] = (window.stack("loss_value") + window.gain()).tolist()
+        row[4::5] = window.residual().tolist()
         self._fh.write(_TRACE_ROW * n % tuple(row))
 
     def close(self):

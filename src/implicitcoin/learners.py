@@ -19,7 +19,13 @@ changes no number. Otherwise it takes f(1), the
 residual of the full round, from dq(1) and commits at h = 1 if f(1) >= 0;
 else the full round would cross the corner, and `solve_corner`, safeguarded
 Newton inside the bracket, finds h from the residual built on the same
-formula before the round commits there. Each update is stated once, as a
+formula before the round commits there. That residual is a closure that a
+module function builds on corner rounds only (`_step_residual`,
+`_projected_residual`, `_shrink_residual`, `_cw_residual`), so no per-round
+function, neither a `step` nor `solve_corner`, holds a closure cell, which
+Python would make on every call, zero rounds and Newton steps included; the
+per-coordinate residual evaluates into buffers allocated once per corner.
+Each update is stated once, as a
 function of h that the round takes at h = 1 and at the solved corner:
 `_step_dq`/`_step_beta` for the unprojected step, which the projected
 variant projects and `ImplicitCoin` takes on small fractions,
@@ -149,17 +155,29 @@ def solve_corner(fd, f0, f1):
         else:
             x = math.nan  # no falling slope: bisect
 
-    def f(h):
-        # bisect evaluates the ends first, then only points strictly inside
-        nonlocal evals
-        if h == lo:
-            return flo
-        if h == hi:
-            return fhi
-        evals += 1
-        return fd(h)[0]
+    # the slots are set here: an __init__ call costs more than the cells it
+    # replaces
+    finish = _Bracket()
+    finish.fd, finish.lo, finish.hi, finish.flo, finish.fhi, finish.evals = fd, lo, hi, flo, fhi, 0
+    h = rootsolve.bisect(finish.at, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi))
+    return h, evals + finish.evals
 
-    return rootsolve.bisect(f, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi)), evals
+
+class _Bracket:
+    """The residual as `solve_corner`'s bisection finish sees it: the ends of
+    the Newton phase's bracket are answered from its cache, and every other
+    point (bisect evaluates the ends first, then only points strictly
+    inside) is evaluated and counted in evals."""
+
+    __slots__ = ("fd", "lo", "hi", "flo", "fhi", "evals")
+
+    def at(self, h):
+        if h == self.lo:
+            return self.flo
+        if h == self.hi:
+            return self.fhi
+        self.evals += 1
+        return self.fd(h)[0]
 
 
 # -- the one-game updates as functions of h ------------------------------------
@@ -212,19 +230,6 @@ def _shrink_beta(beta, nrm, eta, h):
             2.0 * SHRINK_GAIN * h * nrm)
 
 
-def _one_game_corner(dq, loss, s, wealth, f1):
-    """solve_corner on the residual built from dq(h) -> (dq, slope)."""
-    def fd(h):  # loss + W (dq - h q s) / (1 + (h-1) q) and its slope
-        d, dd = dq(h)
-        q = s + d
-        num = d - h * q * s
-        den = 1.0 + (h - 1.0) * q
-        slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
-        return loss + wealth * (num / den), wealth * slope / (den * den)
-
-    return solve_corner(fd, loss, f1)
-
-
 def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
     """Per-coordinate beta_next(h) and 1/eta increment: inc is 2 g^2 h (2 - h)
     where |beta| is small and 2 gain |g| h elsewhere, and beta_next =
@@ -235,6 +240,85 @@ def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
     if small is not None:
         inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
     return beta - (inc * beta + (gsmall if h == 1.0 else h * gsmall)) / inv_eta, inc
+
+
+# -- corner residuals, built per corner round ----------------------------------
+# `_step_residual`, `_projected_residual`, `_shrink_residual` and
+# `_cw_residual` each return fd(h) -> (residual, slope) for `solve_corner`,
+# with the round's scalars (and the per-coordinate round's arrays) in its
+# closure, so the steps themselves hold no closure cell.
+
+def _one_game_residual(h, d, dd, loss, s, wealth):
+    """loss + W (dq - h q s) / (1 + (h-1) q) and its slope, from dq(h) = d
+    and its slope dd."""
+    q = s + d
+    num = d - h * q * s
+    den = 1.0 + (h - 1.0) * q
+    slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
+    return loss + wealth * (num / den), wealth * slope / (den * den)
+
+
+def _step_residual(loss, s, wealth, gg, eta):
+    def fd(h):
+        return _one_game_residual(h, _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta),
+                                  loss, s, wealth)
+
+    return fd
+
+
+def _projected_residual(loss, s, wealth, gg, bb, eta):
+    def fd(h):
+        d, dd = _projected_dq(h, gg, s, bb, eta)
+        return _one_game_residual(h, d, dd, loss, s, wealth)
+
+    return fd
+
+
+def _shrink_residual(loss, s, wealth, nrm, eta, dq1):
+    def fd(h):  # linear in h: the slope is dq(1)
+        return _one_game_residual(h, _shrink_dq(h, nrm, s, eta), dq1, loss, s, wealth)
+
+    return fd
+
+
+def _cw_residual(loss, wealth, inv_eta, ones, s, gsq, ag, small):
+    """loss + sum_i W_i N_i / D_i and its slope for the per-coordinate
+    games. dq(h) = h gA + h^2 gB on both branches, so one (2, 4) @ (4, 2d)
+    product with the powers of h and their slopes gives N, D, N' and D' (see
+    _CW_COEFFS). Every evaluation writes into the same buffers, whose fixed
+    views are N, D, N' and D', so it builds no array."""
+    eta = ones / inv_eta
+    gB = (eta + eta) * gsq * s  # 2 eta g^2 s on the small branch, else 0
+    if small is not None:
+        gB *= small
+    gA = -eta * gsq - (gB + gB)
+    if small is not None:
+        gA = np.where(small, gA, (-2.0 * SHRINK_GAIN) * eta * ag * s)
+    d = s.size
+    K = _CW_COEFFS.dot(np.array((ones, s, s * s, gA, gA * s, gB, gB * s)))
+    K = K.reshape(4, 2 * d)
+    powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
+    powers[0, 0] = powers[1, 1] = 1.0
+    r = np.empty((2, 2 * d))
+    num, den, dnum, dden = r[0, :d], r[0, d:], r[1, :d], r[1, d:]
+    q, slope = np.empty(d), np.empty(d)  # N / D and (N' - q D') / D
+    dot, divide, multiply, subtract = np.dot, np.divide, np.multiply, np.subtract
+
+    def fd(h):
+        hh = h * h
+        powers[0, 1] = h
+        powers[0, 2] = hh
+        powers[0, 3] = hh * h
+        powers[1, 2] = 2.0 * h
+        powers[1, 3] = 3.0 * hh
+        dot(powers, K, out=r)
+        divide(num, den, out=q)
+        multiply(q, dden, out=slope)
+        subtract(dnum, slope, out=slope)
+        divide(slope, den, out=slope)
+        return loss + float(wealth.dot(q)), float(wealth.dot(slope))
+
+    return fd
 
 
 class _BettingCoin:
@@ -338,15 +422,12 @@ class _BettingCoin:
         f1 = loss_value + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
         if f1 < 0.0:  # the full round would cross the corner
             if projects:
-                def dq(h):
-                    return _projected_dq(h, gg, s, bb, eta)
+                fd = _projected_residual(loss_value, s, wealth, gg, bb, eta)
             elif shrinks:
-                def dq(h):
-                    return _shrink_dq(h, nrm, s, eta), dq1
+                fd = _shrink_residual(loss_value, s, wealth, nrm, eta, dq1)
             else:
-                def dq(h):
-                    return _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta)
-            h, evals = _one_game_corner(dq, loss_value, s, wealth, f1)
+                fd = _step_residual(loss_value, s, wealth, gg, eta)
+            h, evals = solve_corner(fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
                 return self._stay(loss_value, g, evals)
 
@@ -480,45 +561,18 @@ class CoordinateImplicitCoin(_BettingCoin):
         else:
             gsmall = g * small
         beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, 1.0)
-        dq1 = g * beta_next - s
-        f1 = loss_value + float(wealth.dot(dq1 - (s + dq1) * s))
+        # f(1) = loss + sum W (dq - (s + dq) s), dq = g beta_next - s, summed
+        # as sum W (1 - s) g beta_next - sum W s to share W (1 - s) with the
+        # commit
+        wealth_next = wealth * (self._ones - s)  # the bits of 1.0 - s
+        f1 = loss_value + float(wealth_next.dot(g * beta_next)) - float(wealth.dot(s))
         h, evals = 1.0, None
         if f1 < 0.0:  # the full round would cross the corner
-            # dq(h) = h gA + h^2 gB on both branches; one (2, 4) @ (4, 2d)
-            # product with the powers of h and their slopes gives N, D, N'
-            # and D' (see _CW_COEFFS)
-            eta = self._ones / inv_eta
-            gB = (eta + eta) * gsq * s  # 2 eta g^2 s on the small branch, else 0
-            if small is not None:
-                gB *= small
-            gA = -eta * gsq - (gB + gB)
-            if small is not None:
-                gA = np.where(small, gA, (-2.0 * SHRINK_GAIN) * eta * ag * s)
-            d = self.dim
-            K = _CW_COEFFS.dot(np.array((self._ones, s, s * s, gA, gA * s, gB, gB * s)))
-            K = K.reshape(4, 2 * d)
-            powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
-            powers[0, 0] = powers[1, 1] = 1.0
-
-            def fd(h):
-                hh = h * h
-                powers[0, 1] = h
-                powers[0, 2] = hh
-                powers[0, 3] = hh * h
-                powers[1, 2] = 2.0 * h
-                powers[1, 3] = 3.0 * hh
-                r = powers.dot(K)
-                den = r[0, d:]
-                q = r[0, :d] / den
-                return (loss_value + float(wealth.dot(q)),
-                        float(wealth.dot((r[1, :d] - q * r[1, d:]) / den)))
-
+            fd = _cw_residual(loss_value, wealth, inv_eta, self._ones, s, gsq, ag, small)
             h, evals = solve_corner(fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
                 return self._stay(loss_value, g, evals)
             beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h)
-        wealth_next = wealth * (self._ones - s)  # the bits of 1.0 - s
-        if h != 1.0:  # a full round has denominator 1
             wealth_next /= self._ones + (h - 1.0) * (g * beta_next)
         return self._move(loss_value, g, h, evals, beta_next, wealth_next,
                           float(np.add.reduce(wealth_next)), inc)

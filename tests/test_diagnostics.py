@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from implicitcoin import diagnostics
+from implicitcoin.cli import main
+from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.diagnostics import (WINDOW_ENTRIES, WINDOW_RECORDS, BetaBallFold,
                                       NoOvershootFold, WealthIdentityFold,
                                       WealthLowerBoundFold, WealthTraceWriter,
@@ -428,6 +432,74 @@ class TestRecordEdgeCases:
         assert [fold.report().worst_slack for fold in folds] == [1.5, -2.0, 1.5]
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["1.5", "-2", "1.5"]
+
+
+STACKED_FIELDS = ("t", "w", "g", "loss_value", "h", "w_next", "beta", "beta_next",
+                  "wealth_before", "wealth_after")
+
+
+def assert_stacked_as_np_array(records, fields):
+    """Each field stacked by a window, asked for in the given order, has the
+    dtype, shape and bits of np.array over the records' values."""
+    window = diagnostics._Window(records)
+    for field in fields:
+        got, want = window.stack(field), np.array([getattr(r, field) for r in records])
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    return window
+
+
+def old_stack(window, field):
+    """The stacking the folds had before: np.array over the column."""
+    return window._memo(field, lambda: np.array(window.column(field)))
+
+
+class TestWindowStacking:
+    """A window stacks an array field with one concatenate, and takes w and
+    beta as the rows before w_next and beta_next when the records chain:
+    the bits of np.array either way."""
+
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("dim", [1, 4, 21])
+    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    def test_chained_records(self, cls, dim, order):
+        records = corner_stream(cls, dim, seed=dim)[:W]
+        window = assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
+        assert window._chained("w", "w_next") and window._chained("beta", "beta_next")
+
+    @pytest.mark.parametrize("dim", [1, 4, 21])
+    def test_records_that_do_not_chain(self, dim):
+        a = corner_stream(ImplicitCoin, dim, seed=dim, rounds=W // 2)
+        b = corner_stream(ProjectedImplicitCoin, dim, seed=dim + 1, rounds=W // 2)
+        interleaved = [tr for pair in zip(a, b) for tr in pair]
+        foreign = list(a)
+        k = len(foreign) // 2
+        foreign[k] = dataclasses.replace(foreign[k], w=foreign[k].w.copy())
+        for records in (interleaved, foreign):
+            for order in (1, -1):
+                window = assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
+                assert not window._chained("w", "w_next")
+
+    @pytest.mark.parametrize("dim", [1, 4, 21])
+    @pytest.mark.parametrize("algo", ["implicit-coin", "cw-implicit-coin"])
+    def test_run_reports_and_trace_bytes(self, algo, dim, tmp_path, monkeypatch):
+        # three repetitions of 420 rounds, so some windows hold records of
+        # two learners
+        data = tmp_path / "data.libsvm"
+        data.write_text(serialize_libsvm(make_synthetic_regression(n=200, dim=dim, seed=17)))
+
+        def run(name):
+            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace.csv"
+            assert main(["run", "--algo", algo, "--data", str(data), "--format", "libsvm",
+                         "--task", "reg", "--epochs", "3", "--reps", "3", "--out", str(out),
+                         "--check-bounds", "--trace-wealth", str(trace)]) == 0
+            checks = [line for line in out.read_text().splitlines() if "check=" in line]
+            return checks, trace.read_bytes()
+
+        got = run("new")
+        monkeypatch.setattr(diagnostics._Window, "stack", old_stack)
+        want = run("old")
+        assert got == want and len(got[0]) >= 3 and got[1].count(b"\n") > 3 * W
 
 
 class TestSignedZeroStep:

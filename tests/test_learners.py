@@ -521,6 +521,13 @@ class TestCornerSolve:
 
         assert solve_corner(fd, 0.0, -1.0) == (0.0, 0)
 
+    @pytest.mark.parametrize("fn", [learners._BettingCoin.step, CoordinateImplicitCoin.step,
+                                    solve_corner], ids=lambda fn: fn.__qualname__)
+    def test_per_round_functions_hold_no_closure_cell(self, fn):
+        # a cell is made on every call, zero rounds and Newton steps included;
+        # corner residuals are built by module functions instead
+        assert fn.__code__.co_cellvars == ()
+
 
 class TestWealthBookkeeping:
     def test_wealth_update_full_round_is_numerator_only(self):

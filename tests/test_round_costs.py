@@ -1,5 +1,5 @@
 """Toy-size run of tools/round_costs.py: it runs to the end and prints every
-round type it replays. No timing is asserted."""
+round type it replays and every ratio line. No timing is asserted."""
 
 import importlib.util
 import os
@@ -29,4 +29,9 @@ def test_toy_replay_prints_every_learner_and_the_ratio(round_costs, capsys, comp
     rows = [line for line in out.splitlines() if line.startswith("   3 ")]
     assert {r.split()[2] for r in rows} >= {"zero", "full"}
     assert all(r.count("(") == (2 if compare else 1) for r in rows)  # one cell per tree
-    assert "ImplicitCoin full / Sgd at d = 3:" in out
+    ratios = [line for line in out.splitlines() if " at d = 3: " in line]
+    labels = {line.split(" at d = ")[0] for line in ratios}
+    assert labels == {"ImplicitCoin full / Sgd",
+                      *(f"{cls} corner / full" for cls in round_costs.LEARNERS),
+                      *(f"{cls} zero / Sgd" for cls in round_costs.LEARNERS)}
+    assert all(line.count("(") == (2 if compare else 1) for line in ratios)

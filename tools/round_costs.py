@@ -15,11 +15,14 @@ the example carries wherever it would in a run. Trials interleave the learners (
 the two source trees, both loaded in this one process) in a rotating order,
 so a slow phase of the machine hits every column alike. A cell is the median
 over trials of the mean microseconds per round, the timer's own cost taken
-out; the last lines give the ImplicitCoin-full / Sgd ratio per dimension.
+out. The last lines give, per dimension and tree, the ratios of medians
+ImplicitCoin full / Sgd and, for each learner, corner / full and zero / Sgd
+(nan where the stream has no round of that type).
 """
 
 import argparse
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -163,11 +166,16 @@ def main(argv=None):
                 if len(names) == 2:
                     line += f"   {meds[0] / meds[1]:10.3f}"
                 print(line)
+    sgd = ("Sgd", "full")
     for dim in args.dims:
-        ratios = [statistics.median(cells[(dim, "ImplicitCoin", n)]["full"])
-                  / statistics.median(cells[(dim, "Sgd", n)]["full"]) for n in names]
-        print(f"ImplicitCoin full / Sgd at d = {dim}: "
-              + ", ".join(f"{r:.2f} ({n})" for r, n in zip(ratios, names)))
+        pairs = [("ImplicitCoin full / Sgd", ("ImplicitCoin", "full"), sgd)]
+        pairs += [(f"{cls} corner / full", (cls, "corner"), (cls, "full")) for cls in LEARNERS]
+        pairs += [(f"{cls} zero / Sgd", (cls, "zero"), sgd) for cls in LEARNERS]
+        for label, num, den in pairs:
+            medians = [[statistics.median(cells[(dim, cls, n)].get(kind, [math.nan]))
+                        for cls, kind in (num, den)] for n in names]
+            print(f"{label} at d = {dim}: "
+                  + ", ".join(f"{a / b:.2f} ({n})" for (a, b), n in zip(medians, names)))
     return 0
 
 
