@@ -4,15 +4,14 @@ Every algorithm exposes predict() and step(loss_value, g, ex=None) -> w_next
 and consumes exactly one subgradient per round, so the benchmark harness can
 drive them all through one loop. String names are registered at the bottom.
 
-step rejects a nan, infinite or negative loss and a nan or infinite gradient
-entry with ValueError before any state changes. A round checks its input
-from one g.g: the example's cached sq_norm when g is the example's own x or
-neg_x, none at all when g is its zero row (a zero round), else g.dot(g),
-which is g @ g without the matmul ufunc's overhead on short vectors. Like
-the betting learners, an algorithm never writes into an iterate it has
-returned: every update rebinds `w`, so step hands back `self.w` itself, and
-Sgd and AProx convert g with np.asarray only when it is not already a
-float64 ndarray.
+step rejects a nan, infinite or negative loss, a gradient of another shape
+than the iterate's, and a nan or infinite gradient entry with ValueError
+before any state changes. The input check is `losses.round_input`, the one
+that the betting learners run: it returns the round's g.g, from the
+example's cached sq_norm when g is the example's own x or neg_x, and every
+algorithm here bounds it. Like the betting learners, an algorithm never
+writes into an iterate it has returned: every update rebinds `w`, so step
+hands back `self.w` itself.
 """
 
 import math
@@ -20,29 +19,10 @@ import math
 import numpy as np
 
 from .learners import CoordinateImplicitCoin, ImplicitCoin
-
-_F64 = np.dtype(np.float64)
+from .losses import round_input
 
 COCOB_ALPHA = 100.0
 COCOB_EPS = 1e-8
-
-
-def _checked(loss_value, g, ex):
-    """The round's gradient as a float array, after rejecting a
-    nan/inf/negative loss and nan/inf gradient entries. Sgd and AProx, the
-    tuned kinds' hot path, inline the same checks."""
-    if not 0.0 <= loss_value < math.inf:  # also rejects nan
-        raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-    g = np.asarray(g, dtype=np.float64)
-    if ex is not None and (g is ex.x or g is ex.neg_x):
-        gg = ex.sq_norm
-    elif ex is not None and g is ex.zero:
-        return g
-    else:
-        gg = float(g.dot(g))
-    if not gg < math.inf:  # nan or inf entries (or a norm past float range)
-        raise ValueError(f"gradient must be finite, got g.g = {gg}")
-    return g
 
 
 class Sgd:
@@ -52,6 +32,7 @@ class Sgd:
         if eta0 <= 0:
             raise ValueError(f"eta0 must be positive, got {eta0}")
         self.w = np.zeros(int(dim))
+        self._shape = self.w.shape
         self.eta0 = float(eta0)
         self.k = 0
 
@@ -59,20 +40,14 @@ class Sgd:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        if not 0.0 <= loss_value < math.inf:  # also rejects nan
-            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if ex is not None and (g is ex.x or g is ex.neg_x):
-            gg = ex.sq_norm
-        elif ex is not None and g is ex.zero:  # w - eta 0 has the bits of w
-            self.k += 1
-            return self.w
-        else:
-            if type(g) is not np.ndarray or g.dtype is not _F64:
-                g = np.asarray(g, dtype=np.float64)
-            gg = float(g.dot(g))
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
+        # w - eta 0 has the bits of w; g.g underflows for tiny entries, so a
+        # zero g.g alone does not make a zero gradient
+        if gg == 0.0 and not np.count_nonzero(g):
+            return self.w
         self.w = self.w - self.eta0 / math.sqrt(self.k) * g
         return self.w
 
@@ -83,22 +58,13 @@ class AProx(Sgd):
     never crosses it."""
 
     def step(self, loss_value, g, ex=None):
-        if not 0.0 <= loss_value < math.inf:  # also rejects nan
-            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if ex is not None and (g is ex.x or g is ex.neg_x):
-            gg = ex.sq_norm
-        elif ex is not None and g is ex.zero:
-            gg = 0.0
-        else:
-            if type(g) is not np.ndarray or g.dtype is not _F64:
-                g = np.asarray(g, dtype=np.float64)
-            gg = float(g.dot(g))
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
         if gg > 0.0:
             eta = self.eta0 / math.sqrt(self.k)
-            cap = float(loss_value) / gg
+            cap = loss_value / gg
             self.w = self.w - (cap if cap < eta else eta) * g
         return self.w
 
@@ -129,6 +95,7 @@ class KtCoin:
     def __init__(self, dim):
         self.dim = int(dim)
         self.w = np.zeros(self.dim)
+        self._shape = self.w.shape
         self.coin_sum = np.zeros(self.dim)
         self.wealth = 1.0
         self.k = 0
@@ -138,7 +105,9 @@ class KtCoin:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = _checked(loss_value, g, ex)
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
+        if not gg < math.inf:  # nan or inf entries (or a norm past float range)
+            raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
         if not np.any(g):
             return self.w
@@ -157,6 +126,7 @@ class Cocob:
         self.dim = int(dim)
         self.w0 = np.zeros(self.dim)
         self.w = np.zeros(self.dim)
+        self._shape = self.w.shape
         self.scale = np.full(self.dim, COCOB_EPS)
         self.grad_abs_sum = np.zeros(self.dim)
         self.coin_sum = np.zeros(self.dim)
@@ -167,7 +137,9 @@ class Cocob:
         return self.w.copy()
 
     def step(self, loss_value, g, ex=None):
-        g = _checked(loss_value, g, ex)
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
+        if not gg < math.inf:  # nan or inf entries (or a norm past float range)
+            raise ValueError(f"gradient must be finite, got g.g = {gg}")
         self.k += 1
         ag = np.abs(g)
         self.scale = np.maximum(self.scale, ag)

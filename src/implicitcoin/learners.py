@@ -9,13 +9,11 @@ loss + <g, w_next(h) - w> = 0 reads loss + W (dq - h q s) / (1 + (h-1) q):
 the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
-A round checks its input from one g.g (from |g| for the per-coordinate
-variant), and a zero gradient returns at once. When the round is handed the
-example whose oracle produced g, and g is the example's own x or neg_x, the
-check reads the statistics the example carries (`losses.LabeledExample`:
-sq_norm, or abs_x and abs_max) instead of recomputing them, and g = ex.zero
-is a zero round; they are the bits the round would compute, so the choice
-changes no number. Otherwise it takes f(1), the
+A round checks its input with `losses.round_input`, the one check of every
+algorithm, and bounds the norm from the g.g it returns (from |g| for the
+per-coordinate variant, which reads the example's abs_x and abs_max when g
+is the example's own x or neg_x); a zero gradient returns at once.
+Otherwise it takes f(1), the
 residual of the full round, from dq(1) and commits at h = 1 if f(1) >= 0;
 else the full round would cross the corner, and `solve_corner`, safeguarded
 Newton inside the bracket, finds h from the residual built on the same
@@ -56,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootsolve
+from .losses import round_input
 
 PROJECTED = "projected"        # explicit projection of the betting fraction
 CLOSED_FORM = "closed-form"    # shrink-branch update, no projection
@@ -79,7 +78,6 @@ CORNER_WIDTH_ULPS = 4.0
 # residual it cannot speed up.
 CORNER_MAX_EVALS = 64
 
-_F64 = np.dtype(np.float64)
 _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
 # The per-coordinate corner residual's numerator N = dq - h q s and
@@ -327,12 +325,11 @@ class _BettingCoin:
 
     Counters: corner_rounds (rounds whose full step would cross the
     corner), residual_evals (residual evaluations of their solves) and
-    grad_norm_warnings (gradients renormalised from float excess).
-    corner_fallbacks stays 0, since every corner takes the same solve; the
-    benchmark's per-layer report still reads it."""
+    grad_norm_warnings (gradients renormalised from float excess)."""
 
     variant = None
     inv_eta0 = None
+    corner_fallbacks = 0  # every corner takes the same solve; the benchmark reads it
 
     def __init__(self, dim, trace_cb=None):
         self.dim = int(dim)
@@ -344,7 +341,6 @@ class _BettingCoin:
         self.corner_rounds = 0
         self.residual_evals = 0
         self.grad_norm_warnings = 0
-        self.corner_fallbacks = 0
         self.trace_cb = trace_cb
         # (beta, wealth, w = beta * wealth, total wealth) of the iterate the
         # last round returned
@@ -359,19 +355,6 @@ class _BettingCoin:
 
     def predict(self):
         return self.beta * self.wealth
-
-    def _checked(self, loss_value, g):
-        """The round's input as (float loss, float64 g of the learner's
-        shape); a loss that is negative or not finite, or a gradient of
-        another shape, raises ValueError."""
-        loss_value = float(loss_value)
-        if not 0.0 <= loss_value < math.inf:  # also rejects nan
-            raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
-        if type(g) is not np.ndarray or g.dtype is not _F64:
-            g = np.asarray(g, dtype=np.float64)
-        if g.shape != self._shape:
-            raise ValueError(f"gradient shape {g.shape} != ({self.dim},)")
-        return loss_value, g
 
     def _excess(self, nrm):
         """Whether a gradient of norm nrm must be renormalised: float excess
@@ -390,13 +373,8 @@ class _BettingCoin:
         raises ValueError before any state changes. A round that does not
         move returns the held iterate: the array the last round returned,
         unless the state was replaced since."""
-        loss_value, g = self._checked(loss_value, g)
-        if ex is not None and (g is ex.x or g is ex.neg_x):
-            nrm = math.sqrt(ex.sq_norm)
-        elif ex is not None and g is ex.zero:
-            nrm = 0.0
-        else:
-            nrm = math.sqrt(float(g.dot(g)))
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
+        nrm = math.sqrt(gg)
         if nrm == 0.0:  # a zero gradient
             return self._stay(loss_value, g, None)
         if self._excess(nrm):
@@ -536,11 +514,13 @@ class CoordinateImplicitCoin(_BettingCoin):
         return float(np.add.reduce(wealth))  # the bits of wealth.sum()
 
     def step(self, loss_value, g, ex=None):
-        loss_value, g = self._checked(loss_value, g)
+        loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if ex is not None and (g is ex.x or g is ex.neg_x):
             ag, nrm = ex.abs_x, ex.abs_max
-        elif (ex is not None and g is ex.zero) or not np.count_nonzero(g):
-            nrm = 0.0  # a zero gradient builds no |g|; a nan entry is nonzero
+        elif gg == 0.0 and ((ex is not None and g is ex.zero) or not np.count_nonzero(g)):
+            # a zero gradient builds no |g|; g.g underflows for tiny entries,
+            # so only every entry 0 (a nan entry is nonzero) makes one
+            nrm = 0.0
         else:
             ag = np.abs(g)
             nrm = float(ag[ag.argmax()])  # the first nan, if there is one

@@ -13,13 +13,16 @@ computed once and one zero row shared by every example.
 An example also carries the statistics its gradients' input checks read:
 sq_norm, x.x (the bits of (-x).(-x) as well), and for the per-coordinate
 learner abs_x, the read-only |x| (the same for -x), and abs_max, its largest
-entry (nan if an entry is nan). A step that is handed the example reads them
-only when g is the example's own x or neg_x, and takes g = ex.zero as a zero
-round; any other gradient is measured afresh.
+entry (nan if an entry is nan). `round_input`, the one input check of every
+algorithm's step, reads sq_norm only when g is the example's own x or
+neg_x, and takes g = ex.zero as g.g = 0; any other gradient is measured
+afresh.
 
-An oracle converts w with np.asarray only when it is not already a float64
-ndarray.
+An oracle converts w, and `round_input` g, with np.asarray only when it is
+not already a float64 ndarray.
 """
+
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -100,6 +103,34 @@ def labeled_examples(X, y):
                            sq_norm=sq_norm, abs_x=abs_x, abs_max=abs_max)
         examples.append(ex)
     return examples
+
+
+def round_input(loss_value, g, ex, shape):
+    """One round's input as (float loss, float64 g, g.g), checked before the
+    step changes any state: a loss that is negative or not finite, or a
+    gradient of another shape than `shape`, raises ValueError. ex, when not
+    None, is the example whose oracle produced g: g.g is its cached sq_norm
+    when g is its x or neg_x, and 0.0 when g is its zero row (all three
+    float64 already); any other g is converted to float64 when it is not one
+    already and measured by g.dot(g), which is g @ g without the matmul
+    ufunc's overhead. The caller bounds g.g, which is nan or inf for nan or
+    inf entries."""
+    loss_value = float(loss_value)
+    if not 0.0 <= loss_value < math.inf:  # also rejects nan
+        raise ValueError(f"loss value must be finite and >= 0, got {loss_value}")
+    if ex is not None and (g is ex.x or g is ex.neg_x):
+        gg = ex.sq_norm
+    elif ex is not None and g is ex.zero:
+        gg = 0.0
+    else:  # measured once its shape is known
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            g = np.asarray(g, dtype=np.float64)
+        gg = None
+    if g.shape != shape:
+        raise ValueError(f"gradient shape {g.shape} != {shape}")
+    if gg is None:
+        gg = float(g.dot(g))
+    return loss_value, g, gg
 
 
 def hinge_eval_grad(w, ex: LabeledExample):

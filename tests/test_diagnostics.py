@@ -446,26 +446,23 @@ def assert_stacked_as_np_array(records, fields):
         got, want = window.stack(field), np.array([getattr(r, field) for r in records])
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
-    return window
 
 
 def old_stack(window, field):
-    """The stacking the folds had before: np.array over the column."""
+    """The reference stacking: np.array over the column."""
     return window._memo(field, lambda: np.array(window.column(field)))
 
 
 class TestWindowStacking:
-    """A window stacks an array field with one concatenate, and takes w and
-    beta as the rows before w_next and beta_next when the records chain:
-    the bits of np.array either way."""
+    """A window stacks every field with the bits of np.array over the
+    records, whether or not they chain one learner's rounds."""
 
     @pytest.mark.parametrize("order", [1, -1])
     @pytest.mark.parametrize("dim", [1, 4, 21])
     @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
     def test_chained_records(self, cls, dim, order):
         records = corner_stream(cls, dim, seed=dim)[:W]
-        window = assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
-        assert window._chained("w", "w_next") and window._chained("beta", "beta_next")
+        assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
 
     @pytest.mark.parametrize("dim", [1, 4, 21])
     def test_records_that_do_not_chain(self, dim):
@@ -477,8 +474,7 @@ class TestWindowStacking:
         foreign[k] = dataclasses.replace(foreign[k], w=foreign[k].w.copy())
         for records in (interleaved, foreign):
             for order in (1, -1):
-                window = assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
-                assert not window._chained("w", "w_next")
+                assert_stacked_as_np_array(records, STACKED_FIELDS[::order])
 
     @pytest.mark.parametrize("dim", [1, 4, 21])
     @pytest.mark.parametrize("algo", ["implicit-coin", "cw-implicit-coin"])

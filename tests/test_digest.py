@@ -1,6 +1,6 @@
 """Toy-size runs of tools/digest.py: a tree compares identical with itself,
-and a one-ulp perturbation of one learner's step is reported at the round it
-first shows."""
+and a one-ulp perturbation of one learner's step, or of the statistics the
+examples carry, is reported at the round it first shows."""
 
 import importlib.util
 import io
@@ -30,6 +30,9 @@ def toy(digest, monkeypatch):
     return digest
 
 
+TOY_STREAMS = 88
+
+
 def compare(digest, a, b):
     out = io.StringIO()
     differ = digest.report({"a": a, "b": b}, out)
@@ -40,7 +43,11 @@ def test_a_tree_compares_identical_with_itself(toy):
     a, b = toy.load_tree(SRC, "_digest_test_a"), toy.load_tree(SRC, "_digest_test_b")
     differ, lines = compare(toy, a, b)
     streams = [line for line in lines if line.endswith("  identical")]
-    assert differ == 0 and len(streams) == 3 * 2 * 2 * 2  # classes, dims, drift, traced
+    # classes, dims, drift, feeds, and the betting learners traced and untraced
+    assert differ == 0 and len(streams) == (3 * 2 + 5) * 2 * 2 * 2 == TOY_STREAMS
+    for cls in ("ImplicitCoin", "Sgd", "AProx", "ImportanceAwareSgd", "KtCoin", "Cocob"):
+        for feed in ("array", "example"):
+            assert any(line.startswith(f"{cls} ") and f" {feed} " in line for line in streams)
     sums = [line.split()[1] for line in lines if line.startswith("sha256 ")]
     assert len(sums) == 2 and sums[0] == sums[1]
     assert lines[-1] == "all streams identical"
@@ -67,7 +74,30 @@ def test_a_perturbed_step_is_reported(toy, monkeypatch):
     assert sums[0] != sums[1] and lines[-1] == f"{differ} streams differ"
 
 
+def test_perturbed_example_statistics_are_reported(toy, monkeypatch):
+    a, b = toy.load_tree(SRC, "_digest_test_a"), toy.load_tree(SRC, "_digest_test_b")
+    labeled_examples = b.losses.labeled_examples
+
+    def nudged(X, y):  # each cached x.x one ulp more
+        examples = labeled_examples(X, y)
+        for ex in examples:
+            ex.__dict__["sq_norm"] = float(np.nextafter(ex.sq_norm, np.inf))
+        return examples
+
+    monkeypatch.setattr(b.losses, "labeled_examples", nudged)
+    differ, lines = compare(toy, a, b)
+    changed = [line for line in lines if " differs from " in line]
+    # only the steps fed their examples read sq_norm, and of those only the
+    # ones whose update depends on g.g
+    assert differ == len(changed) > 0
+    assert all(" example " in line for line in changed)
+    for cls in ("AProx", "ImportanceAwareSgd", "ImplicitCoin", "ProjectedImplicitCoin"):
+        assert any(line.startswith(f"{cls} ") for line in changed)
+    for cls in ("Sgd", "KtCoin", "Cocob", "CoordinateImplicitCoin"):
+        assert not any(line.startswith(f"{cls} ") for line in changed)
+
+
 def test_main_exit_code(digest, toy, capsys):
     assert digest.main([SRC]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 24 + 1 and out[-1].startswith("sha256 ")
+    assert len(out) == TOY_STREAMS + 1 and out[-1].startswith("sha256 ")

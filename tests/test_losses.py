@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -189,8 +190,9 @@ def bits(value):
 class TestInputStatistics:
     """An example's cached statistics are, bit for bit, what a step computes
     from its gradients, and a step handed the example behaves as one that
-    measures g itself: a zero row plays a zero round and a nan row raises
-    the same error."""
+    measures g itself: a zero row plays a zero round, a nan row raises the
+    same error, and an example of another dimension raises before any state
+    changes."""
 
     @staticmethod
     def rows(d):
@@ -238,6 +240,12 @@ class TestInputStatistics:
             for g in (ex.x, ex.neg_x, ex.zero):
                 w = cached.step(0.25, g, ex)
                 assert w.tobytes() == measured.step(0.25, g).tobytes()
+        state = pickle.dumps(vars(cached))
+        for other in (LabeledExample(X[0, :d - 1], 1.0), LabeledExample(X[[0, 0]].ravel(), 1.0)):
+            for g in (other.x, other.neg_x, other.zero):
+                with pytest.raises(ValueError, match="shape"):
+                    cached.step(0.25, g, other)
+        assert pickle.dumps(vars(cached)) == state
         zero_row = examples[3]
         for g in (zero_row.x, zero_row.neg_x, zero_row.zero):
             w_next = cached.step(0.25, g, zero_row)

@@ -1,6 +1,6 @@
 """Property tests: the paper's per-round invariants on arbitrary finite streams,
 and for the uncapped baselines finite output and a clean rejection of bad
-input.
+input, a gradient of the wrong shape included.
 
 Every stream has losses >= 0 and gradients inside the learner's unit ball
 (Euclidean, or max-entry for the coordinate-wise learner). Examples are
@@ -97,7 +97,8 @@ def test_capped_steps_never_overshoot(name, eta0, stream):
 
 @SETTINGS
 @given(st.sampled_from(["sgd", "coin", "cocob"]), st.floats(1e-4, 1e2), streams(l2),
-       st.sampled_from(["nan-loss", "inf-loss", "negative-loss", "nan-grad", "inf-grad"]))
+       st.sampled_from(["nan-loss", "inf-loss", "negative-loss", "nan-grad", "inf-grad",
+                        "wrong-shape"]))
 def test_uncapped_steps_stay_finite_and_reject_without_state_change(name, eta0, stream, bad):
     dim, rounds = stream
     learner = make_algorithm(name, dim, eta0=eta0 if name == "sgd" else None)
@@ -109,6 +110,8 @@ def test_uncapped_steps_stay_finite_and_reject_without_state_change(name, eta0, 
     kind, what = bad.split("-")
     if what == "loss":
         loss = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[kind]
+    elif what == "shape":  # one entry more than the iterate has
+        g = np.append(g, 0.5)
     else:
         g = g.copy()
         g[-1] = np.nan if kind == "nan" else np.inf

@@ -1,17 +1,22 @@
-"""Same-numbers digest of the betting learners over fuzz streams.
+"""Same-numbers digest of every algorithm over fuzz streams.
 
     python3 tools/digest.py SRC [--compare OTHER_SRC]
 
 Plays every betting learner (ImplicitCoin, ProjectedImplicitCoin,
-CoordinateImplicitCoin) of the implicitcoin package under SRC on C1-shaped
-streams: seeds 5, 111 and 90001, d = 1, 4 and 21, each plain and drifting
-(a persistent coin that drives the first coordinates onto the shrink
-branch), every stream traced and untraced. A stream has gradient norms
-u^(1/d), losses alternating between a plain draw and the scale of the
-tentative step, every 7th gradient zero and every 11th lifted 5e-10 past
-the unit bound, so it has full rounds, corners, zero rounds and
-renormalised gradients. The digest is a SHA-256 over every returned
-iterate, every trace record, the counters and the final state.
+CoordinateImplicitCoin) and every baseline (Sgd, AProx, ImportanceAwareSgd
+at eta0 = 0.5, KtCoin, Cocob) of the implicitcoin package under SRC on
+C1-shaped streams: seeds 5, 111 and 90001, d = 1, 4 and 21, each plain and
+drifting (a persistent coin that drives the first coordinates onto the
+shrink branch). A stream has gradient norms u^(1/d), losses alternating
+between a plain draw and the scale of the tentative step, every 7th gradient
+zero and every 11th lifted 5e-10 past the unit bound, so it has full rounds,
+corners, zero rounds and renormalised gradients. Every stream is fed two
+ways: as arrays, step(loss, g), and as examples, step(loss, g, ex) with ex
+the row's example from `losses.labeled_examples` and g its x, neg_x or zero
+row in turn (zero rows included), so the input checks read the example's
+statistics. The betting learners' streams are played traced and untraced.
+The digest is a SHA-256 over every returned iterate, every trace record,
+the counters and the final state.
 
 With --compare, both trees are loaded in this one process and play the same
 streams. Each stream prints "identical", or the first round where the two
@@ -29,16 +34,30 @@ import sys
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from round_costs import LEARNERS, load_tree  # noqa: E402
+from round_costs import GRADIENTS, LEARNERS, load_tree  # noqa: E402
 
+BASELINES = ("Sgd", "AProx", "ImportanceAwareSgd", "KtCoin", "Cocob")
+TUNED = ("Sgd", "AProx", "ImportanceAwareSgd")
+ETA0 = 0.5
 SEEDS = (5, 111, 90001)
 DIMS = (1, 4, 21)
 ROUNDS = 300
+FEEDS = ("array", "example")
 TRACE_FIELDS = ("w", "g", "w_next", "beta", "beta_next")
+# the state a stream ends in, by class (the betting learners' by default)
+FINAL_STATE = {
+    **dict.fromkeys(TUNED, ("k", "w")),
+    "KtCoin": ("k", "rounds_bet", "wealth", "coin_sum", "w"),
+    "Cocob": ("k", "scale", "grad_abs_sum", "coin_sum", "reward", "w"),
+}
+BETTING_STATE = ("t", "corner_rounds", "residual_evals", "grad_norm_warnings", "beta",
+                 "wealth", "inv_eta")
 
 
-def c1_stream(seed, dim, rounds, drift):
-    """(gradients, uniforms) of a C1-shaped stream, as in the tests."""
+def c1_stream(seed, dim, rounds, drift, coordinate):
+    """(gradients, uniforms) of a C1-shaped stream, as in the tests. Every
+    11th nonzero gradient is lifted 5e-10 past the unit bound: its largest
+    entry's for the per-coordinate learner, else its norm."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(rounds, dim))
     if drift:
@@ -46,40 +65,61 @@ def c1_stream(seed, dim, rounds, drift):
         G[:, :half] = -2.0 + 0.3 * G[:, :half]
     G *= (rng.uniform(size=rounds) ** (1.0 / dim) / np.linalg.norm(G, axis=1))[:, None]
     G[::7] = 0.0
+    for i in range(5, rounds, 11):
+        if np.any(G[i]):  # float excess over the bound: renormalised
+            G[i] *= (1.0 + 5e-10) / (np.max(np.abs(G[i])) if coordinate
+                                     else np.linalg.norm(G[i]))
     return G, rng.uniform(size=rounds)
 
 
 def streams():
-    """(name, class name, seed, dim, drift, traced) of every stream."""
-    for cls in LEARNERS:
+    """(name, class name, seed, dim, drift, feed, traced) of every stream."""
+    for cls in LEARNERS + BASELINES:
         for seed in SEEDS:
             for dim in DIMS:
                 for drift in (False, True):
-                    for traced in (False, True):
-                        name = (f"{cls:<22} seed={seed:<5} d={dim:<2} "
-                                f"{'drift' if drift else 'plain'} "
-                                f"{'traced' if traced else 'untraced'}")
-                        yield name, cls, seed, dim, drift, traced
+                    for feed in FEEDS:
+                        for traced in ((False, True) if cls in LEARNERS else (False,)):
+                            name = (f"{cls:<22} seed={seed:<5} d={dim:<2} "
+                                    f"{'drift' if drift else 'plain'} {feed:<7} "
+                                    f"{'traced' if traced else 'untraced'}")
+                            yield name, cls, seed, dim, drift, feed, traced
 
 
-def play(ic, cls, seed, dim, drift, traced):
+def make(ic, cls, dim, records):
+    """A fresh learner of class cls from the tree ic, tracing into records
+    when that is not None."""
+    if cls in LEARNERS:
+        trace_cb = records.append if records is not None else None
+        return getattr(ic.learners, cls)(dim, trace_cb=trace_cb)
+    if cls in TUNED:
+        return getattr(ic.baselines, cls)(dim, ETA0)
+    return getattr(ic.baselines, cls)(dim)
+
+
+def play(ic, cls, seed, dim, drift, feed, traced):
     """The stream on a fresh learner of the tree ic: per round (the bytes of
     the iterate and of its trace record, the iterate, h or None), and the
     bytes of the counters and the final state."""
-    records = []
-    learner = getattr(ic.learners, cls)(dim, trace_cb=records.append if traced else None)
-    coordinate = cls == "CoordinateImplicitCoin"
-    G, U = c1_stream(seed, dim, ROUNDS, drift)
+    records = [] if traced else None
+    learner = make(ic, cls, dim, records)
+    betting = cls in LEARNERS
+    G, U = c1_stream(seed, dim, ROUNDS, drift, cls == "CoordinateImplicitCoin")
+    if feed == "example":
+        examples = ic.losses.labeled_examples(G, np.ones(ROUNDS))
+        fed = [(getattr(ex, GRADIENTS[i % 3]), ex) for i, ex in enumerate(examples)]
+    else:
+        fed = [(g, None) for g in G]
     rounds = []
-    for i, (g, u) in enumerate(zip(G, U)):
-        if i % 11 == 5 and np.any(g):  # float excess over the bound: renormalised
-            g = g * ((1.0 + 5e-10) / (np.max(np.abs(g)) if coordinate else np.linalg.norm(g)))
+    for i, ((g, ex), u) in enumerate(zip(fed, U)):
         if i % 2 == 0:
             loss = 10.0 * u
-        else:
+        elif betting:
             loss = u * 2.0 * float(g @ g) * max(float(np.sum(learner.wealth)), 1e-6) / float(
                 np.min(learner.inv_eta))
-        w = learner.step(loss, g)
+        else:  # the AProx cap loss / g.g = u binds when u < eta
+            loss = u * float(g @ g)
+        w = learner.step(loss, g, ex)
         data, h = [w.tobytes()], None
         if traced:
             tr = records[-1]
@@ -88,10 +128,8 @@ def play(ic, cls, seed, dim, drift, traced):
                                     tr.wealth_before, tr.wealth_after))
             data += [np.asarray(getattr(tr, f), dtype=np.float64).tobytes() for f in TRACE_FIELDS]
         rounds.append((b"".join(data), w, h))
-    final = [struct.pack("<4q", learner.t, learner.corner_rounds, learner.residual_evals,
-                         learner.grad_norm_warnings)]
-    final += [np.asarray(getattr(learner, a), dtype=np.float64).tobytes()
-              for a in ("beta", "wealth", "inv_eta")]
+    final = [np.asarray(getattr(learner, a), dtype=np.float64).tobytes()
+             for a in FINAL_STATE.get(cls, BETTING_STATE)]
     return rounds, b"".join(final)
 
 
