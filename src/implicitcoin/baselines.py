@@ -9,9 +9,11 @@ than the iterate's, and a nan or infinite gradient entry with ValueError
 before any state changes. The input check is `losses.round_input`, the one
 that the betting learners run: it returns the round's g.g, from the
 example's cached sq_norm when g is the example's own x or neg_x, and every
-algorithm here bounds it. Like the betting learners, an algorithm never
-writes into an iterate it has returned: every update rebinds `w`, so step
-hands back `self.w` itself.
+algorithm here bounds it. The coins also raise ValueError, naming the
+round, before any state changes when their next state would leave float
+range. Like the betting learners, an algorithm never writes into an
+iterate it has returned: every update rebinds `w`, so step hands back
+`self.w` itself.
 """
 
 import math
@@ -108,13 +110,16 @@ class KtCoin:
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
+        if np.any(g):
+            with np.errstate(over="ignore", invalid="ignore"):
+                wealth = self.wealth + float(-g @ self.w)
+                coin_sum = self.coin_sum - g
+                w = coin_sum / (self.rounds_bet + 2) * wealth
+            if not np.isfinite(w).all():  # also when the wealth is not finite
+                raise ValueError(f"state overflows at round {self.k + 1}")
+            self.wealth, self.coin_sum, self.w = wealth, coin_sum, w
+            self.rounds_bet += 1
         self.k += 1
-        if not np.any(g):
-            return self.w
-        self.wealth += float(-g @ self.w)
-        self.coin_sum -= g
-        self.rounds_bet += 1
-        self.w = self.coin_sum / (self.rounds_bet + 1) * self.wealth
         return self.w
 
 
@@ -140,16 +145,20 @@ class Cocob:
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if not gg < math.inf:  # nan or inf entries (or a norm past float range)
             raise ValueError(f"gradient must be finite, got g.g = {gg}")
-        self.k += 1
         ag = np.abs(g)
-        self.scale = np.maximum(self.scale, ag)
-        self.grad_abs_sum += ag
-        self.coin_sum -= g
-        self.reward = np.maximum(self.reward + (self.w - self.w0) * (-g), 0.0)
-        fraction = self.coin_sum / (
-            self.scale * np.maximum(self.grad_abs_sum + self.scale,
-                                    COCOB_ALPHA * self.scale))
-        self.w = self.w0 + fraction * (self.scale + self.reward)
+        scale = np.maximum(self.scale, ag)
+        grad_abs_sum = self.grad_abs_sum + ag
+        coin_sum = self.coin_sum - g
+        with np.errstate(over="ignore", invalid="ignore"):
+            reward = np.maximum(self.reward + (self.w - self.w0) * (-g), 0.0)
+            fraction = coin_sum / (
+                scale * np.maximum(grad_abs_sum + scale, COCOB_ALPHA * scale))
+            w = self.w0 + fraction * (scale + reward)
+        if not np.isfinite(w).all():  # also where a reward entry is not finite
+            raise ValueError(f"state overflows at round {self.k + 1}")
+        self.k += 1
+        self.scale, self.grad_abs_sum, self.coin_sum, self.reward, self.w = (
+            scale, grad_abs_sum, coin_sum, reward, w)
         return self.w
 
 

@@ -1,8 +1,10 @@
 """Dataset ingestion, preprocessing and deterministic splitting.
 
-Pipeline used by the benchmark harness: parse (LIBSVM or CSV), optionally
-binarize the targets, shuffle-split 70/15/15 with a seeded permutation, then
+The steps of the benchmark protocol: parse (LIBSVM or CSV), shuffle-split
+70/15/15 with a permutation seeded by (seed, repetition), binarize
+classification targets that are not +-1 at the training median, then
 standardize with training statistics and scale every row to unit norm.
+`harness.prepare_repetition` runs the steps after parsing, in that order.
 """
 
 import csv
@@ -53,27 +55,6 @@ class Dataset:
                 and np.array_equal(self.y, other.y))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    seed: int
-    repetition: int = 0
-
-    def __post_init__(self):
-        if self.repetition < 0:
-            raise ValueError("repetition must be >= 0")
-
-
-@dataclass
-class TransformRecord:
-    """Everything needed to replay preprocessing on new rows."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    seed: int = 0
-    repetition: int = 0
-    binarize_threshold: float = None
-
-
 def _lines(stream):
     if isinstance(stream, str):
         return io.StringIO(stream)
@@ -83,11 +64,9 @@ def _lines(stream):
 def _map_binary_labels(y):
     """Map a two-valued label column onto {-1, +1} (smaller value -> -1)."""
     values = np.unique(y)
-    if set(values.tolist()) == {-1.0, 1.0}:
-        return y, True
-    if len(values) == 2:
-        return np.where(y == values[0], -1.0, 1.0), True
-    return y, False
+    if len(values) == 2 and set(values.tolist()) != {-1.0, 1.0}:
+        return np.where(y == values[0], -1.0, 1.0)
+    return y
 
 
 def _require_finite(X, y, row_label, col_label):
@@ -133,7 +112,7 @@ def parse_libsvm(stream, task="classification", name=""):
     X[np.repeat(np.arange(len(y)), counts), idx - 1] = val
     _require_finite(X, y, lambda i: f"line {linenos[i]}", lambda j: f"feature {j + 1}")
     if task == "classification":
-        y, _ = _map_binary_labels(y)
+        y = _map_binary_labels(y)
     return Dataset(X=X, y=y, task=task, name=name)
 
 
@@ -277,7 +256,7 @@ def parse_csv(stream, target_column, task, name=""):
     X = np.column_stack(cols) if cols else np.zeros((len(raw), 0))
     _require_finite(X, y, lambda i: f"row {rownos[i]}", lambda j: f"column {names[j]!r}")
     if task == "classification":
-        y, _ = _map_binary_labels(y)
+        y = _map_binary_labels(y)
     return Dataset(X=X, y=y, task=task, name=name, feature_names=tuple(names))
 
 
@@ -292,13 +271,15 @@ def binarize_by_threshold(ds: Dataset, threshold: float) -> Dataset:
                    feature_names=ds.feature_names)
 
 
-def shuffle_split(ds: Dataset, spec: SplitSpec):
+def shuffle_split(ds: Dataset, seed, repetition=0):
     """Deterministic 70/15/15 split; the permutation is a pure function of
     (seed, repetition, dataset size)."""
+    if repetition < 0:
+        raise ValueError("repetition must be >= 0")
     n = len(ds)
     if n < 10:
         raise ValueError(f"dataset too small to split: {n} rows")
-    rng = np.random.default_rng([spec.seed, spec.repetition])
+    rng = np.random.default_rng([seed, repetition])
     perm = rng.permutation(n)
     n_train = int(0.70 * n)
     n_val = int(0.15 * n)
@@ -313,14 +294,13 @@ def standardize_then_unit_normalize(train: Dataset, *others):
     """Center and scale with statistics of the training split only, then scale
     every row to unit Euclidean norm (zero rows stay zero).
 
-    Returns the transformed datasets followed by the TransformRecord.
+    Returns the transformed datasets, in the order given.
     """
     if len(train) == 0:
         raise ValueError("training split is empty")
     mean = train.X.mean(axis=0)
     std = train.X.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
-    record = TransformRecord(mean=mean, std=std)
 
     def apply(ds):
         Z = (ds.X - mean) / std
@@ -329,19 +309,7 @@ def standardize_then_unit_normalize(train: Dataset, *others):
         return Dataset(X=Z, y=ds.y.copy(), task=ds.task, name=ds.name,
                        feature_names=ds.feature_names)
 
-    return tuple(apply(ds) for ds in (train, *others)) + (record,)
-
-
-def save_transform_record(record: TransformRecord, path):
-    """Key=value text dump of the preprocessing transform."""
-    with open(path, "w") as fh:
-        fh.write(f"prng={SPLIT_PRNG}\n")
-        fh.write(f"seed={record.seed}\n")
-        fh.write(f"repetition={record.repetition}\n")
-        if record.binarize_threshold is not None:
-            fh.write(f"binarize_threshold={record.binarize_threshold!r}\n")
-        fh.write("mean=" + ",".join(repr(float(v)) for v in record.mean) + "\n")
-        fh.write("std=" + ",".join(repr(float(v)) for v in record.std) + "\n")
+    return tuple(apply(ds) for ds in (train, *others))
 
 
 def make_synthetic_regression(n=1000, dim=10, seed=0, weight_scale=4.0, noise=0.25):

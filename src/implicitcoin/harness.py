@@ -2,9 +2,9 @@
 repeated with fresh splits, validation-tuned step sizes for the tuned kinds,
 and CSV output with a final averaged block.
 
-A repetition is prepared once: its split, preprocessing and training rows
-(as LabeledExamples) are shared by every eta0 of the grid, and a run's
-epochs iterate the same rows.
+A repetition is prepared once (`prepare_repetition`): its split,
+preprocessing and training rows (as LabeledExamples) are the one value that
+every run of the grid (`run_single`) consumes, epoch after epoch.
 """
 
 import platform
@@ -33,7 +33,7 @@ class ExperimentConfig:
     target_column: str = "target"
     epochs: int = 10
     repetitions: int = 3
-    eta0_grid: tuple = None   # None: default grid for tuned kinds
+    eta0_grid: tuple = None   # None: DEFAULT_GRID for tuned kinds, () otherwise
     seed: int = 0
 
     def __post_init__(self):
@@ -47,19 +47,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown data format {self.data_format!r}")
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.eta0_grid is not None:
-            self.eta0_grid = tuple(float(v) for v in self.eta0_grid)
-        if baselines.is_parameter_free(self.algorithm) and self.eta0_grid:
-            raise ValueError(
-                f"{self.algorithm} is parameter-free; the eta0 grid must be empty")
-
-    @property
-    def effective_grid(self):
-        """The grid actually swept: empty for parameter-free kinds, the
-        default when a tuned kind has no override."""
+        grid = DEFAULT_GRID if self.eta0_grid is None else tuple(
+            float(v) for v in self.eta0_grid)
         if baselines.is_parameter_free(self.algorithm):
-            return ()
-        return DEFAULT_GRID if self.eta0_grid is None else self.eta0_grid
+            if self.eta0_grid:
+                raise ValueError(
+                    f"{self.algorithm} is parameter-free; the eta0 grid must be empty")
+            grid = ()
+        elif not grid:
+            raise ValueError(f"{self.algorithm} needs a non-empty eta0 grid")
+        self.eta0_grid = grid
 
     @property
     def loss_kind(self):
@@ -94,67 +91,48 @@ def load_dataset(config: ExperimentConfig) -> data_io.Dataset:
                                  name=config.data_path)
 
 
-def prepare_splits(config: ExperimentConfig, dataset, repetition):
-    """Split 70/15/15, binarize classification targets when they are not
-    already +-1 (at the median of the training targets), and run the
-    preprocessing chain."""
-    spec = data_io.SplitSpec(seed=config.seed, repetition=repetition)
-    train, val, test = data_io.shuffle_split(dataset, spec)
-    threshold = None
-    if config.task == "classification" and not set(np.unique(train.y)) <= {-1.0, 1.0}:
-        threshold = data_io.median_threshold(train.y)
-    if threshold is not None:
-        train, val, test = (data_io.binarize_by_threshold(d, threshold)
-                            for d in (train, val, test))
-    train, val, test, record = data_io.standardize_then_unit_normalize(train, val, test)
-    record.seed = config.seed
-    record.repetition = repetition
-    record.binarize_threshold = threshold
-    return train, val, test, record
-
-
 class PreparedRepetition(NamedTuple):
-    """A repetition's preprocessed splits and its training rows, built once
-    and shared by every run of the repetition. Nothing writes into them.
-    (A NamedTuple: cheaper to define at import than a dataclass.)"""
+    """A repetition's preprocessed validation and test splits and its
+    training rows, built once and shared by every run of the repetition.
+    Nothing writes into them. threshold is the binarization threshold of
+    the targets, None when there is none. (A NamedTuple: cheaper to define
+    at import than a dataclass.)"""
 
-    train: data_io.Dataset
+    repetition: int
+    threshold: float
+    dim: int
     val: data_io.Dataset
     test: data_io.Dataset
-    record: data_io.TransformRecord
     examples: list  # losses.LabeledExample per training row, in split order
 
 
 def prepare_repetition(config: ExperimentConfig, dataset, repetition):
-    """prepare_splits plus one LabeledExample per training row, built as a
+    """Split 70/15/15, binarize classification targets when they are not
+    already +-1 (at the median of the training targets), run the
+    preprocessing chain, and build one LabeledExample per training row as a
     batch (`losses.labeled_examples`)."""
-    train, val, test, record = prepare_splits(config, dataset, repetition)
+    train, val, test = data_io.shuffle_split(dataset, config.seed, repetition)
+    threshold = None
+    if config.task == "classification" and not set(np.unique(train.y)) <= {-1.0, 1.0}:
+        threshold = data_io.median_threshold(train.y)
+        train, val, test = (data_io.binarize_by_threshold(d, threshold)
+                            for d in (train, val, test))
+    train, val, test = data_io.standardize_then_unit_normalize(train, val, test)
     examples = losses.labeled_examples(train.X, train.y)
-    return PreparedRepetition(train, val, test, record, examples)
+    return PreparedRepetition(repetition, threshold, train.n_features, val, test, examples)
 
 
-def run_single(config: ExperimentConfig, repetition, eta0=None, dataset=None,
-               loss_fn=None, trace_cb=None, prepared=None):
-    """One repetition at one step size: epochs of sequential online updates in
-    split order, evaluating validation and test loss after every epoch.
-
-    prepared is the repetition's PreparedRepetition, shared across the grid;
-    without it the run prepares its own (loading the dataset if none is
-    given), which gives the same records."""
-    if prepared is None:
-        if dataset is None:
-            dataset = load_dataset(config)
-        prepared = prepare_repetition(config, dataset, repetition)
-    elif (prepared.record.seed, prepared.record.repetition) != (config.seed, repetition):
-        raise ValueError(
-            f"prepared split is seed {prepared.record.seed} repetition "
-            f"{prepared.record.repetition}, not seed {config.seed} repetition {repetition}")
+def run_single(config: ExperimentConfig, prepared, eta0=None, loss_fn=None,
+               trace_cb=None):
+    """One run of the prepared repetition at one step size: epochs of
+    sequential online updates in split order, evaluating validation and
+    test loss after every epoch."""
     val, test, examples = prepared.val, prepared.test, prepared.examples
     n = len(examples)
     kind = config.loss_kind
     loss_fn = loss_fn or losses.eval_grad_fn(kind)
     learner = baselines.make_algorithm(
-        config.algorithm, prepared.train.n_features, eta0=eta0, trace_cb=trace_cb)
+        config.algorithm, prepared.dim, eta0=eta0, trace_cb=trace_cb)
     step = learner.step
 
     records = []
@@ -171,7 +149,7 @@ def run_single(config: ExperimentConfig, repetition, eta0=None, dataset=None,
                 round_index = (epoch - 1) * n + i + 1
                 raise RunAborted(round_index, err) from err
         records.append(RunRecord(
-            algorithm=config.algorithm, repetition=repetition, epoch=epoch,
+            algorithm=config.algorithm, repetition=prepared.repetition, epoch=epoch,
             eta0=eta0,
             train_loss=total / n,
             val_loss=losses.mean_loss(kind, w, val.X, val.y),
@@ -209,24 +187,18 @@ def tune_and_run(config: ExperimentConfig, dataset=None, trace_cb=None,
     for write_metadata, so that nothing splits a repetition again."""
     if dataset is None:
         dataset = load_dataset(config)
-    tuned = not baselines.is_parameter_free(config.algorithm)
-    if tuned:
-        grid = config.effective_grid
-        if not grid:
-            raise ValueError(f"{config.algorithm} needs a non-empty eta0 grid")
 
     selected = []
     for rep in range(config.repetitions):
         prepared = prepare_repetition(config, dataset, rep)
         if thresholds is not None:
-            thresholds.append(prepared.record.binarize_threshold)
-        if not tuned:
-            selected.extend(run_single(config, rep, None, dataset,
-                                       trace_cb=trace_cb, prepared=prepared))
+            thresholds.append(prepared.threshold)
+        if not config.eta0_grid:  # a parameter-free kind
+            selected.extend(run_single(config, prepared, trace_cb=trace_cb))
             continue
         best = None
-        for eta0 in sorted(grid):
-            records = run_single(config, rep, eta0, dataset, prepared=prepared)
+        for eta0 in sorted(config.eta0_grid):
+            records = run_single(config, prepared, eta0)
             final_val = records[-1].val_loss
             if best is None or final_val < best[0]:
                 best = (final_val, records)  # ascending grid: ties keep smaller
@@ -294,7 +266,7 @@ def write_metadata(config: ExperimentConfig, path, thresholds):
         fh.write(f"python={platform.python_version()}\n")
         fh.write(f"numpy={np.__version__}\n")
         fh.write("selection=final-epoch validation loss, ties to smaller eta0\n")
-        fh.write("eta0_grid=" + ",".join(f"{v:.10g}" for v in sorted(config.effective_grid)) + "\n")
+        fh.write("eta0_grid=" + ",".join(f"{v:.10g}" for v in sorted(config.eta0_grid)) + "\n")
         for rep, threshold in enumerate(thresholds):
             if threshold is not None:
                 fh.write(f"binarize_threshold_rep{rep}={threshold!r}\n")

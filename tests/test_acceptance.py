@@ -285,7 +285,7 @@ def test_criterion_9_one_gradient_contract():
             return base(w, ex)
 
         eta0 = None if harness.baselines.is_parameter_free(algorithm) else 0.5
-        run_single(cfg, 0, eta0=eta0, dataset=ds, loss_fn=counting)
+        run_single(cfg, harness.prepare_repetition(cfg, ds, 0), eta0, loss_fn=counting)
         counts[algorithm] = len(calls)
     ok = all(v == expect for v in counts.values())
     note("C9 one-gradient contract (all algorithms)", ok,
@@ -301,7 +301,7 @@ def test_criterion_10_parser_and_preprocessing():
     ds = Dataset(X=X, y=y, task="regression")
     round_trip = parse_libsvm(serialize_libsvm(ds), task="regression") == ds
 
-    pre, _ = standardize_then_unit_normalize(ds)
+    pre, = standardize_then_unit_normalize(ds)
     norms = np.linalg.norm(pre.X, axis=1)
     unit_ok = bool(np.all(np.abs(norms[norms > 0] - 1.0) <= 1e-12))
 

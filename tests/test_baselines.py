@@ -242,12 +242,57 @@ class TestInputChecks:
         # the last three are gradients of another shape than the iterate's
         algo = make_baseline(name, 2)
         algo.step(0.5, np.array([0.3, 0.4]))
-        before = {k: np.copy(v) for k, v in vars(algo).items()}
+        before = state_of(algo)
         with pytest.raises(ValueError, match="loss value|gradient"):
             algo.step(loss, np.array(g))
-        assert vars(algo).keys() == before.keys()
-        for k, v in vars(algo).items():
-            np.testing.assert_array_equal(v, before[k], err_msg=k)
+        assert_state(algo, before)
+
+
+def state_of(algo):
+    return {k: np.copy(v) for k, v in vars(algo).items()}
+
+
+def assert_state(algo, before):
+    assert vars(algo).keys() == before.keys()
+    for k, v in vars(algo).items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
+class TestStateOverflow:
+    """The coins raise before any state change when their next state would
+    leave float range, as the betting learners do, and numpy warns of
+    nothing (the suite turns warnings into errors)."""
+
+    @pytest.mark.parametrize("cls,state", [
+        (KtCoin, {"wealth": 1.5e308, "w": np.array([1e308, 0.0])}),  # wealth to inf
+        (KtCoin, {"wealth": 1e308, "coin_sum": np.array([7.0, 0.0])}),  # w to inf
+        (Cocob, {"w": np.full(2, 1e308), "reward": np.full(2, 1e308)}),  # reward to inf
+    ])
+    def test_state_near_the_ceiling(self, cls, state):
+        algo = cls(2)
+        algo.step(0.5, np.array([-0.6, -0.8]))
+        vars(algo).update(state)
+        before = state_of(algo)
+        with pytest.raises(ValueError, match="overflows at round 2"):
+            algo.step(0.5, np.array([-0.6, -0.8]))
+        assert_state(algo, before)
+
+    @pytest.mark.parametrize("cls,rounds", [(KtCoin, 47571), (Cocob, 18707)])
+    def test_alternating_stream(self, cls, rounds):
+        # 100 unit-norm rows at d = 8, taken as x and -x in turn: the
+        # wealth grows geometrically
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(100, 8))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        stream = X * np.where(np.arange(100) % 2 == 0, 1.0, -1.0)[:, None]
+        algo = cls(8)
+        for t in range(rounds):
+            w = algo.step(0.3, stream[t % 100])
+        assert np.isfinite(w).all()
+        before = state_of(algo)
+        with pytest.raises(ValueError, match=f"overflows at round {rounds + 1}"):
+            algo.step(0.3, stream[rounds % 100])
+        assert_state(algo, before)
 
 
 @pytest.mark.parametrize("cls", [Sgd, AProx, ImportanceAwareSgd, KtCoin, Cocob])

@@ -74,7 +74,7 @@ def test_classification_run_splits_each_repetition_once(tmp_path, libsvm_file,
     lines = (tmp_path / "out.csv.meta.txt").read_text().splitlines()
     assert [ln for ln in lines if ln.startswith("binarize_threshold")] == [
         f"binarize_threshold_rep{rep}="
-        f"{harness.prepare_splits(config, dataset, rep)[3].binarize_threshold!r}"
+        f"{harness.prepare_repetition(config, dataset, rep).threshold!r}"
         for rep in range(3)]
 
 

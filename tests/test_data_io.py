@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin.data_io import (Dataset, SplitSpec, binarize_by_threshold,
-                                  expected_shape, make_synthetic_regression,
-                                  median_threshold, parse_csv, parse_libsvm,
-                                  save_transform_record, serialize_libsvm,
+from implicitcoin.data_io import (Dataset, binarize_by_threshold, expected_shape,
+                                  make_synthetic_regression, median_threshold,
+                                  parse_csv, parse_libsvm, serialize_libsvm,
                                   shuffle_split, standardize_then_unit_normalize)
 from reference import reference_parse_libsvm
 
@@ -223,12 +222,12 @@ class TestPreprocessing:
     def test_constant_feature_becomes_zero(self):
         X = np.column_stack([np.full(20, 5.0), np.arange(20.0)])
         ds = Dataset(X=X, y=np.zeros(20), task="regression")
-        out, _, = standardize_then_unit_normalize(ds)[:1] + (None,)
+        out, = standardize_then_unit_normalize(ds)
         assert np.all(out.X[:, 0] == 0.0)
 
     def test_rows_have_unit_norm(self):
         ds = make_synthetic_regression(n=200, dim=6, seed=9)
-        out, rec = standardize_then_unit_normalize(ds)
+        out, = standardize_then_unit_normalize(ds)
         norms = np.linalg.norm(out.X, axis=1)
         nonzero = norms > 0
         assert np.all(np.abs(norms[nonzero] - 1.0) <= 1e-12)
@@ -236,9 +235,10 @@ class TestPreprocessing:
     def test_train_statistics_reused_on_test(self):
         train = Dataset(X=np.array([[0.0], [2.0]]), y=np.zeros(2), task="regression")
         test = Dataset(X=np.array([[4.0]]), y=np.zeros(1), task="regression")
-        tr, te, rec = standardize_then_unit_normalize(train, test)
-        # train mean 1, std 1: the test row standardizes to 3, normalizes to 1
-        assert rec.mean[0] == 1.0 and rec.std[0] == 1.0
+        tr, te = standardize_then_unit_normalize(train, test)
+        # train mean 1, std 1: the train rows standardize to -1 and 1, the
+        # test row to 3, which normalizes to 1 (its own statistics give 0)
+        np.testing.assert_array_equal(tr.X, [[-1.0], [1.0]])
         assert te.X[0, 0] == 1.0  # sign survives row normalization
 
     def test_empty_train_rejected(self):
@@ -250,24 +250,24 @@ class TestPreprocessing:
 class TestSplit:
     def test_sizes_70_15_15(self):
         ds = make_synthetic_regression(n=100, dim=3, seed=1)
-        train, val, test = shuffle_split(ds, SplitSpec(seed=4))
+        train, val, test = shuffle_split(ds, 4)
         assert (len(train), len(val), len(test)) == (70, 15, 15)
 
     def test_deterministic_and_repetition_changes(self):
         ds = make_synthetic_regression(n=50, dim=3, seed=1)
-        a1 = shuffle_split(ds, SplitSpec(seed=4, repetition=1))
-        a2 = shuffle_split(ds, SplitSpec(seed=4, repetition=1))
+        a1 = shuffle_split(ds, 4, 1)
+        a2 = shuffle_split(ds, 4, 1)
         assert all(x == y for x, y in zip(a1, a2))
         seen = set()
         for rep in range(3):
-            train, _, _ = shuffle_split(ds, SplitSpec(seed=4, repetition=rep))
+            train, _, _ = shuffle_split(ds, 4, rep)
             seen.add(tuple(train.y.tolist()))
         assert len(seen) == 3  # three repetitions, three different shuffles
 
     def test_partition_covers_and_is_disjoint(self):
         ds = make_synthetic_regression(n=97, dim=2, seed=2)
         key = ds.X[:, 0] + 1e-6 * ds.X[:, 1]
-        train, val, test = shuffle_split(ds, SplitSpec(seed=8))
+        train, val, test = shuffle_split(ds, 8)
         combined = np.concatenate([train.X[:, 0] + 1e-6 * train.X[:, 1],
                                    val.X[:, 0] + 1e-6 * val.X[:, 1],
                                    test.X[:, 0] + 1e-6 * test.X[:, 1]])
@@ -276,7 +276,12 @@ class TestSplit:
     def test_too_small_rejected(self):
         ds = Dataset(X=np.zeros((5, 1)), y=np.zeros(5), task="regression")
         with pytest.raises(ValueError, match="small"):
-            shuffle_split(ds, SplitSpec(seed=0))
+            shuffle_split(ds, 0)
+
+    def test_negative_repetition_rejected(self):
+        ds = make_synthetic_regression(n=20, dim=1, seed=1)
+        with pytest.raises(ValueError, match="repetition must be >= 0"):
+            shuffle_split(ds, 0, -1)
 
 
 class TestBinarization:
@@ -307,22 +312,11 @@ class TestMetadata:
         task, n, d = expected_shape(parsed.name)
         assert (parsed.task, len(parsed), parsed.n_features) == (task, n, d)
 
-    def test_transform_record_saved(self, tmp_path):
-        ds = make_synthetic_regression(n=30, dim=2, seed=3)
-        out, rec = standardize_then_unit_normalize(ds)
-        rec.seed, rec.repetition, rec.binarize_threshold = 7, 1, 0.25
-        path = tmp_path / "record.txt"
-        save_transform_record(rec, path)
-        text = path.read_text()
-        assert "prng=pcg64" in text and "seed=7" in text
-        assert "binarize_threshold=0.25" in text
-        assert text.count(",") >= 2  # mean and std vectors
-
 
 def test_preprocessed_gradients_satisfy_unit_bound():
     from implicitcoin.losses import LabeledExample, absolute_eval_grad
     ds = make_synthetic_regression(n=60, dim=4, seed=12)
-    out, _ = standardize_then_unit_normalize(ds)
+    out, = standardize_then_unit_normalize(ds)
     rng = np.random.default_rng(1)
     for i in range(len(out)):
         w = rng.normal(size=4)

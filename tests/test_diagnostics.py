@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin import diagnostics
+from implicitcoin import baselines, diagnostics
 from implicitcoin.cli import main
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.diagnostics import (WINDOW_ENTRIES, WINDOW_RECORDS, BetaBallFold,
@@ -235,6 +235,15 @@ def same_as_reference(traces, path, after_each=lambda consumers: None):
     writer.close()
     refs = every_fold(ReferenceNoOvershootFold, ReferenceWealthIdentityFold,
                       ReferenceBetaBallFold, ReferenceWealthLowerBoundFold)
+    reports = assert_reference_reports(folds, refs, traces)
+    assert path.read_bytes() == reference_wealth_trace(traces).encode()
+    return reports
+
+
+def assert_reference_reports(folds, refs, traces):
+    """Each fold's report is that of its reference fold fed the records,
+    worst slack bit for bit. Returns the reports."""
+    assert len(folds) == len(refs)
     reports = []
     for fold, ref in zip(folds, refs):
         got, want = fold.report(), fold_all(ref, traces)
@@ -243,7 +252,6 @@ def same_as_reference(traces, path, after_each=lambda consumers: None):
         assert np.float64(got.worst_slack).tobytes() == \
             np.float64(want.worst_slack).tobytes()
         reports.append(got)
-    assert path.read_bytes() == reference_wealth_trace(traces).encode()
     return reports
 
 
@@ -448,11 +456,6 @@ def assert_stacked_as_np_array(records, fields):
         assert got.tobytes() == want.tobytes()
 
 
-def old_stack(window, field):
-    """The reference stacking: np.array over the column."""
-    return window._memo(field, lambda: np.array(window.column(field)))
-
-
 class TestWindowStacking:
     """A window stacks every field with the bits of np.array over the
     records, whether or not they chain one learner's rounds."""
@@ -480,22 +483,40 @@ class TestWindowStacking:
     @pytest.mark.parametrize("algo", ["implicit-coin", "cw-implicit-coin"])
     def test_run_reports_and_trace_bytes(self, algo, dim, tmp_path, monkeypatch):
         # three repetitions of 420 rounds, so some windows hold records of
-        # two learners
+        # two learners; the run's check lines and trace bytes are those of
+        # the record-by-record reference folds fed the same records
         data = tmp_path / "data.libsvm"
         data.write_text(serialize_libsvm(make_synthetic_regression(n=200, dim=dim, seed=17)))
+        records, folds = [], []
+        make = baselines.make_algorithm
 
-        def run(name):
-            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace.csv"
-            assert main(["run", "--algo", algo, "--data", str(data), "--format", "libsvm",
-                         "--task", "reg", "--epochs", "3", "--reps", "3", "--out", str(out),
-                         "--check-bounds", "--trace-wealth", str(trace)]) == 0
-            checks = [line for line in out.read_text().splitlines() if "check=" in line]
-            return checks, trace.read_bytes()
+        def recording(*args, trace_cb=None, **kwargs):
+            def cb(tr):
+                records.append(tr)
+                trace_cb(tr)
+            return make(*args, trace_cb=cb, **kwargs)
 
-        got = run("new")
-        monkeypatch.setattr(diagnostics._Window, "stack", old_stack)
-        want = run("old")
-        assert got == want and len(got[0]) >= 3 and got[1].count(b"\n") > 3 * W
+        def keeping(*args):
+            folds.extend(folds_for_learner(*args))
+            return folds
+
+        monkeypatch.setattr(baselines, "make_algorithm", recording)
+        monkeypatch.setattr(diagnostics, "folds_for_learner", keeping)
+        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+        assert main(["run", "--algo", algo, "--data", str(data), "--format", "libsvm",
+                     "--task", "reg", "--epochs", "3", "--reps", "3", "--out", str(out),
+                     "--check-bounds", "--trace-wealth", str(trace)]) == 0
+        checks = [line for line in out.read_text().splitlines() if "check=" in line]
+        if algo == "implicit-coin":
+            refs = [ReferenceNoOvershootFold(), ReferenceWealthIdentityFold(1.0),
+                    ReferenceBetaBallFold("l2"), ReferenceWealthLowerBoundFold(CLOSED_FORM)]
+        else:
+            refs = [ReferenceNoOvershootFold(), ReferenceWealthIdentityFold(float(dim)),
+                    ReferenceBetaBallFold("linf")]
+        assert len(records) == 3 * 3 * 140
+        reports = assert_reference_reports(folds, refs, records)
+        assert checks == ["# " + report.line() for report in reports]
+        assert trace.read_bytes() == reference_wealth_trace(records).encode()
 
 
 class TestSignedZeroStep:

@@ -1,7 +1,10 @@
 """Toy-size runs of tools/digest.py: a tree compares identical with itself,
 and a one-ulp perturbation of one learner's step, or of the statistics the
-examples carry, is reported at the round it first shows."""
+examples carry, is reported at the round it first shows; in --cli mode, a
+perturbed CSV number format is reported at the file and line it first
+shows."""
 
+import importlib
 import importlib.util
 import io
 import os
@@ -101,3 +104,57 @@ def test_main_exit_code(digest, toy, capsys):
     assert digest.main([SRC]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == TOY_STREAMS + 1 and out[-1].startswith("sha256 ")
+
+
+@pytest.fixture()
+def cli_toy(digest, monkeypatch):
+    monkeypatch.setattr(digest, "CLI_ROWS", 60)
+    monkeypatch.setattr(digest, "CLI_EPOCHS", 1)
+    return digest
+
+
+CLI_RUNS = 14  # seven algorithms, two tasks
+
+
+def compare_cli(digest, a, b, workdir):
+    out = io.StringIO()
+    differ = digest.cli_report({"a": a, "b": b}, str(workdir), out)
+    return differ, out.getvalue().splitlines()
+
+
+def test_cli_runs_compare_identical_with_themselves(cli_toy, tmp_path):
+    a, b = cli_toy.load_tree(SRC, "_digest_test_a"), cli_toy.load_tree(SRC, "_digest_test_b")
+    differ, lines = compare_cli(cli_toy, a, b, tmp_path)
+    runs = [line for line in lines if line.endswith("  identical")]
+    assert differ == 0 and len(runs) == CLI_RUNS
+    for algo in a.ALGORITHMS:
+        for task in ("reg", "clf"):
+            assert sum(line.split()[:2] == [algo, task] for line in runs) == 1
+    sums = [line.split()[1] for line in lines if line.startswith("sha256 ")]
+    assert len(sums) == 2 and sums[0] == sums[1]
+    assert lines[-1] == "all runs identical"
+    # every run finished, and the betting learners wrote their traces
+    for name, argv, traced in cli_toy.cli_runs():
+        outputs = dict(cli_toy.cli_outputs(a, argv, traced, str(tmp_path / "data.libsvm"),
+                                           str(tmp_path / "check.csv")))
+        assert outputs["exit code"] == ["0"] and outputs["csv"][-1].startswith("# ")
+        assert len(outputs["trace"]) == (1 + 2 * 42 if traced else 0)
+        assert "wall_ms" not in outputs["csv"][0]
+
+
+def test_a_perturbed_csv_format_is_reported(cli_toy, tmp_path, monkeypatch):
+    a, b = cli_toy.load_tree(SRC, "_digest_test_a"), cli_toy.load_tree(SRC, "_digest_test_b")
+    harness = importlib.import_module(b.__name__ + ".harness")
+    monkeypatch.setattr(harness, "_fmt", lambda value: "" if value is None else f"{value:.9g}")
+    differ, lines = compare_cli(cli_toy, a, b, tmp_path)
+    # the first row's losses lose their tenth digit
+    changed = [line for line in lines if line.endswith("  differs at csv line 2")]
+    assert differ == len(changed) == CLI_RUNS
+    sums = [line.split()[1] for line in lines if line.startswith("sha256 ")]
+    assert sums[0] != sums[1] and lines[-1] == f"{CLI_RUNS} runs differ"
+
+
+def test_cli_main_exit_code(cli_toy, capsys):
+    assert cli_toy.main([SRC, "--cli", "--compare", os.path.abspath(SRC)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == CLI_RUNS + 3 and out[-1] == "all runs identical"

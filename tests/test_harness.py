@@ -7,7 +7,8 @@ from implicitcoin import baselines, data_io, harness, losses
 from implicitcoin.baselines import is_parameter_free
 from implicitcoin.data_io import make_synthetic_regression, serialize_libsvm
 from implicitcoin.harness import (DEFAULT_GRID, ExperimentConfig, RunRecord,
-                                  emit_csv, read_csv, run_single, tune_and_run)
+                                  emit_csv, prepare_repetition, read_csv, run_single,
+                                  tune_and_run)
 from implicitcoin.learners import ImplicitCoin
 from implicitcoin.losses import eval_grad_fn
 
@@ -33,11 +34,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="parameter-free"):
             ExperimentConfig(algorithm="implicit-coin", eta0_grid=(0.1,))
 
-    def test_tuned_with_explicit_empty_grid_rejected(self, small_ds):
-        cfg = ExperimentConfig(algorithm="sgd", epochs=1, repetitions=1,
-                               eta0_grid=())
+    def test_tuned_with_explicit_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            tune_and_run(cfg, dataset=small_ds)
+            ExperimentConfig(algorithm="sgd", epochs=1, repetitions=1, eta0_grid=())
+
+    def test_grid_settled_at_construction(self):
+        assert ExperimentConfig(algorithm="sgd").eta0_grid == DEFAULT_GRID
+        assert ExperimentConfig(algorithm="aprox", eta0_grid=[1, 0.5]).eta0_grid == (1.0, 0.5)
+        for algorithm in ("coin", "implicit-coin"):
+            assert ExperimentConfig(algorithm=algorithm).eta0_grid == ()
+            assert ExperimentConfig(algorithm=algorithm, eta0_grid=()).eta0_grid == ()
 
     def test_basic_validation(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -58,7 +64,7 @@ class TestRunSingle:
             calls.append(1)
             return base(w, ex)
 
-        records = run_single(cfg, 0, dataset=small_ds, loss_fn=counting)
+        records = run_single(cfg, prepare_repetition(cfg, small_ds, 0), loss_fn=counting)
         assert len(calls) == 42  # floor(0.7 * 60) rows, 1 epoch
         assert len(records) == 1
 
@@ -81,16 +87,17 @@ class TestRunSingle:
 
         cfg = ExperimentConfig(algorithm=algorithm, task=task, epochs=2, repetitions=1)
         eta0 = None if is_parameter_free(algorithm) else 0.1
-        records = run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=watching)
+        prepared = prepare_repetition(cfg, small_ds, 0)
+        records = run_single(cfg, prepared, eta0, loss_fn=watching)
         assert len(records) == 2 and len(writeable) == 2 * 42 and not any(writeable)
-        again = run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=copying)
+        again = run_single(cfg, prepared, eta0, loss_fn=copying)
         assert [dataclasses.replace(r, wall_ms=0.0) for r in records] == \
                [dataclasses.replace(r, wall_ms=0.0) for r in again]
 
     def test_deterministic(self, small_ds):
         cfg = ExperimentConfig(algorithm="cocob", epochs=2, repetitions=1, seed=11)
-        a = run_single(cfg, 0, dataset=small_ds)
-        b = run_single(cfg, 0, dataset=small_ds)
+        a = run_single(cfg, prepare_repetition(cfg, small_ds, 0))
+        b = run_single(cfg, prepare_repetition(cfg, small_ds, 0))
         for x, y in zip(a, b):
             assert (x.train_loss, x.val_loss, x.test_loss) == \
                    (y.train_loss, y.val_loss, y.test_loss)
@@ -99,7 +106,7 @@ class TestRunSingle:
         from implicitcoin.diagnostics import NoOvershootFold
         fold = NoOvershootFold()
         cfg = ExperimentConfig(algorithm="implicit-coin", epochs=2, repetitions=1)
-        run_single(cfg, 0, dataset=small_ds, trace_cb=fold.update)
+        run_single(cfg, prepare_repetition(cfg, small_ds, 0), trace_cb=fold.update)
         report = fold.report()
         assert report.passed and report.rounds > 0
 
@@ -110,7 +117,7 @@ class TestRunSingle:
             return 1.0, 2.0 * np.ones_like(w)  # norm 4: violates the unit bound
 
         with pytest.raises(harness.RunAborted, match="round 1") as err:
-            run_single(cfg, 0, dataset=small_ds, loss_fn=oversized)
+            run_single(cfg, prepare_repetition(cfg, small_ds, 0), loss_fn=oversized)
         assert err.value.round_index == 1
 
     @pytest.mark.parametrize("algorithm", ["implicit-coin", "cw-implicit-coin",
@@ -137,7 +144,7 @@ class TestRunSingle:
             return loss, g
 
         with pytest.raises(harness.RunAborted, match="round 45") as err:
-            run_single(cfg, 0, eta0, dataset=small_ds, loss_fn=poisoned)
+            run_single(cfg, prepare_repetition(cfg, small_ds, 0), eta0, loss_fn=poisoned)
         assert err.value.round_index == 45
 
     def test_wealth_overflow_aborts_with_round_index(self, small_ds):
@@ -157,7 +164,7 @@ class TestRunSingle:
                 learner.step(*runaway(learner.predict(), None))
                 rounds += 1
         with pytest.raises(harness.RunAborted, match=f"round {rounds + 1}") as err:
-            run_single(cfg, 0, dataset=small_ds, loss_fn=runaway)
+            run_single(cfg, prepare_repetition(cfg, small_ds, 0), loss_fn=runaway)
         assert err.value.round_index == rounds + 1
 
 
@@ -192,8 +199,8 @@ class TestTuneAndRun:
         assert len(finals) == 3  # one selected epoch-row per repetition
 
     def test_ties_prefer_smaller_eta0(self, small_ds, monkeypatch):
-        def fake_run(config, repetition, eta0=None, dataset=None, **kwargs):
-            return [RunRecord(algorithm=config.algorithm, repetition=repetition,
+        def fake_run(config, prepared, eta0=None, **kwargs):
+            return [RunRecord(algorithm=config.algorithm, repetition=prepared.repetition,
                               epoch=1, eta0=eta0, val_loss=1.0)]
 
         monkeypatch.setattr(harness, "run_single", fake_run)
@@ -225,16 +232,17 @@ class TestTuneAndRun:
 
 
 def sequential_protocol(cfg, ds):
-    """The protocol as a plain loop of run_single calls, each preparing its
-    own split: the reference for the shared preparation of tune_and_run."""
+    """The protocol as a plain loop of run_single calls, each on a
+    repetition prepared for it alone: the reference for the shared
+    preparation of tune_and_run."""
     selected = []
     for rep in range(cfg.repetitions):
-        if not cfg.effective_grid:
-            selected.extend(run_single(cfg, rep, None, ds))
+        if not cfg.eta0_grid:
+            selected.extend(run_single(cfg, prepare_repetition(cfg, ds, rep)))
             continue
         best = None
-        for eta0 in sorted(cfg.effective_grid):
-            records = run_single(cfg, rep, eta0, ds)
+        for eta0 in sorted(cfg.eta0_grid):
+            records = run_single(cfg, prepare_repetition(cfg, ds, rep), eta0)
             if best is None or records[-1].val_loss < best[0]:
                 best = (records[-1].val_loss, records)
         selected.extend(best[1])
@@ -282,16 +290,6 @@ class TestPreparedRepetitions:
         cfg = ExperimentConfig(algorithm=algorithm, epochs=3, repetitions=2)
         tune_and_run(cfg, dataset=small_ds)
         assert counts == {"split": 2, "example": 2 * 42, "run": 2 * runs}
-
-    def test_run_single_rejects_another_repetitions_split(self, small_ds):
-        cfg = ExperimentConfig(algorithm="sgd", epochs=1, repetitions=2, seed=3)
-        prepared = harness.prepare_repetition(cfg, small_ds, 0)
-        assert len(prepared.examples) == len(prepared.train) == 42
-        with pytest.raises(ValueError, match="repetition 0, not seed 3 repetition 1"):
-            run_single(cfg, 1, 0.1, small_ds, prepared=prepared)
-        other = ExperimentConfig(algorithm="sgd", epochs=1, repetitions=2, seed=5)
-        with pytest.raises(ValueError, match="not seed 5"):
-            run_single(other, 0, 0.1, small_ds, prepared=prepared)
 
 
 class TestCsv:
@@ -345,16 +343,17 @@ class TestClassificationPipeline:
         ds = make_synthetic_regression(n=80, dim=3, seed=21)
         cfg = ExperimentConfig(algorithm="implicit-coin", task="classification",
                                epochs=1, repetitions=1)
-        train, val, test, record = harness.prepare_splits(cfg, ds, 0)
-        assert record.binarize_threshold is not None
-        for split in (train, val, test):
-            assert set(np.unique(split.y)) <= {-1.0, 1.0}
+        prepared = prepare_repetition(cfg, ds, 0)
+        assert prepared.threshold is not None
+        labels = [ex.y for ex in prepared.examples]
+        for y in (labels, prepared.val.y, prepared.test.y):
+            assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_hinge_run_completes(self):
         ds = make_synthetic_regression(n=80, dim=3, seed=22)
         cfg = ExperimentConfig(algorithm="implicit-coin", task="classification",
                                epochs=2, repetitions=1)
-        records = run_single(cfg, 0, dataset=ds)
+        records = run_single(cfg, prepare_repetition(cfg, ds, 0))
         assert all(np.isfinite(r.test_loss) for r in records)
 
 
@@ -393,8 +392,7 @@ def test_metadata_thresholds_match_prepared_splits_without_splitting_again(
     ds = make_synthetic_regression(n=80, dim=3, seed=21)
     cfg = ExperimentConfig(algorithm="implicit-coin", task="classification",
                            epochs=1, repetitions=3, seed=2)
-    expected = [harness.prepare_splits(cfg, ds, rep)[3].binarize_threshold
-                for rep in range(3)]
+    expected = [prepare_repetition(cfg, ds, rep).threshold for rep in range(3)]
     thresholds = []
     tune_and_run(cfg, dataset=ds, thresholds=thresholds)
 
@@ -436,7 +434,8 @@ class TestExampleStatistics:
                                repetitions=1, seed=6)
         eta0 = None if is_parameter_free(algorithm) else 0.5
         try:
-            records = run_single(cfg, 0, eta0, ds, loss_fn=loss_fn, trace_cb=trace_cb)
+            records = run_single(cfg, prepare_repetition(cfg, ds, 0), eta0,
+                                 loss_fn=loss_fn, trace_cb=trace_cb)
         finally:
             monkeypatch.undo()
         counters = {k: getattr(learners[0], k) for k in (

@@ -1,6 +1,7 @@
-"""Same-numbers digest of every algorithm over fuzz streams.
+"""Same-numbers digest of every algorithm over fuzz streams, or of
+`implicitcoin run` outputs.
 
-    python3 tools/digest.py SRC [--compare OTHER_SRC]
+    python3 tools/digest.py SRC [--cli] [--compare OTHER_SRC]
 
 Plays every betting learner (ImplicitCoin, ProjectedImplicitCoin,
 CoordinateImplicitCoin) and every baseline (Sgd, AProx, ImportanceAwareSgd
@@ -23,13 +24,24 @@ streams. Each stream prints "identical", or the first round where the two
 differ with the largest relative iterate gap (max |w - w'| / max |w'| over a
 round, the largest over the stream) and the largest |h - h'|. The exit code
 is 1 when any stream differs.
+
+With --cli, it runs `cli.main` of each tree instead: every algorithm with
+--task reg and with --task clf, --check-bounds for all and --trace-wealth
+for the two betting learners, on one LIBSVM file that this tool writes from
+its own seeded generator, so every tree reads the same bytes. A run's digest
+covers its exit code, its CSV rows without the wall_ms column (the
+`# DIAGNOSTICS` lines included), its `.meta.txt` file and its wealth trace.
+With --compare, each run prints "identical", or the first file and line
+where the two trees differ.
 """
 
 import argparse
 import hashlib
+import importlib
 import os
 import struct
 import sys
+import tempfile
 
 import numpy as np
 
@@ -157,47 +169,165 @@ def gaps(rounds, other):
     return first, rel, dh
 
 
+def print_cases(names, cases, noun, out):
+    """Print, to out (standard output when None), one line per case with
+    its name, the digest of each tree in names and, for two trees,
+    "identical" or how they differ; then each tree's digest over all cases
+    and, for two trees, a summary. cases yields (name, tree -> sha256,
+    difference or None); noun names the cases. Returns the number of cases
+    that differ."""
+    totals = {n: hashlib.sha256() for n in names}
+    differ = 0
+    for name, shas, difference in cases:
+        for n in names:
+            totals[n].update(shas[n].digest())
+        line = f"{name}  " + " ".join(shas[n].hexdigest()[:12] for n in names)
+        if len(names) == 2:
+            differ += difference is not None
+            line += "  identical" if difference is None else f"  {difference}"
+        print(line, file=out)
+    for n in names:
+        print(f"sha256 {totals[n].hexdigest()}  {n}", file=out)
+    if len(names) == 2:
+        print(f"all {noun} identical" if not differ else f"{differ} {noun} differ", file=out)
+    return differ
+
+
 def report(trees, out=None):
     """Print, to out (standard output when None), the digest of every tree
     in trees (name -> package) and, for two trees, each stream's comparison;
     returns the number of streams that differ."""
     names = list(trees)
-    totals = {n: hashlib.sha256() for n in names}
-    differ = 0
-    for name, *stream in streams():
-        plays = {n: play(ic, *stream) for n, ic in trees.items()}
-        shas = {n: stream_digest(*plays[n]) for n in names}
-        for n in names:
-            totals[n].update(shas[n].digest())
-        line = f"{name}  " + " ".join(shas[n].hexdigest()[:12] for n in names)
-        if len(names) == 2:
-            (rounds, final), (rounds_o, final_o) = plays[names[0]], plays[names[1]]
-            first, rel, dh = gaps(rounds, rounds_o)
-            if first is None and final == final_o:
-                line += "  identical"
-            else:
-                differ += 1
-                where = f"round {first}" if first is not None else "the counters or final state"
-                line += (f"  differs from {where}: largest relative iterate gap {rel:.3g},"
-                         f" largest |dh| {dh:.3g}")
-        print(line, file=out)
-    for n in names:
-        print(f"sha256 {totals[n].hexdigest()}  {n}", file=out)
-    if len(names) == 2:
-        print("all streams identical" if not differ else f"{differ} streams differ", file=out)
-    return differ
+
+    def cases():
+        for name, *stream in streams():
+            plays = {n: play(ic, *stream) for n, ic in trees.items()}
+            difference = None
+            if len(names) == 2:
+                (rounds, final), (rounds_o, final_o) = plays[names[0]], plays[names[1]]
+                first, rel, dh = gaps(rounds, rounds_o)
+                if first is not None or final != final_o:
+                    where = f"round {first}" if first is not None else "the counters or final state"
+                    difference = (f"differs from {where}: largest relative iterate gap "
+                                  f"{rel:.3g}, largest |dh| {dh:.3g}")
+            yield name, {n: stream_digest(*plays[n]) for n in names}, difference
+
+    return print_cases(names, cases(), "streams", out)
+
+
+CLI_ALGORITHMS = ("sgd", "aprox", "iwa", "coin", "cocob", "implicit-coin",
+                  "cw-implicit-coin")
+CLI_TRACED = ("implicit-coin", "cw-implicit-coin")
+CLI_TASKS = ("reg", "clf")
+CLI_ROWS = 300
+CLI_DIM = 6
+CLI_EPOCHS = 3
+CLI_REPS = 2
+CLI_SEED = 7
+
+
+def write_cli_data(path):
+    """A LIBSVM regression file: features of mixed scales with some zero
+    entries, a linear target with Laplace noise (thresholded at its median
+    under --task clf), every float written with repr."""
+    rng = np.random.default_rng(CLI_SEED)
+    X = rng.normal(size=(CLI_ROWS, CLI_DIM)) * rng.uniform(0.5, 5.0, size=CLI_DIM)
+    X[rng.uniform(size=X.shape) < 0.2] = 0.0
+    y = X @ rng.normal(size=CLI_DIM) + rng.laplace(scale=0.25, size=CLI_ROWS)
+    with open(path, "w") as fh:
+        for row, target in zip(X, y):
+            fh.write(" ".join([repr(float(target))] + [
+                f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0]) + "\n")
+
+
+def cli_runs():
+    """(name, argv without --data and the output paths, traced) of every run."""
+    for algo in CLI_ALGORITHMS:
+        for task in CLI_TASKS:
+            argv = ["run", "--algo", algo, "--format", "libsvm", "--task", task,
+                    "--epochs", str(CLI_EPOCHS), "--reps", str(CLI_REPS),
+                    "--seed", str(CLI_SEED), "--check-bounds"]
+            yield f"{algo:<17} {task}", argv, algo in CLI_TRACED
+
+
+def _lines(path):
+    if not os.path.exists(path):
+        return ["<missing>"]
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def cli_outputs(ic, argv, traced, data, out):
+    """(file, lines) of one run of the tree ic's cli.main, written under the
+    output path out: the exit code, the CSV without wall_ms, the metadata
+    and the wealth trace (empty when the run is not traced)."""
+    argv = argv + ["--data", data, "--out", out]
+    if traced:
+        argv += ["--trace-wealth", out + ".trace.csv"]
+    code = importlib.import_module(ic.__name__ + ".cli").main(argv)
+    csv = _lines(out)
+    header = csv[0].split(",") if csv else []
+    if "wall_ms" in header:
+        wall = header.index("wall_ms")
+        csv = [line if line.startswith("#") else
+               ",".join(v for i, v in enumerate(line.split(",")) if i != wall)
+               for line in csv]
+    return [("exit code", [str(code)]), ("csv", csv), ("meta.txt", _lines(out + ".meta.txt")),
+            ("trace", _lines(out + ".trace.csv") if traced else [])]
+
+
+def outputs_digest(outputs):
+    sha = hashlib.sha256()
+    for name, lines in outputs:
+        sha.update(f"{name}:{len(lines)}\n".encode())
+        sha.update("".join(line + "\n" for line in lines).encode())
+    return sha
+
+
+def first_difference(outputs, other):
+    """"file line k" of the first line where two runs' outputs differ, or
+    None."""
+    for (name, lines), (_, lines_o) in zip(outputs, other):
+        for k in range(max(len(lines), len(lines_o))):
+            if lines[k:k + 1] != lines_o[k:k + 1]:
+                return f"{name} line {k + 1}"
+    return None
+
+
+def cli_report(trees, workdir, out=None):
+    """As report, over the `implicitcoin run` outputs of every tree in trees,
+    written under workdir; returns the number of runs that differ."""
+    names = list(trees)
+    data = os.path.join(workdir, "data.libsvm")
+    write_cli_data(data)
+
+    def cases():
+        for i, (name, argv, traced) in enumerate(cli_runs()):
+            runs = {n: cli_outputs(ic, argv, traced, data,
+                                   os.path.join(workdir, f"run{i}-tree{j}.csv"))
+                    for j, (n, ic) in enumerate(trees.items())}
+            where = first_difference(*runs.values()) if len(names) == 2 else None
+            yield (name, {n: outputs_digest(runs[n]) for n in names},
+                   None if where is None else f"differs at {where}")
+
+    return print_cases(names, cases(), "runs", out)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="a source tree holding the implicitcoin package")
+    parser.add_argument("--cli", action="store_true",
+                        help="digest `implicitcoin run` outputs instead of fuzz streams")
     parser.add_argument("--compare", metavar="OTHER_SRC",
                         help="a second source tree, played on the same streams")
     args = parser.parse_args(argv)
     trees = {args.src: load_tree(args.src, "_digest_this")}
     if args.compare:
         trees[args.compare] = load_tree(args.compare, "_digest_other")
-    return 1 if report(trees) else 0
+    if not args.cli:
+        return 1 if report(trees) else 0
+    with tempfile.TemporaryDirectory() as workdir:
+        return 1 if cli_report(trees, workdir) else 0
 
 
 if __name__ == "__main__":
