@@ -1,7 +1,8 @@
 """Parameter-free coin-betting learners driven by truncated linear models.
 
-Every variant plays one fused round in its `step`: predict w = beta * wealth,
-receive one loss value and one subgradient g, scale g by h in [0, 1] (h < 1
+Every variant plays one fused round in its `step`: predict w (beta * wealth;
+u (a wealth) for the one-game variants, whose fraction is beta = a u), receive
+one loss value and one subgradient g, scale g by h in [0, 1] (h < 1
 exactly when the full step would cross the model's corner), then update the
 betting fraction and the wealth multiplicatively. With s = <g, beta> and
 dq(h) = <g, beta_next(h)> - s, q = s + dq, the corner equation
@@ -13,35 +14,27 @@ A round checks its input with `losses.round_input`, the one check of every
 algorithm, and bounds the norm from the g.g it returns (from |g| for the
 per-coordinate variant, which reads the example's abs_x and abs_max when g
 is the example's own x or neg_x); a zero gradient returns at once.
-Otherwise it takes f(1), the
-residual of the full round, from dq(1) and commits at h = 1 if f(1) >= 0;
-else the full round would cross the corner, and `solve_corner`, safeguarded
-Newton inside the bracket, finds h from the residual built on the same
-formula before the round commits there. That residual is a closure that a
-module function builds on corner rounds only (`_step_residual`,
-`_projected_residual`, `_shrink_residual`, `_cw_residual`), so no per-round
-function, neither a `step` nor `solve_corner`, holds a closure cell, which
-Python would make on every call, zero rounds and Newton steps included; the
-per-coordinate residual evaluates into buffers allocated once per corner.
-Each update is stated once, as a
-function of h that the round takes at h = 1 and at the solved corner:
-`_step_dq`/`_step_beta` for the unprojected step, which the projected
-variant projects and `ImplicitCoin` takes on small fractions,
-`_shrink_dq`/`_shrink_beta` for `ImplicitCoin`'s shrink branch, and
-`_cw_beta` for the per-coordinate games, whose corner residual comes from
-cubic coefficients in h.
+Otherwise it takes f(1), the residual of the full round, from dq(1) and
+commits at h = 1 if f(1) >= 0; else `solve_corner`, safeguarded Newton
+inside the bracket, finds h on a residual that a module function builds on
+corner rounds only, so no per-round function holds a closure cell:
+`_poly_residual` (for `ImplicitCoin`, the residual times its positive
+denominator, a cubic evaluated by Horner), `_projected_residual` and
+`_cw_residual` (into buffers allocated once per corner).
 
-Traced and untraced rounds run the same arithmetic. The trace record is
-built in the round's tail (`_BettingCoin._stay` and `_move`) from values the
-round computed anyway, so a `trace_cb` never changes an iterate, a counter or
-a bit of the state.
+The one-game state is scaled (see `_BettingCoin`): a full round is two
+dots, one axpy (`_step_scaled`, the unprojected step as a function of h)
+and one scale. `_cw_beta` is the per-coordinate update. Traced and untraced
+rounds run the same arithmetic; the trace record is built from values the
+round computed anyway (beta and beta_next as a u, on traced rounds only).
 
-The learner holds the iterate it last returned with the (beta, wealth) it
-came from. A round that does not move (h = 0: a zero gradient, or a corner
-at the anchor) returns that held array itself, whenever `self.beta` and
-`self.wealth` are still the objects it came from, and so allocates nothing;
-otherwise it builds w = beta * wealth. A trace record's w and total wealth
-before the round come from the same hold.
+The learner holds the iterate it last returned with the state it came from,
+the (u, wealth) objects of a one-game variant (a move makes a new wealth;
+assigning beta drops the hold) or the (beta, wealth) of the per-coordinate
+one. A round that does not move (h = 0: a zero gradient, or a corner at the
+anchor) returns that held array while the state is unchanged, so it
+allocates nothing; a trace record's w and total wealth before the round
+come from the same hold.
 
 A learner never writes into an array it has stored, returned or been
 given, so trace records share arrays with the learner and the caller
@@ -77,6 +70,9 @@ CORNER_WIDTH_ULPS = 4.0
 # resolution in about 60 steps, so a solve that needs more has met a
 # residual it cannot speed up.
 CORNER_MAX_EVALS = 64
+# The one-game scale a is folded into u once it falls to this: a^2 in
+# beta.beta = a^2 u.u stays a normal float, and u = beta / a far from overflow.
+_FOLD_BELOW = 2.0 ** -500
 
 _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
@@ -179,7 +175,8 @@ class _Bracket:
 
 
 # -- the one-game updates as functions of h ------------------------------------
-# gg = g.g (the square of the checked norm), s = <g, beta>, eta = 1 / inv_eta.
+# gg = g.g (the checked norm squared), s = <g, beta>, eta = 1 / inv_eta; the
+# one-game fraction is beta = a u (see _BettingCoin).
 
 def _step_dq(h, gg, s, eta):
     """dq(h) of the unprojected step beta - eta (h g + 2 k beta), with
@@ -192,11 +189,16 @@ def _step_slope(h, gg, s, eta):
     return -eta * (gg + 2.0 * (gg * (2.0 - 2.0 * h)) * s)
 
 
-def _step_beta(beta, g, gg, eta, h):
-    """The unprojected step's beta_next(h) and its 1/eta increment 2k. At
-    h = 1, h g is g, so a full round skips that product."""
+def _step_scaled(u, a, g, gg, eta, h):
+    """The unprojected step's beta_next(h) = a' u' and its 1/eta increment
+    k2 = 2k: a' = a (1 - eta k2) and u' = u - (eta h / a') g, one axpy, or
+    u' = a' u - eta h g and a' = 1 once a' is at most _FOLD_BELOW (0 too, when
+    1/eta was set below 2 g.g). Returns (u', a', k2)."""
     k2 = 2.0 * (gg * h * (2.0 - h))
-    return beta - eta * ((g if h == 1.0 else h * g) + k2 * beta), k2
+    a_next = a * (1.0 - eta * k2)
+    if a_next <= _FOLD_BELOW:
+        return a_next * u - (eta * h) * g, 1.0, k2
+    return u - (eta * h / a_next) * g, a_next, k2
 
 
 def _projected_dq(h, gg, s, bb, eta):
@@ -217,17 +219,6 @@ def _projected_dq(h, gg, s, bb, eta):
     return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
 
 
-def _shrink_dq(h, nrm, s, eta):
-    """dq(h) of the shrink branch beta (1 - 2 gain eta h ||g||); linear in
-    h, so its slope is dq(1)."""
-    return (-2.0 * SHRINK_GAIN) * eta * h * nrm * s
-
-
-def _shrink_beta(beta, nrm, eta, h):
-    return (beta * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm),
-            2.0 * SHRINK_GAIN * h * nrm)
-
-
 def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
     """Per-coordinate beta_next(h) and 1/eta increment: inc is 2 g^2 h (2 - h)
     where |beta| is small and 2 gain |g| h elsewhere, and beta_next =
@@ -241,40 +232,35 @@ def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
 
 
 # -- corner residuals, built per corner round ----------------------------------
-# `_step_residual`, `_projected_residual`, `_shrink_residual` and
-# `_cw_residual` each return fd(h) -> (residual, slope) for `solve_corner`,
-# with the round's scalars (and the per-coordinate round's arrays) in its
-# closure, so the steps themselves hold no closure cell.
+# Each returns fd(h) -> (residual, slope) for `solve_corner`, with the round's
+# scalars (and arrays) in its closure, so the steps hold no closure cell.
 
-def _one_game_residual(h, d, dd, loss, s, wealth):
-    """loss + W (dq - h q s) / (1 + (h-1) q) and its slope, from dq(h) = d
-    and its slope dd."""
-    q = s + d
-    num = d - h * q * s
-    den = 1.0 + (h - 1.0) * q
-    slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
-    return loss + wealth * (num / den), wealth * slope / (den * den)
+def _poly_residual(loss, s, wealth, dA, dB):
+    """The one-game corner residual times its denominator D = 1 + (h-1) q > 0
+    for dq(h) = dA h + dB h^2: P(h) = loss D + W (dq - h q s), a cubic (a
+    quadratic on the shrink branch, dB = 0) evaluated by Horner from
+    coefficients computed once. Returns fd, P(0) and P(1) as fd gives them."""
+    c0 = loss * (1.0 - s)
+    c1 = loss * (s - dA) + wealth * (dA - s * s)
+    c2 = loss * (dA - dB) + wealth * (dB - dA * s)
+    c3 = dB * (loss - wealth * s)
 
-
-def _step_residual(loss, s, wealth, gg, eta):
     def fd(h):
-        return _one_game_residual(h, _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta),
-                                  loss, s, wealth)
+        return ((c3 * h + c2) * h + c1) * h + c0, (3.0 * c3 * h + 2.0 * c2) * h + c1
 
-    return fd
+    return fd, c0, ((c3 + c2) + c1) + c0
 
 
 def _projected_residual(loss, s, wealth, gg, bb, eta):
+    """loss + W (dq - h q s) / (1 + (h-1) q) and its slope, with dq(h) and
+    its slope from _projected_dq."""
     def fd(h):
         d, dd = _projected_dq(h, gg, s, bb, eta)
-        return _one_game_residual(h, d, dd, loss, s, wealth)
-
-    return fd
-
-
-def _shrink_residual(loss, s, wealth, nrm, eta, dq1):
-    def fd(h):  # linear in h: the slope is dq(1)
-        return _one_game_residual(h, _shrink_dq(h, nrm, s, eta), dq1, loss, s, wealth)
+        q = s + d
+        num = d - h * q * s
+        den = 1.0 + (h - 1.0) * q
+        slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
+        return loss + wealth * (num / den), wealth * slope / (den * den)
 
     return fd
 
@@ -319,10 +305,8 @@ def _cw_residual(loss, wealth, inv_eta, ones, s, gsq, ag, small):
     return fd
 
 
-class _BettingCoin:
-    """State, counters and the fused round of the one-game variants; the
-    per-coordinate variant overrides `step`.
-
+class _Coin:
+    """Construction, counters and the input bound of the betting learners.
     Counters: corner_rounds (rounds whose full step would cross the
     corner), residual_evals (residual evaluations of their solves) and
     grad_norm_warnings (gradients renormalised from float excess)."""
@@ -342,19 +326,11 @@ class _BettingCoin:
         self.residual_evals = 0
         self.grad_norm_warnings = 0
         self.trace_cb = trace_cb
-        # (beta, wealth, w = beta * wealth, total wealth) of the iterate the
-        # last round returned
+        # the last returned iterate's state, the iterate (and cw's total wealth)
         self._held = (None, None, None, None)
 
     def _per_game(self, value):
         return value
-
-    @staticmethod
-    def _total(wealth):
-        return wealth
-
-    def predict(self):
-        return self.beta * self.wealth
 
     def _excess(self, nrm):
         """Whether a gradient of norm nrm must be renormalised: float excess
@@ -366,25 +342,50 @@ class _BettingCoin:
             return True
         return False
 
+
+class _BettingCoin(_Coin):
+    """The scaled state and the fused round of the one-game variants: beta =
+    a u with uu = u.u beside it, so s = a <g, u> and beta.beta = a^2 uu cost
+    one dot, the shrink and the projection change a alone, the step is one
+    axpy on u, and a at or below _FOLD_BELOW is folded into u. Reading `beta`
+    builds a u once per move; assigning it sets u to it and a to 1."""
+
+    @property
+    def beta(self):
+        beta = self._beta
+        if beta is None:
+            beta = self._beta = self._a * self._u
+        return beta
+
+    @beta.setter
+    def beta(self, value):
+        value = np.asarray(value, dtype=np.float64)
+        self._u = self._beta = value
+        self._a = 1.0
+        self._uu = float(value.dot(value))
+        self._held = (None, None, None)
+
+    def predict(self):
+        return self._u * (self._a * self.wealth)
+
     def step(self, loss_value, g, ex=None):
         """One round; returns w_next. ex, when given, is the example whose
-        oracle produced g: the input check reads its cached g.g when g is
-        one of its arrays. Bad input, or a wealth that would overflow,
-        raises ValueError before any state changes. A round that does not
-        move returns the held iterate: the array the last round returned,
-        unless the state was replaced since."""
+        oracle produced g (its cached g.g is read when g is one of its
+        arrays). Bad input, or a wealth that would overflow, raises
+        ValueError before any state changes."""
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         nrm = math.sqrt(gg)
         if nrm == 0.0:  # a zero gradient
             return self._stay(loss_value, g, None)
-        if self._excess(nrm):
+        if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
             nrm = 1.0
 
-        beta, wealth = self.beta, self.wealth
+        u, a, wealth = self._u, self._a, self.wealth
         gg = nrm * nrm
-        s = float(g.dot(beta))
-        bb = float(beta.dot(beta))
+        gu = float(g.dot(u))
+        s = a * gu
+        bb = a * a * self._uu
         eta = 1.0 / self.inv_eta
         # the projected variant projects the unprojected step; the
         # closed-form one takes it while the fraction is small, else shrinks
@@ -392,83 +393,84 @@ class _BettingCoin:
         shrinks = not projects and not bb < _SMALL_SQ
         if projects:
             dq1 = _projected_dq(1.0, gg, s, bb, eta)[0]
-        elif shrinks:
-            dq1 = _shrink_dq(1.0, nrm, s, eta)
-        else:
-            dq1 = _step_dq(1.0, gg, s, eta)
+        elif shrinks:  # beta (1 - 2 gain eta h ||g||), linear in h
+            dq1 = (-2.0 * SHRINK_GAIN) * eta * nrm * s
+        else:  # the unprojected step, _step_dq at h = 1
+            dq1 = -eta * (gg + 2.0 * gg * s)
         h, evals = 1.0, None
         f1 = loss_value + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
         if f1 < 0.0:  # the full round would cross the corner
             if projects:
                 fd = _projected_residual(loss_value, s, wealth, gg, bb, eta)
-            elif shrinks:
-                fd = _shrink_residual(loss_value, s, wealth, nrm, eta, dq1)
-            else:
-                fd = _step_residual(loss_value, s, wealth, gg, eta)
-            h, evals = solve_corner(fd, loss_value, f1)
-            if h == 0.0:  # a corner at the anchor
-                return self._stay(loss_value, g, evals)
+                p0, p1 = loss_value, f1
+            elif shrinks:  # dq(h) = h dq(1)
+                fd, p0, p1 = _poly_residual(loss_value, s, wealth, dq1, 0.0)
+            else:  # dq(h) = -eta g.g (1 + 4 s) h + 2 eta g.g s h^2
+                dB = 2.0 * eta * gg * s
+                fd, p0, p1 = _poly_residual(loss_value, s, wealth, -eta * gg - (dB + dB), dB)
+            if p1 < 0.0:  # else P, float noise off f1, puts the corner at h = 1
+                h, evals = solve_corner(fd, p0, p1)
+                if h == 0.0:  # a corner at the anchor
+                    return self._stay(loss_value, g, evals)
 
         if shrinks:
-            beta_next, inc = _shrink_beta(beta, nrm, eta, h)
+            u_next, uu = u, self._uu
+            a_next = a * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
+            inc = 2.0 * SHRINK_GAIN * h * nrm
         else:
-            beta_next, inc = _step_beta(beta, g, gg, eta, h)
+            u_next, a_next, inc = _step_scaled(u, a, g, gg, eta, h)
+            uu = float(u_next.dot(u_next))
             if projects:
-                scale = 2.0 * math.sqrt(float(beta_next.dot(beta_next)))
+                scale = 2.0 * abs(a_next) * math.sqrt(uu)
                 if scale > 1.0 + PROJECTION_SLACK:
-                    beta_next = beta_next / scale
+                    a_next = a_next / scale
         wealth_next = wealth * (1.0 - s)
         if h != 1.0:  # a full round has denominator 1
-            wealth_next /= 1.0 + (h - 1.0) * float(g.dot(beta_next))
-        return self._move(loss_value, g, h, evals, beta_next, wealth_next, wealth_next, inc)
+            wealth_next /= 1.0 + (h - 1.0) * a_next * (gu if shrinks else float(g.dot(u_next)))
+        if not wealth_next < math.inf:
+            raise ValueError(f"wealth overflows to {wealth_next} at round {self.t + 1}")
+        if a_next <= _FOLD_BELOW:
+            u_next = u_next * a_next
+            uu = float(u_next.dot(u_next))
+            a_next = 1.0
+        w_next = u_next * (a_next * wealth_next)
 
-    # -- the round's tail: state, hold, counters and the trace record ----------
+        trace_cb = self.trace_cb
+        if trace_cb is not None:
+            held = self._held  # w before the round, unless the state was replaced
+            w = held[2] if held[0] is u and held[1] is wealth else u * (a * wealth)
+            beta = self.beta
+        self._u, self._a, self._uu, self._beta = u_next, a_next, uu, None
+        self.wealth = wealth_next
+        self.inv_eta = self.inv_eta + inc
+        self._held = (u_next, wealth_next, w_next)
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
+        if trace_cb is not None:
+            trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta, self.beta,
+                               wealth, wealth_next))
+        return w_next
 
     def _stay(self, loss_value, g, evals):
         """A round that does not move (h = 0); returns the held iterate."""
-        beta, wealth = self.beta, self.wealth
+        u, wealth = self._u, self.wealth
         held = self._held
-        if held[0] is beta and held[1] is wealth:
-            w, total = held[2], held[3]
+        if held[0] is u and held[1] is wealth:
+            w = held[2]
         else:
-            w, total = beta * wealth, self._total(wealth)
-            self._held = (beta, wealth, w, total)
+            w = u * (self._a * wealth)
+            self._held = (u, wealth, w)
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
         if self.trace_cb is not None:
+            beta = self.beta
             self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
-                                    total, total))
+                                    wealth, wealth))
         return w
-
-    def _move(self, loss_value, g, h, evals, beta_next, wealth_next, total, inc):
-        """A round that moves to (beta_next, wealth_next), whose total wealth
-        is total; returns w_next. Raises before any state changes when the
-        wealth overflows."""
-        if not total < math.inf:
-            raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
-        beta, wealth = self.beta, self.wealth
-        held = self._held
-        w_next = beta_next * wealth_next
-        self._held = (beta_next, wealth_next, w_next, total)
-        self.beta = beta_next
-        self.wealth = wealth_next
-        self.inv_eta = self.inv_eta + inc
-        self.t += 1
-        if evals is not None:
-            self.corner_rounds += 1
-            self.residual_evals += evals
-        if self.trace_cb is not None:
-            # w (same bits as beta * wealth) and the total wealth before the
-            # round: held unless the state was replaced since
-            if held[0] is beta and held[1] is wealth:
-                w, total_before = held[2], held[3]
-            else:
-                w, total_before = beta * wealth, self._total(wealth)
-            self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
-                                    beta_next, total_before, total))
-        return w_next
 
 
 class ProjectedImplicitCoin(_BettingCoin):
@@ -483,14 +485,14 @@ class ProjectedImplicitCoin(_BettingCoin):
 class ImplicitCoin(_BettingCoin):
     """Projection-free variant: near the ball boundary the fraction is shrunk
     instead of projected, so the corner equation is a cubic (or quadratic)
-    in h; `solve_corner` finds its root from the same residual as the other
-    variants, and a full round costs a few vector operations."""
+    in h; `solve_corner` finds its root on that polynomial, and a full round
+    costs a few vector operations."""
 
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
 
 
-class CoordinateImplicitCoin(_BettingCoin):
+class CoordinateImplicitCoin(_Coin):
     """Per-coordinate closed-form variant: every coordinate runs its own 1-d
     betting game, coupled only through the shared corner scalar h, which is
     found by `solve_corner`. The unit bound is on the largest gradient
@@ -509,9 +511,8 @@ class CoordinateImplicitCoin(_BettingCoin):
     def _per_game(self, value):
         return np.full(self.dim, value)
 
-    @staticmethod
-    def _total(wealth):
-        return float(np.add.reduce(wealth))  # the bits of wealth.sum()
+    def predict(self):
+        return self.beta * self.wealth
 
     def step(self, loss_value, g, ex=None):
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
@@ -554,5 +555,44 @@ class CoordinateImplicitCoin(_BettingCoin):
                 return self._stay(loss_value, g, evals)
             beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h)
             wealth_next /= self._ones + (h - 1.0) * (g * beta_next)
-        return self._move(loss_value, g, h, evals, beta_next, wealth_next,
-                          float(np.add.reduce(wealth_next)), inc)
+        total = float(np.add.reduce(wealth_next))
+        if not total < math.inf:
+            raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
+        held = self._held
+        w_next = beta_next * wealth_next
+        self._held = (beta_next, wealth_next, w_next, total)
+        self.beta = beta_next
+        self.wealth = wealth_next
+        self.inv_eta = inv_eta + inc
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
+        if self.trace_cb is not None:
+            # w (same bits as beta * wealth) and the total wealth before the
+            # round: held unless the state was replaced since
+            if held[0] is beta and held[1] is wealth:
+                w, total_before = held[2], held[3]
+            else:  # np.add.reduce has the bits of wealth.sum()
+                w, total_before = beta * wealth, float(np.add.reduce(wealth))
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
+                                    beta_next, total_before, total))
+        return w_next
+
+    def _stay(self, loss_value, g, evals):
+        """A round that does not move (h = 0); returns the held iterate."""
+        beta, wealth = self.beta, self.wealth
+        held = self._held
+        if held[0] is beta and held[1] is wealth:
+            w, total = held[2], held[3]
+        else:
+            w, total = beta * wealth, float(np.add.reduce(wealth))
+            self._held = (beta, wealth, w, total)
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
+        if self.trace_cb is not None:
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
+                                    total, total))
+        return w

@@ -4,8 +4,10 @@ solvers that the tests still pin down.
 `narrow_bracket` is the Illinois narrowing that the betting learners' corner
 solve used before safeguarded Newton replaced it. `closed_form_corner_poly`
 is the cubic (or quadratic) whose roots are `ImplicitCoin`'s corner h.
-`closed_form_w_next` replays an `ImplicitCoin` round from public pieces,
-and `wealth_update` is its multiplicative wealth step;
+`closed_form_step` replays an `ImplicitCoin` (or `ProjectedImplicitCoin`)
+round from public pieces on a plain fraction, `closed_form_w_next` gives its
+iterate, `plain_replay` replays a whole traced stream with it, and
+`wealth_update` is its multiplicative wealth step;
 `coordinate_w_next` replays a `CoordinateImplicitCoin` round one coordinate
 at a time. `fold_all` runs a
 diagnostics fold over a list of traces. The `Reference*` folds and
@@ -85,17 +87,43 @@ def wealth_update(wealth, beta, pair, beta_next):
     return wealth * num / den
 
 
-def closed_form_w_next(beta, wealth, inv_eta, g, h):
-    """`ImplicitCoin`'s next iterate when g is scaled by h, from the
-    subgradient pair and the norms of the update rule only."""
+def closed_form_step(beta, wealth, inv_eta, g, h, projected=False):
+    """`ImplicitCoin`'s next (beta, wealth, 1/eta) when g is scaled by h, on
+    the plain fraction beta, from the subgradient pair and the norms of the
+    update rule only; with projected, `ProjectedImplicitCoin`'s, whose step
+    is the small-fraction one projected onto the half-unit ball."""
     pair = make_pair(g, h)
     norm_gp = float(np.linalg.norm(pair.g_plus))
-    if float(np.linalg.norm(beta)) < SHRINK_THRESHOLD:
+    if projected or float(np.linalg.norm(beta)) < SHRINK_THRESHOLD:
         gain = 2.0 * float(np.linalg.norm(g)) * norm_gp - norm_gp ** 2
         beta_next = beta - (pair.g_plus + 2.0 * gain * beta) / inv_eta
+        if projected:
+            beta_next = beta_next / max(1.0, 2.0 * float(np.linalg.norm(beta_next)))
+        inc = 2.0 * gain
     else:
-        beta_next = beta * (1.0 - 2.0 * SHRINK_GAIN * norm_gp / inv_eta)
-    return beta_next * wealth_update(wealth, beta, pair, beta_next)
+        inc = 2.0 * SHRINK_GAIN * norm_gp
+        beta_next = beta * (1.0 - inc / inv_eta)
+    return beta_next, wealth_update(wealth, beta, pair, beta_next), inv_eta + inc
+
+
+def closed_form_w_next(beta, wealth, inv_eta, g, h, projected=False):
+    """The next iterate of `closed_form_step`."""
+    beta_next, wealth_next, _ = closed_form_step(beta, wealth, inv_eta, g, h, projected)
+    return beta_next * wealth_next
+
+
+def plain_replay(cls, dim, records):
+    """The iterates of a one-game learner of class cls, replayed from its
+    trace records with the learner's own g and h each round on a plain
+    fraction beta: the reference of its scaled state."""
+    beta, wealth, inv_eta = np.zeros(dim), 1.0, cls.inv_eta0
+    iterates = []
+    for tr in records:
+        if tr.h != 0.0:
+            beta, wealth, inv_eta = closed_form_step(beta, wealth, inv_eta, tr.g, tr.h,
+                                                     cls.variant == PROJECTED)
+        iterates.append(beta * wealth)
+    return iterates
 
 
 def coordinate_w_next(beta, wealth, inv_eta, g, h):

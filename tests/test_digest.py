@@ -1,8 +1,9 @@
 """Toy-size runs of tools/digest.py: a tree compares identical with itself,
-and a one-ulp perturbation of one learner's step, or of the statistics the
-examples carry, is reported at the round it first shows; in --cli mode, a
-perturbed CSV number format is reported at the file and line it first
-shows."""
+also when both trees are given as one path, and a one-ulp perturbation of
+one learner's step, or of the statistics the examples carry, is reported at
+the round it first shows, with its iterate gap relative to the stream; in
+--cli mode, a perturbed CSV number format is reported at the file and line
+it first shows."""
 
 import importlib
 import importlib.util
@@ -58,23 +59,46 @@ def test_a_tree_compares_identical_with_itself(toy):
 
 def test_a_perturbed_step_is_reported(toy, monkeypatch):
     a, b = toy.load_tree(SRC, "_digest_test_a"), toy.load_tree(SRC, "_digest_test_b")
-    step_beta = b.learners._step_beta
+    step_scaled = b.learners._step_scaled
 
-    def nudged(beta, g, gg, eta, h):  # one ulp more on every moving round
-        beta_next, k2 = step_beta(beta, g, gg, eta, h)
-        return np.nextafter(beta_next, np.inf), k2
+    def nudged(u, scale, g, gg, eta, h):  # one ulp more on every moving round
+        u_next, a_next, k2 = step_scaled(u, scale, g, gg, eta, h)
+        return np.nextafter(u_next, np.inf), a_next, k2
 
-    monkeypatch.setattr(b.learners, "_step_beta", nudged)
+    monkeypatch.setattr(b.learners, "_step_scaled", nudged)
     differ, lines = compare(toy, a, b)
     changed = [line for line in lines if " differs from round " in line]
     # ImplicitCoin's small branch and the projected variant take the
     # unprojected step; the per-coordinate variant does not
     assert differ == len(changed) > 0
-    assert all("CoordinateImplicitCoin" not in line for line in changed)
+    assert all(line.startswith(("ImplicitCoin ", "ProjectedImplicitCoin ")) for line in changed)
     assert all(float(line.split("relative iterate gap ")[1].split(",")[0]) > 0.0
                for line in changed)
+    # |dh| is reported for the traced streams only, and summed up after them
+    assert all((", largest |dh| " in line) == (" traced " in line) for line in changed)
+    summary = next(line for line in lines if line.startswith("over the "))
+    assert summary.startswith(f"over the {differ} differing streams: largest relative")
+    assert lines.index(summary) == len(lines) - 4  # then the two sums and the count
     sums = [line.split()[1] for line in lines if line.startswith("sha256 ")]
     assert sums[0] != sums[1] and lines[-1] == f"{differ} streams differ"
+
+
+def test_the_iterate_gap_is_relative_to_the_stream(digest):
+    # an alternating stream's iterate passes near 0, where a per-round ratio
+    # would read 0.5 here; the gap is taken against the stream's largest |w|
+    rounds = [(b"a", np.array([2.0, -1.0]), None), (b"b", np.array([1e-17, 0.0]), None)]
+    other = [(b"a", np.array([2.0, -1.0]), None), (b"c", np.array([2e-17, 0.0]), None)]
+    assert digest.gaps(rounds, other) == (2, 0.5e-17, None)
+    traced = [(data, w, 0.5) for data, w, _ in rounds]
+    assert digest.gaps(traced, [(data, w, 0.25) for data, w, _ in other])[2] == 0.25
+    assert digest.gaps(rounds, rounds) == (None, 0.0, None)
+
+
+def test_main_compares_a_tree_with_itself_given_one_path(digest, toy, capsys):
+    assert digest.main([SRC, "--compare", SRC]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == TOY_STREAMS + 3 and out[-1] == "all streams identical"
+    assert [line.split()[-1] for line in out[-3:-1]] == ["this", "other"]
 
 
 def test_perturbed_example_statistics_are_reported(toy, monkeypatch):

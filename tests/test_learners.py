@@ -12,7 +12,8 @@ from implicitcoin.learners import (CORNER_WIDTH_ULPS, CoordinateImplicitCoin,
 from implicitcoin.rootsolve import bisect, roots_in_unit
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
 from reference import (closed_form_corner_poly, closed_form_residual,
-                       closed_form_w_next, coordinate_w_next, wealth_update)
+                       closed_form_w_next, coordinate_w_next, plain_replay,
+                       wealth_update)
 
 # a bisection of [0, 1] to this tolerance stops at float resolution
 FULL_BRACKET_TOL = 1e-18
@@ -515,6 +516,46 @@ class TestCornerSolve:
         assert h <= last + CORNER_WIDTH_ULPS * math.ulp(last)
         assert 0.0 <= residual_of(traces[-1]) <= RESIDUAL_BAND
 
+    def test_the_polynomial_solve_starts_from_a_bracket_or_not_at_all(self, monkeypatch):
+        # losses a few ulps around the one that puts f(1) at 0: f(1) < 0 by
+        # the full round's formula can meet P(1) >= 0 from the coefficients,
+        # and then no solve starts and the round is a full one
+        built, solves = [], []
+        poly = learners._poly_residual
+
+        def recording_poly(*args):
+            fd, p0, p1 = poly(*args)
+            built.append(p1)
+            return fd, p0, p1
+
+        def recording_solve(fd, f0, f1):
+            assert f0 >= 0.0 > f1 and (f0, f1) == (fd(0.0)[0], fd(1.0)[0])
+            solves.append(f1)
+            return solve_corner(fd, f0, f1)
+
+        monkeypatch.setattr(learners, "_poly_residual", recording_poly)
+        monkeypatch.setattr(learners, "solve_corner", recording_solve)
+        rng = np.random.default_rng(79)
+        full_at_a_built_corner = 0
+        for i in range(100):
+            v = rng.normal(size=2)
+            radius = rng.uniform(0.0, 0.3) if i % 2 else rng.uniform(0.38, 0.5)
+            state = (v * radius / np.linalg.norm(v), float(np.exp(rng.uniform(-3.0, 3.0))),
+                     float(rng.uniform(18.0, 500.0)))
+            g = rng.normal(size=2)
+            g *= rng.uniform(0.1, 1.0) / np.linalg.norm(g)
+            loss = -float(g @ (closed_form_w_next(*state, g, 1.0) - state[0] * state[1]))
+            for k in range(-6, 7):
+                traces = []
+                l = ImplicitCoin(2, trace_cb=traces.append)
+                l.beta, l.wealth, l.inv_eta = state
+                before = len(built)
+                l.step(max(0.0, loss + k * math.ulp(loss)), g)
+                if len(built) > before and not built[-1] < 0.0:
+                    full_at_a_built_corner += 1
+                    assert traces[-1].h == 1.0 and l.corner_rounds == 0
+        assert full_at_a_built_corner > 5 and len(solves) > 100
+
     def test_exact_root_at_zero_is_returned_without_evaluating(self):
         def fd(h):
             raise AssertionError(f"evaluated at {h}")
@@ -527,6 +568,110 @@ class TestCornerSolve:
         # a cell is made on every call, zero rounds and Newton steps included;
         # corner residuals are built by module functions instead
         assert fn.__code__.co_cellvars == ()
+
+
+class TestScaledState:
+    """The one-game variants hold beta = a u: a reset by assigning beta, a
+    scale that would underflow folded into u, and iterates that stay at
+    float noise from a replay on the plain fraction."""
+
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin])
+    def test_assigning_beta_resets_the_scale(self, cls):
+        l = cls(3)
+        fuzz_rounds(l, 60, seed=3, loss_hi=0.5)
+        zero = np.zeros(3)
+        for v in (np.array([0.1, -0.2, 0.05]), np.array([0.4, 0.0, 0.0])):
+            l.beta = v
+            assert l.beta is v
+            assert l.predict().tobytes() == (v * l.wealth).tobytes()
+            assert l.step(1.0, zero).tobytes() == (v * l.wealth).tobytes()
+
+    def test_assigning_the_kept_array_again_drops_the_held_iterate(self):
+        # the shrink branch keeps u, the array assigned last, and changes a
+        # alone; assigning that array again changes the state
+        l = ImplicitCoin(3)
+        v = np.array([0.4, 0.0, 0.0])
+        l.beta = v
+        w = l.step(10.0, np.array([-0.5, 0.0, 0.0]))
+        assert 0.0 < l.beta[0] < 0.4 and l.step(1.0, np.zeros(3)) is w
+        l.beta = v
+        assert l.step(1.0, np.zeros(3)).tobytes() == (v * l.wealth).tobytes()
+
+    def test_a_shrink_by_a_factor_zero_folds_into_u(self):
+        # 1 - 2 gain eta ||g|| is exactly 0 at 1/eta = 18 and ||g|| = 1: the
+        # fraction vanishes and the next small-branch round divides by a new
+        # scale, not by 0
+        traces = []
+        l = ImplicitCoin(1, trace_cb=traces.append)
+        l.beta = np.array([0.4])
+        assert l.step(10.0, np.array([-1.0])).tobytes() == np.zeros(1).tobytes()
+        assert l.beta[0] == 0.0 and l._a == 1.0
+        for g in ([-1.0], [0.5], [-0.25]):
+            state = (l.beta.copy(), float(l.wealth), float(l.inv_eta))
+            w_next = l.step(10.0, np.array(g))
+            assert traces[-1].h == 1.0 and np.all(np.isfinite(w_next))
+            np.testing.assert_allclose(w_next, closed_form_w_next(*state, np.array(g), 1.0),
+                                       rtol=1e-12)
+
+    def test_a_scale_below_the_fold_folds_into_u(self):
+        # with 1/eta pinned just above 2 g.g, each projected round scales a
+        # by about 2^-50: without the fold a^2 u.u would underflow within 11
+        # rounds and a itself within 22
+        l = ProjectedImplicitCoin(2)
+        g = np.array([0.6, -0.8])
+        folds = 0
+        for i in range(40):
+            l.inv_eta = 2.0 * (1.0 + 2.0 ** -50)
+            state = (l.beta.copy(), float(l.wealth), float(l.inv_eta))
+            scale = l._a
+            w_next = l.step(10.0, g if i % 3 else -g)
+            folds += l._a == 1.0 and scale != 1.0
+            assert 2.0 ** -500 < l._a <= 1.0 and np.all(np.isfinite(w_next))
+            np.testing.assert_allclose(
+                w_next, closed_form_w_next(*state, g if i % 3 else -g, 1.0, projected=True),
+                rtol=1e-9)
+        assert folds >= 3
+
+    def test_a_step_scale_of_zero_folds_into_u(self):
+        # 1/eta set to 2 g.g makes the unprojected step's scale 1 - eta k2
+        # exactly 0
+        l = ProjectedImplicitCoin(2)
+        l.beta = np.array([0.1, 0.2])
+        l.inv_eta = 2.0
+        g = np.array([0.6, -0.8])
+        state = (l.beta.copy(), float(l.wealth), float(l.inv_eta))
+        w_next = l.step(10.0, g)
+        np.testing.assert_allclose(w_next, closed_form_w_next(*state, g, 1.0, projected=True),
+                                   rtol=1e-15)
+        assert l._a == 1.0 and np.all(np.isfinite(l.step(10.0, -g)))
+
+    @pytest.mark.parametrize("stream", ["c1", "alternating", "persistent"])
+    @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin])
+    def test_long_stream_stays_at_float_noise_of_the_plain_replay(self, cls, stream):
+        dim = 8
+        traces = []
+        l = cls(dim, trace_cb=traces.append)
+        rng = np.random.default_rng(89)
+        X = rng.normal(size=(100, dim))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        if stream == "c1":  # corners on most rounds
+            G, U = c1_stream(83, dim, rounds=20000, drift=True)
+            drive_c1(l, G, U)
+            assert sum(0.0 < tr.h < 1.0 for tr in traces) > 10000
+        elif stream == "alternating":  # x, -x, next row, ...: w swings through 0
+            for t in range(20000):
+                l.step(0.3, X[t // 2 % 100] * (1.0 if t % 2 == 0 else -1.0))
+        else:  # a coin of norm below 1 pushing three rows in turn, to the ball
+            for t in range(400):
+                l.step(1e300, -(0.5 + 0.3 * math.sin(t)) * X[t // 40 % 3])
+            norms = [float(np.linalg.norm(tr.beta_next)) for tr in traces]
+            if cls is ImplicitCoin:  # the shrink branch
+                assert sum(n >= SHRINK_THRESHOLD for n in norms) > 5
+            else:  # the projection
+                assert sum(n > 0.5 - 1e-12 for n in norms) > 50
+        W = np.array([tr.w_next for tr in traces])
+        gap = np.max(np.abs(W - np.array(plain_replay(cls, dim, traces))))
+        assert gap <= 1e-10 * np.max(np.abs(W))
 
 
 class TestWealthBookkeeping:

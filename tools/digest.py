@@ -21,9 +21,11 @@ the counters and the final state.
 
 With --compare, both trees are loaded in this one process and play the same
 streams. Each stream prints "identical", or the first round where the two
-differ with the largest relative iterate gap (max |w - w'| / max |w'| over a
-round, the largest over the stream) and the largest |h - h'|. The exit code
-is 1 when any stream differs.
+differ with the relative iterate gap (the largest |w - w'| over the stream
+over the largest |w'| over the stream, so a round whose iterate is near 0
+does not inflate it) and, for a traced stream, the largest |h - h'|. A line
+after the streams gives the largest of both over all differing streams. The
+exit code is 1 when any stream differs.
 
 With --cli, it runs `cli.main` of each tree instead: every algorithm with
 --task reg and with --task clf, --check-bounds for all and --trace-wealth
@@ -154,26 +156,33 @@ def stream_digest(rounds, final):
 
 
 def gaps(rounds, other):
-    """(first differing round or None, largest relative iterate gap, largest
-    |delta h|) of two plays of one stream."""
-    first, rel, dh = None, 0.0, 0.0
+    """(first differing round or None, relative iterate gap, largest |delta h|
+    or None for an untraced stream) of two plays of one stream. The gap is
+    the largest |w - w'| over the largest |w'| of the stream."""
+    first, gap, scale, dh = None, 0.0, 0.0, None
     for k, ((data, w, h), (data_o, w_o, h_o)) in enumerate(zip(rounds, other), start=1):
         if data != data_o and first is None:
             first = k
-        scale = float(np.max(np.abs(w_o)))
-        gap = float(np.max(np.abs(w - w_o)))
-        if gap:
-            rel = max(rel, gap / scale if scale else float("inf"))
+        scale = max(scale, float(np.max(np.abs(w_o))))
+        gap = max(gap, float(np.max(np.abs(w - w_o))))
         if h is not None:
-            dh = max(dh, abs(h - h_o))
-    return first, rel, dh
+            dh = max(dh or 0.0, abs(h - h_o))
+    if gap:
+        gap = gap / scale if scale else float("inf")
+    return first, gap, dh
 
 
-def print_cases(names, cases, noun, out):
+def describe_gap(rel, dh):
+    return f"largest relative iterate gap {rel:.3g}" + (
+        "" if dh is None else f", largest |dh| {dh:.3g}")
+
+
+def print_cases(names, cases, noun, out, summary=None):
     """Print, to out (standard output when None), one line per case with
     its name, the digest of each tree in names and, for two trees,
-    "identical" or how they differ; then each tree's digest over all cases
-    and, for two trees, a summary. cases yields (name, tree -> sha256,
+    "identical" or how they differ; then the line summary() returns, if
+    summary is given and returns one; then each tree's digest over all
+    cases and, for two trees, a count. cases yields (name, tree -> sha256,
     difference or None); noun names the cases. Returns the number of cases
     that differ."""
     totals = {n: hashlib.sha256() for n in names}
@@ -185,6 +194,9 @@ def print_cases(names, cases, noun, out):
         if len(names) == 2:
             differ += difference is not None
             line += "  identical" if difference is None else f"  {difference}"
+        print(line, file=out)
+    line = summary() if summary is not None else None
+    if line is not None:
         print(line, file=out)
     for n in names:
         print(f"sha256 {totals[n].hexdigest()}  {n}", file=out)
@@ -198,6 +210,7 @@ def report(trees, out=None):
     in trees (name -> package) and, for two trees, each stream's comparison;
     returns the number of streams that differ."""
     names = list(trees)
+    worst = []  # (relative gap, |dh| or None) of every differing stream
 
     def cases():
         for name, *stream in streams():
@@ -208,11 +221,18 @@ def report(trees, out=None):
                 first, rel, dh = gaps(rounds, rounds_o)
                 if first is not None or final != final_o:
                     where = f"round {first}" if first is not None else "the counters or final state"
-                    difference = (f"differs from {where}: largest relative iterate gap "
-                                  f"{rel:.3g}, largest |dh| {dh:.3g}")
+                    difference = f"differs from {where}: {describe_gap(rel, dh)}"
+                    worst.append((rel, dh))
             yield name, {n: stream_digest(*plays[n]) for n in names}, difference
 
-    return print_cases(names, cases(), "streams", out)
+    def summary():
+        if not worst:
+            return None
+        dhs = [dh for _, dh in worst if dh is not None]
+        return (f"over the {len(worst)} differing streams: "
+                + describe_gap(max(rel for rel, _ in worst), max(dhs) if dhs else None))
+
+    return print_cases(names, cases(), "streams", out, summary)
 
 
 CLI_ALGORITHMS = ("sgd", "aprox", "iwa", "coin", "cocob", "implicit-coin",
@@ -321,9 +341,10 @@ def main(argv=None):
     parser.add_argument("--compare", metavar="OTHER_SRC",
                         help="a second source tree, played on the same streams")
     args = parser.parse_args(argv)
-    trees = {args.src: load_tree(args.src, "_digest_this")}
+    # keyed by role, so a tree compared with itself is still two trees
+    trees = {"this": load_tree(args.src, "_digest_this")}
     if args.compare:
-        trees[args.compare] = load_tree(args.compare, "_digest_other")
+        trees["other"] = load_tree(args.compare, "_digest_other")
     if not args.cli:
         return 1 if report(trees) else 0
     with tempfile.TemporaryDirectory() as workdir:
