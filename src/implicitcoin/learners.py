@@ -12,29 +12,27 @@ the loss, and it is exactly the loss at h = 0.
 
 A round checks its input with `losses.round_input`, the one check of every
 algorithm, and bounds the norm from the g.g it returns (from |g| for the
-per-coordinate variant, which reads the example's abs_x and abs_max when g
-is the example's own x or neg_x); a zero gradient returns at once.
-Otherwise it takes f(1), the residual of the full round, from dq(1) and
-commits at h = 1 if f(1) >= 0; else `solve_corner`, safeguarded Newton
-inside the bracket, finds h on a residual that a module function builds on
-corner rounds only, so no per-round function holds a closure cell:
-`_poly_residual` (for `ImplicitCoin`, the residual times its positive
-denominator, a cubic evaluated by Horner), `_projected_residual` and
-`_cw_residual` (into buffers allocated once per corner).
+per-coordinate variant, which reads the example's abs_x, abs_max and sq_x
+when g is its x or neg_x); a zero gradient returns at once. Otherwise it
+commits at h = 1 if f(1), the residual of the full round, is >= 0; else
+`solve_corner`, safeguarded Newton inside the bracket, finds h on a
+residual built on corner rounds only, so no per-round function holds a
+closure cell: `_poly_residual` (for `ImplicitCoin`, the residual times its
+positive denominator, a Horner cubic), `_projected_residual` and
+`_CwCorner` (the per-coordinate cubics, on buffers held by the learner).
 
 The one-game state is scaled (see `_BettingCoin`): a full round is two
 dots, one axpy (`_step_scaled`, the unprojected step as a function of h)
-and one scale. `_cw_beta` is the per-coordinate update. Traced and untraced
-rounds run the same arithmetic; the trace record is built from values the
-round computed anyway (beta and beta_next as a u, on traced rounds only).
+and one scale. Traced and untraced rounds run the same arithmetic; the
+trace record is built from values the round computed anyway (beta and
+beta_next as a u, on traced rounds only).
 
 The learner holds the iterate it last returned with the state it came from,
 the (u, wealth) objects of a one-game variant (a move makes a new wealth;
 assigning beta drops the hold) or the (beta, wealth) of the per-coordinate
 one. A round that does not move (h = 0: a zero gradient, or a corner at the
-anchor) returns that held array while the state is unchanged, so it
-allocates nothing; a trace record's w and total wealth before the round
-come from the same hold.
+anchor) returns that held array while the state is unchanged; a trace
+record's w (and cw's total wealth) before the round come from the hold.
 
 A learner never writes into an array it has stored, returned or been
 given, so trace records share arrays with the learner and the caller
@@ -76,21 +74,15 @@ _FOLD_BELOW = 2.0 ** -500
 
 _SMALL_SQ = SHRINK_THRESHOLD * SHRINK_THRESHOLD
 
-# The per-coordinate corner residual's numerator N = dq - h q s and
-# denominator D = 1 + (h-1) q are cubics in h, since dq(h) = h gA + h^2 gB.
-# Row 2k (2k+1) holds the h^k coefficient of N (D) over the basis
-# (1, s, s^2, gA, gA s, gB, gB s); every entry is 0 or +-1 and no row has
-# more than two nonzero entries, so the product has the bits of the
-# elementwise sums.
+# The per-coordinate residual's N = dq - h q s and D = 1 + (h-1) q are cubics:
+# dq(h) = -h (e + 4 e s) + 2 h^2 e s on the small branch (e = g^2 / inv_eta),
+# -h c s on the shrink one (c = 2 gain |g| / inv_eta). Rows 2k, 2k+1 hold the h^k
+# coefficients of N, D over (1, s, s^2, e, e s, e s^2, c s, c s^2), e 0 where c is not.
 _CW_COEFFS = np.array((
-    (0, 0, 0, 0, 0, 0, 0),     # N: h^0
-    (1, -1, 0, 0, 0, 0, 0),    # D: 1 - s
-    (0, 0, -1, 1, 0, 0, 0),    # N: h^1, gA - s^2
-    (0, 1, 0, -1, 0, 0, 0),    # D: s - gA
-    (0, 0, 0, 0, -1, 1, 0),    # N: h^2, gB - gA s
-    (0, 0, 0, 1, 0, -1, 0),    # D: gA - gB
-    (0, 0, 0, 0, 0, 0, -1),    # N: h^3, -gB s
-    (0, 0, 0, 0, 0, 1, 0),     # D: gB
+    (0, 0, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0, 0),       # h^0
+    (0, 0, -1, -1, -4, 0, -1, 0), (0, 1, 0, 1, 4, 0, 1, 0),    # h^1
+    (0, 0, 0, 0, 3, 4, 0, 1), (0, 0, 0, -1, -6, 0, -1, 0),     # h^2
+    (0, 0, 0, 0, 0, -2, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0),       # h^3
 ), dtype=np.float64)
 
 
@@ -219,21 +211,9 @@ def _projected_dq(h, gg, s, bb, eta):
     return (s + step) / scale - s, (dstep * scale - (s + step) * dscale) / (scale * scale)
 
 
-def _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h):
-    """Per-coordinate beta_next(h) and 1/eta increment: inc is 2 g^2 h (2 - h)
-    where |beta| is small and 2 gain |g| h elsewhere, and beta_next =
-    beta - (inc beta + h g [small]) / inv_eta. small is None when every
-    coordinate is small. At h = 1, h g is g, so a full round skips that
-    product."""
-    inc = (2.0 * h * (2.0 - h)) * gsq
-    if small is not None:
-        inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
-    return beta - (inc * beta + (gsmall if h == 1.0 else h * gsmall)) / inv_eta, inc
-
-
 # -- corner residuals, built per corner round ----------------------------------
-# Each returns fd(h) -> (residual, slope) for `solve_corner`, with the round's
-# scalars (and arrays) in its closure, so the steps hold no closure cell.
+# Each gives fd(h) -> (residual, slope) for `solve_corner`, with the round's
+# scalars (and arrays) in a closure made outside the steps, which hold no cell.
 
 def _poly_residual(loss, s, wealth, dA, dB):
     """The one-game corner residual times its denominator D = 1 + (h-1) q > 0
@@ -265,44 +245,62 @@ def _projected_residual(loss, s, wealth, gg, bb, eta):
     return fd
 
 
-def _cw_residual(loss, wealth, inv_eta, ones, s, gsq, ag, small):
-    """loss + sum_i W_i N_i / D_i and its slope for the per-coordinate
-    games. dq(h) = h gA + h^2 gB on both branches, so one (2, 4) @ (4, 2d)
-    product with the powers of h and their slopes gives N, D, N' and D' (see
-    _CW_COEFFS). Every evaluation writes into the same buffers, whose fixed
-    views are N, D, N' and D', so it builds no array."""
-    eta = ones / inv_eta
-    gB = (eta + eta) * gsq * s  # 2 eta g^2 s on the small branch, else 0
-    if small is not None:
-        gB *= small
-    gA = -eta * gsq - (gB + gB)
-    if small is not None:
-        gA = np.where(small, gA, (-2.0 * SHRINK_GAIN) * eta * ag * s)
-    d = s.size
-    K = _CW_COEFFS.dot(np.array((ones, s, s * s, gA, gA * s, gB, gB * s)))
-    K = K.reshape(4, 2 * d)
-    powers = np.zeros((2, 4))  # rows (1, h, h^2, h^3) and their slopes
-    powers[0, 0] = powers[1, 1] = 1.0
-    r = np.empty((2, 2 * d))
-    num, den, dnum, dden = r[0, :d], r[0, d:], r[1, :d], r[1, d:]
-    q, slope = np.empty(d), np.empty(d)  # N / D and (N' - q D') / D
-    dot, divide, multiply, subtract = np.dot, np.divide, np.multiply, np.subtract
+class _CwCorner:
+    """The per-coordinate corner residual: closures over buffers allocated
+    once per learner, pickled as the dimension d. build(loss, wealth, s, gsq,
+    inv_eta, ag, small) sets K, the cubics' coefficients, in one product
+    (small is None when every coordinate is small); fd(h) -> (loss + sum_i
+    W_i N_i / D_i, its slope) is a (2d, 4) @ (4, 2) product with the powers of
+    h, a complex and a real division and a complex dot. N + i EPS N' over D +
+    i EPS D' (EPS = 2^-600) is N / D + i EPS (N' - (N / D) D') / D, as EPS^2
+    terms underflow; numpy takes its real part as N * (1 / D), so the real
+    division overwrites that with the bits of N / D."""
 
-    def fd(h):
-        hh = h * h
-        powers[0, 1] = h
-        powers[0, 2] = hh
-        powers[0, 3] = hh * h
-        powers[1, 2] = 2.0 * h
-        powers[1, 3] = 3.0 * hh
-        dot(powers, K, out=r)
-        divide(num, den, out=q)
-        multiply(q, dden, out=slope)
-        subtract(dnum, slope, out=slope)
-        divide(slope, den, out=slope)
-        return loss + float(wealth.dot(q)), float(wealth.dot(slope))
+    __slots__ = ("d", "build", "fd")
 
-    return fd
+    def __init__(self, d):
+        basis = np.ones((8, d))  # over _CW_COEFFS' columns
+        basis[6:] = 0.0  # c s and c s^2, set on mixed corners only
+        _, row_s, row_ss, row_e, row_es, row_ess, row_cs, row_css = basis
+        K, powers, pairs = np.empty((8, d)), np.zeros((4, 2)), np.empty((2 * d, 2))
+        KT, p = K.reshape(4, 2 * d).T, powers.reshape(8)  # KT row i: N_i's, row d + i: D_i's
+        eps = 2.0 ** -600
+        powers[0, 0], powers[1, 1] = 1.0, eps  # row k: h^k and EPS times its slope
+        nd = pairs.view(np.complex128).reshape(2 * d)  # N_i + i EPS N_i', then the D_i
+        num, den, num_real, den_real = nd[:d], nd[d:], pairs[:d, 0], pairs[d:, 0]
+        q, w = np.empty(d, np.complex128), np.zeros(d, np.complex128)  # w: W + 0i
+        q_real, w_real, loss = q.real, w.real, [0.0]
+        dot, divide, multiply = np.dot, np.divide, np.multiply
+        eps2, eps3, scale = 2.0 * eps, 3.0 * eps, 1.0 / eps
+
+        def build(loss_value, wealth, s, gsq, inv_eta, ag, small):
+            row_s[:] = s
+            multiply(s, s, row_ss)
+            e = divide(gsq, inv_eta, row_e)
+            if small is not None:  # e on the small coordinates, c s on the others
+                e *= small
+                multiply(np.where(small, 0.0, (2.0 * SHRINK_GAIN) * ag) / inv_eta, s, row_cs)
+                multiply(row_cs, s, row_css)
+            multiply(e, s, row_es)
+            multiply(row_es, s, row_ess)
+            dot(_CW_COEFFS, basis, K)
+            if small is not None:
+                basis[6:] = 0.0
+            w_real[:], loss[0] = wealth, loss_value
+
+        def fd(h):
+            hh = h * h
+            p[2], p[4], p[5], p[6], p[7] = h, hh, eps2 * h, hh * h, eps3 * hh
+            dot(KT, powers, pairs)
+            divide(num, den, q)
+            divide(num_real, den_real, q_real)
+            z = complex(dot(q, w))
+            return loss[0] + z.real, z.imag * scale
+
+        self.d, self.build, self.fd = d, build, fd
+
+    def __reduce__(self):
+        return _CwCorner, (self.d,)
 
 
 class _Coin:
@@ -494,19 +492,18 @@ class ImplicitCoin(_BettingCoin):
 
 class CoordinateImplicitCoin(_Coin):
     """Per-coordinate closed-form variant: every coordinate runs its own 1-d
-    betting game, coupled only through the shared corner scalar h, which is
-    found by `solve_corner`. The unit bound is on the largest gradient
-    entry."""
+    betting game, coupled only through the shared corner scalar h, found by
+    `solve_corner`. The unit bound is on the largest gradient entry."""
 
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
 
     def __init__(self, dim, trace_cb=None):
         super().__init__(dim, trace_cb)
-        # per-coordinate constants, so the round multiplies and compares
-        # arrays with arrays
+        # per-coordinate constants: the round multiplies and compares arrays
         self._ones = np.ones(self.dim)
         self._threshold = np.full(self.dim, SHRINK_THRESHOLD)
+        self._corner = _CwCorner(self.dim)
 
     def _per_game(self, value):
         return np.full(self.dim, value)
@@ -517,49 +514,56 @@ class CoordinateImplicitCoin(_Coin):
     def step(self, loss_value, g, ex=None):
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         if ex is not None and (g is ex.x or g is ex.neg_x):
-            ag, nrm = ex.abs_x, ex.abs_max
+            ag, nrm, gsq = ex.abs_x, ex.abs_max, ex.sq_x
         elif gg == 0.0 and ((ex is not None and g is ex.zero) or not np.count_nonzero(g)):
             # a zero gradient builds no |g|; g.g underflows for tiny entries,
             # so only every entry 0 (a nan entry is nonzero) makes one
             nrm = 0.0
         else:
-            ag = np.abs(g)
+            ag, gsq = np.abs(g), g * g
             nrm = float(ag[ag.argmax()])  # the first nan, if there is one
         if nrm == 0.0:
             return self._stay(loss_value, g, None)
-        if self._excess(nrm):
+        if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
-            ag = np.abs(g)
+            ag, gsq = np.abs(g), g * g
 
+        # beta_next(h) = beta - (inc beta + h g [small]) / inv_eta, inc = 2 g^2 h (2 - h)
+        # where |beta| is small, 2 gain |g| h elsewhere (small is None if all are)
         beta, wealth, inv_eta = self.beta, self.wealth, self.inv_eta
         s = g * beta
+        inc = gsq + gsq  # at h = 1
         small = np.abs(beta) < self._threshold
-        gsq = g * g
         if np.count_nonzero(small) == self.dim:
-            # every coordinate on the small branch: a mask of ones, which
-            # g * small and np.where would only copy through
             small, gsmall = None, g
         else:
             gsmall = g * small
-        beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, 1.0)
-        # f(1) = loss + sum W (dq - (s + dq) s), dq = g beta_next - s, summed
-        # as sum W (1 - s) g beta_next - sum W s to share W (1 - s) with the
-        # commit
+            inc = np.where(small, inc, (2.0 * SHRINK_GAIN) * ag)
+        beta_next = beta - (inc * beta + gsmall) / inv_eta
+        held = self._held  # w (the bits of beta * wealth) unless the state was replaced
+        w = held[2] if held[0] is beta and held[1] is wealth else beta * wealth
         wealth_next = wealth * (self._ones - s)  # the bits of 1.0 - s
-        f1 = loss_value + float(wealth_next.dot(g * beta_next)) - float(wealth.dot(s))
+        w_next = beta_next * wealth_next
+        f1 = loss_value + float(g.dot(w_next)) - float(g.dot(w))  # loss + <g, w_next - w>
         h, evals = 1.0, None
         if f1 < 0.0:  # the full round would cross the corner
-            fd = _cw_residual(loss_value, wealth, inv_eta, self._ones, s, gsq, ag, small)
-            h, evals = solve_corner(fd, loss_value, f1)
+            self._corner.build(loss_value, wealth, s, gsq, inv_eta, ag, small)
+            h, evals = solve_corner(self._corner.fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
                 return self._stay(loss_value, g, evals)
-            beta_next, inc = _cw_beta(beta, inv_eta, small, gsq, ag, gsmall, h)
+            inc = (2.0 * h * (2.0 - h)) * gsq
+            if small is not None:
+                inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
+            beta_next = beta - (inc * beta + h * gsmall) / inv_eta
             wealth_next /= self._ones + (h - 1.0) * (g * beta_next)
-        total = float(np.add.reduce(wealth_next))
-        if not total < math.inf:
-            raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
-        held = self._held
-        w_next = beta_next * wealth_next
+            w_next = beta_next * wealth_next
+        # summed for a record or a corner only: a finite f(1) >= 0 bounds every
+        # wealth_next entry (an infinite one makes <g, w_next> infinite or nan)
+        trace_cb, total = self.trace_cb, None
+        if evals is not None or trace_cb is not None or not f1 < math.inf:
+            total = float(np.add.reduce(wealth_next))  # the bits of wealth_next.sum()
+            if not total < math.inf:
+                raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
         self._held = (beta_next, wealth_next, w_next, total)
         self.beta = beta_next
         self.wealth = wealth_next
@@ -568,15 +572,10 @@ class CoordinateImplicitCoin(_Coin):
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
-        if self.trace_cb is not None:
-            # w (same bits as beta * wealth) and the total wealth before the
-            # round: held unless the state was replaced since
-            if held[0] is beta and held[1] is wealth:
-                w, total_before = held[2], held[3]
-            else:  # np.add.reduce has the bits of wealth.sum()
-                w, total_before = beta * wealth, float(np.add.reduce(wealth))
-            self.trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta,
-                                    beta_next, total_before, total))
+        if trace_cb is not None:  # the total wealth before the round, if held with w
+            before = held[3] if held[2] is w and held[3] is not None else np.add.reduce(wealth)
+            trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta, beta_next,
+                               float(before), total))
         return w_next
 
     def _stay(self, loss_value, g, evals):
@@ -586,13 +585,14 @@ class CoordinateImplicitCoin(_Coin):
         if held[0] is beta and held[1] is wealth:
             w, total = held[2], held[3]
         else:
-            w, total = beta * wealth, float(np.add.reduce(wealth))
-            self._held = (beta, wealth, w, total)
+            w, total = beta * wealth, None
+            self._held = (beta, wealth, w, None)
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
         if self.trace_cb is not None:
+            total = float(np.add.reduce(wealth)) if total is None else total
             self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
                                     total, total))
         return w

@@ -12,8 +12,9 @@ computed once and one zero row shared by every example.
 
 An example also carries the statistics its gradients' input checks read:
 sq_norm, x.x (the bits of (-x).(-x) as well), and for the per-coordinate
-learner abs_x, the read-only |x| (the same for -x), and abs_max, its largest
-entry (nan if an entry is nan). `round_input`, the one input check of every
+learner abs_x, the read-only |x| (the same for -x), abs_max, its largest
+entry (nan if an entry is nan), and sq_x, the read-only x * x (the bits of
+(-x) * (-x)). `round_input`, the one input check of every
 algorithm's step, reads sq_norm only when g is the example's own x or
 neg_x, and takes g = ex.zero as g.g = 0; any other gradient is measured
 afresh.
@@ -45,8 +46,8 @@ class LabeledExample:
 
     x is the example's own read-only copy of the features; neg_x (-x, the
     same bits as -1.0 * x) and zero are built with it and are read-only too,
-    as are the input-check statistics sq_norm (x.x), abs_x (|x|) and abs_max
-    (its largest entry).
+    as are the statistics sq_norm (x.x), abs_x (|x|), abs_max (its largest
+    entry) and sq_x (x * x).
     """
 
     x: np.ndarray
@@ -56,6 +57,7 @@ class LabeledExample:
     sq_norm: float = field(init=False, repr=False, compare=False)
     abs_x: np.ndarray = field(init=False, repr=False, compare=False)
     abs_max: float = field(init=False, repr=False, compare=False)
+    sq_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=np.float64))
@@ -69,6 +71,7 @@ class LabeledExample:
         object.__setattr__(self, "sq_norm", float(x.dot(x)))
         object.__setattr__(self, "abs_x", abs_x)
         object.__setattr__(self, "abs_max", float(abs_x.max(initial=0.0)))
+        object.__setattr__(self, "sq_x", _read_only(x * x))
 
 
 # bound here, so a wrapper installed as `losses.LabeledExample` (a tracer, a
@@ -83,8 +86,8 @@ def labeled_examples(X, y):
     rows of those two matrices, and every example shares one read-only zero
     row. The statistics are taken for all rows at once: x.x as stacked
     matmul row dots, which run the per-row x.dot(x) kernel (np.einsum sums in
-    another order and differs in the last bit), and |X| with its row
-    maxima."""
+    another order and differs in the last bit), |X| with its row maxima, and
+    X * X."""
     X = _read_only(np.array(X, dtype=np.float64))
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError(f"need a 2-d feature matrix with one target per row, "
@@ -94,13 +97,14 @@ def labeled_examples(X, y):
     sq_norms = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0].tolist()
     abs_X = _read_only(np.abs(X))
     abs_maxes = abs_X.max(axis=1, initial=0.0).tolist()
+    sq_X = _read_only(X * X)
     new = object.__new__
     examples = []
-    for x, neg_x, target, sq_norm, abs_x, abs_max in zip(X, neg, y, sq_norms,
-                                                         abs_X, abs_maxes):
+    for x, neg_x, target, sq_norm, abs_x, abs_max, sq_x in zip(X, neg, y, sq_norms, abs_X,
+                                                               abs_maxes, sq_X):
         ex = new(_LabeledExample)
-        ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero,
-                           sq_norm=sq_norm, abs_x=abs_x, abs_max=abs_max)
+        ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero, sq_norm=sq_norm,
+                           abs_x=abs_x, abs_max=abs_max, sq_x=sq_x)
         examples.append(ex)
     return examples
 

@@ -8,9 +8,10 @@ is the cubic (or quadratic) whose roots are `ImplicitCoin`'s corner h.
 round from public pieces on a plain fraction, `closed_form_w_next` gives its
 iterate, `plain_replay` replays a whole traced stream with it, and
 `wealth_update` is its multiplicative wealth step;
-`coordinate_w_next` replays a `CoordinateImplicitCoin` round one coordinate
-at a time. `fold_all` runs a
-diagnostics fold over a list of traces. The `Reference*` folds and
+`coordinate_step` replays a `CoordinateImplicitCoin` round one coordinate
+at a time, `coordinate_w_next` gives its iterate, and `coordinate_rounds`
+plays a whole stream with it, for rounds that every learner is asked
+alike. `fold_all` runs a diagnostics fold over a list of traces. The `Reference*` folds and
 `reference_wealth_trace` are the diagnostics in their plain form, with
 `np.linalg.norm`, `@` and f-strings and nothing shared between records or
 folds; the diagnostics must give the same reports and bytes.
@@ -126,11 +127,11 @@ def plain_replay(cls, dim, records):
     return iterates
 
 
-def coordinate_w_next(beta, wealth, inv_eta, g, h):
-    """`CoordinateImplicitCoin`'s next iterate and 1/eta when g is scaled by
-    h: every coordinate plays its own one-dimensional game, on the small
-    branch while |beta_i| < SHRINK_THRESHOLD and shrunk otherwise."""
-    w_next, inv_eta_next = np.empty(len(beta)), np.empty(len(beta))
+def coordinate_step(beta, wealth, inv_eta, g, h):
+    """`CoordinateImplicitCoin`'s next (beta, wealth, 1/eta) when g is
+    scaled by h: every coordinate plays its own one-dimensional game, on the
+    small branch while |beta_i| < SHRINK_THRESHOLD and shrunk otherwise."""
+    beta_next, wealth_next, inv_eta_next = (np.empty(len(beta)) for _ in range(3))
     for i, (gi, bi, wi, ii) in enumerate(zip(g, beta, wealth, inv_eta)):
         gp = h * gi
         if abs(bi) < SHRINK_THRESHOLD:
@@ -139,9 +140,46 @@ def coordinate_w_next(beta, wealth, inv_eta, g, h):
         else:
             inc = 2.0 * SHRINK_GAIN * abs(gp)
             nb = bi * (1.0 - inc / ii)
-        w_next[i] = nb * wi * (1.0 - gi * bi) / (1.0 + (h - 1.0) * gi * nb)
+        beta_next[i] = nb
+        wealth_next[i] = wi * (1.0 - gi * bi) / (1.0 + (h - 1.0) * gi * nb)
         inv_eta_next[i] = ii + inc
-    return w_next, inv_eta_next
+    return beta_next, wealth_next, inv_eta_next
+
+
+def coordinate_w_next(beta, wealth, inv_eta, g, h):
+    """The next iterate and 1/eta of `coordinate_step`."""
+    beta_next, wealth_next, inv_eta_next = coordinate_step(beta, wealth, inv_eta, g, h)
+    return beta_next * wealth_next, inv_eta_next
+
+
+def coordinate_rounds(G, U, h_tol=1e-13):
+    """The (beta, wealth, 1/eta, loss, g) of every nonzero-gradient round of
+    the stream G, U (losses alternating between 10 u and u at the scale of
+    the tentative step) played by `coordinate_step`, with the corner h of
+    each round found by bisecting loss + <g, w_next(h) - w> to h_tol: rounds
+    that do not depend on the learner under test."""
+    d = G.shape[1]
+    beta, wealth, inv_eta = np.zeros(d), np.ones(d), np.full(d, 2.0 * SHRINK_GAIN)
+    rounds = []
+    for i, (g, u) in enumerate(zip(G, U)):
+        if not np.any(g):
+            continue
+        loss = 10.0 * u if i % 2 == 0 else (
+            u * 2.0 * float(g @ g) * float(np.sum(wealth)) / float(np.min(inv_eta)))
+        rounds.append((beta, wealth, inv_eta, loss, g))
+        w = beta * wealth
+
+        def residual(h):
+            return loss + float(g @ (coordinate_w_next(beta, wealth, inv_eta, g, h)[0] - w))
+
+        lo, hi = 0.0, 1.0
+        if residual(1.0) >= 0.0:
+            lo = 1.0
+        while hi - lo > h_tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if residual(mid) >= 0.0 else (lo, mid)
+        beta, wealth, inv_eta = coordinate_step(beta, wealth, inv_eta, g, lo)
+    return rounds
 
 
 def closed_form_residual(beta, wealth, inv_eta, loss, g):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from implicitcoin.learners import (CORNER_WIDTH_ULPS, CoordinateImplicitCoin,
 from implicitcoin.rootsolve import bisect, roots_in_unit
 from implicitcoin.truncated import TruncatedModel, linear_residual, make_pair
 from reference import (closed_form_corner_poly, closed_form_residual,
-                       closed_form_w_next, coordinate_w_next, plain_replay,
-                       wealth_update)
+                       closed_form_w_next, coordinate_rounds, coordinate_w_next,
+                       plain_replay, wealth_update)
 
 # a bisection of [0, 1] to this tolerance stops at float resolution
 FULL_BRACKET_TOL = 1e-18
@@ -841,6 +842,94 @@ class TestCoordinateMatchesReference:
                     tr.g @ (coordinate_w_next(*state, tr.g, h)[0] - w)), 0.0, 1.0, 1e-9)
                 assert abs(tr.h - h_ref) <= 1e-6
         assert seen["full"] >= 5 and seen["corner"] >= 20
+
+
+def coordinate_residual(beta, wealth, inv_eta, loss, g):
+    """The fd(h) of a `CoordinateImplicitCoin` corner round from this state,
+    built as its step builds it."""
+    small = np.abs(beta) < SHRINK_THRESHOLD
+    corner = learners._CwCorner(len(beta))
+    corner.build(loss, wealth, g * beta, g * g, inv_eta, np.abs(g),
+                 None if small.all() else small)
+    return corner.fd
+
+
+class TestCoordinateResidual:
+    """The per-coordinate corner residual against the reference round: its
+    value is loss + <g, w_next(h) - w> with w_next from `coordinate_w_next`,
+    to 1e-12 of the terms that sum cancels, and its slope is a centred
+    difference of its values, on states whose coordinates are all small,
+    mixed or all on the shrink branch."""
+
+    @staticmethod
+    def state(rng, d, kind):
+        small, shrink = rng.uniform(0.0, 0.37, size=d), rng.uniform(0.38, 0.5, size=d)
+        radius = {"small": small, "shrink": shrink,  # mixed: half on each branch
+                  "mixed": np.where(np.arange(d) % 2 == 0, small, shrink)}[kind]
+        beta = radius * rng.choice([-1.0, 1.0], size=d)
+        wealth = np.exp(rng.uniform(-3.0, 3.0, size=d))
+        inv_eta = rng.uniform(18.0, 500.0, size=d)
+        g = rng.normal(size=d)
+        g *= rng.uniform(0.1, 1.0) / np.max(np.abs(g))
+        loss = rng.uniform(0.0, 2.0) * float(wealth.sum()) / float(inv_eta.min())
+        return beta, wealth, inv_eta, loss, g
+
+    @pytest.mark.parametrize("d,kind", [(1, "small"), (1, "shrink"), (4, "small"),
+                                        (4, "mixed"), (4, "shrink"), (21, "small"),
+                                        (21, "mixed"), (21, "shrink")])
+    def test_value_and_slope_match_the_reference_round(self, d, kind):
+        rng = np.random.default_rng([d, ["small", "mixed", "shrink"].index(kind)])
+        step = 1e-6
+        for _ in range(10):
+            beta, wealth, inv_eta, loss, g = self.state(rng, d, kind)
+            fd = coordinate_residual(beta, wealth, inv_eta, loss, g)
+            w = beta * wealth
+            for h in rng.uniform(0.01, 0.99, size=20):
+                value, slope = fd(h)
+                w_next = coordinate_w_next(beta, wealth, inv_eta, g, h)[0]
+                reference = loss + float(g @ (w_next - w))
+                scale = loss + float(np.abs(g) @ (np.abs(w_next) + np.abs(w)))
+                assert abs(value - reference) <= 1e-12 * scale
+                centred = (fd(h + step)[0] - fd(h - step)[0]) / (2.0 * step)
+                assert abs(slope - centred) <= 1e-6 * abs(centred)
+
+    def test_a_pickled_learner_plays_on_alike(self):
+        G, U = c1_stream(3, 4, rounds=400, drift=True)
+        a = CoordinateImplicitCoin(4)
+        drive_c1(a, G[:200], U[:200])
+        b = pickle.loads(pickle.dumps(a))
+        assert b._corner.fd is not a._corner.fd  # buffers of its own
+        assert drive_c1(a, G[200:], U[200:]) == drive_c1(b, G[200:], U[200:])
+        assert learner_state(a) == learner_state(b) and a.corner_rounds > 0
+
+
+class TestCoordinateCornerEvaluations:
+    """Residual evaluations per corner do not rise. Every learner is asked
+    the same rounds: the nonzero rounds of the C1 streams of seeds 5, 111
+    and 90001, with and without drift, each from the state in which
+    `reference.coordinate_rounds` plays it. BEFORE holds the figures of the
+    residual before the complex-step evaluation (seven numpy calls an
+    evaluation: the (2, 4) @ (4, 2d) product, two divisions, a product, a
+    difference and two dots). Any change of the residual's rounding
+    moves some corners' solves by one evaluation either way: against BEFORE,
+    the complex-step residual spends one more on 63 of the 641 corners at
+    d = 4 and one fewer on 56 (net +7), so the figure carries float noise of
+    about +-0.4% (+-0.7% at d = 21), and it is held within 1% of BEFORE."""
+
+    BEFORE = {4: (2917, 641), 21: (1567, 360)}  # evaluations, corner rounds
+
+    @pytest.mark.parametrize("dim", [4, 21])
+    def test_evaluations_per_corner_do_not_rise(self, dim):
+        learner = CoordinateImplicitCoin(dim)
+        for seed in (5, 111, 90001):
+            for drift in (False, True):
+                for beta, wealth, inv_eta, loss, g in coordinate_rounds(
+                        *c1_stream(seed, dim, drift=drift)):
+                    learner.beta, learner.wealth, learner.inv_eta = beta, wealth, inv_eta
+                    learner.step(loss, g)
+        evals, corners = self.BEFORE[dim]
+        assert learner.corner_rounds == corners
+        assert learner.residual_evals / learner.corner_rounds <= 1.01 * evals / corners
 
 
 class TestCoordinateMatchesClosedFormIn1d:

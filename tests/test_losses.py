@@ -148,7 +148,7 @@ class TestLabeledExamples:
         for ex, x, t in zip(batch, X, y):
             one = LabeledExample(x, t)
             assert type(ex) is LabeledExample and type(ex.y) is float and ex.y == one.y
-            for name in ("x", "neg_x", "zero", "abs_x"):
+            for name in ("x", "neg_x", "zero", "abs_x", "sq_x"):
                 a, b = getattr(ex, name), getattr(one, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
@@ -180,6 +180,33 @@ class TestLabeledExamples:
     def test_rejects_a_bad_shape(self, X, y):
         with pytest.raises(ValueError, match="one target per row"):
             labeled_examples(X, y)
+
+
+class TestStackedRowDots:
+    """The stacked-matmul row dots that `labeled_examples` (its sq_norm) and
+    `diagnostics._rowdot` take in place of one dot a row run the per-row dot
+    kernel: np.matmul(A[:, None, :], B[:, :, None]) has the bits of each
+    a.dot(b), save the sign of a zero sum (at d = 1, a.dot(b) keeps the -0.0
+    of a single product that matmul gives as 0.0)."""
+
+    @staticmethod
+    def rows(rng, d, n=300):
+        M = rng.normal(size=(n, d)) * np.exp(rng.uniform(-20.0, 20.0, size=(n, 1)))
+        M[rng.uniform(size=M.shape) < 0.2] = 0.0
+        M[rng.uniform(size=M.shape) < 0.1] = -0.0
+        return M
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 21, 32])
+    def test_row_dots_have_the_bits_of_dot(self, d):
+        rng = np.random.default_rng([29, d])
+        X, W = self.rows(rng, d), self.rows(rng, d)
+        squares = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+        assert all(bits(float(a)) == bits(float(x.dot(x))) for a, x in zip(squares, X))
+        products = np.matmul(W[:, None, :], X[:, :, None])[:, 0, 0]
+        for a, w, x in zip(products, W, X):
+            b = float(w.dot(x))
+            assert bits(float(a)) == bits(b) or a == b == 0.0
+        assert np.count_nonzero(products) > len(products) // 2
 
 
 def bits(value):
@@ -224,6 +251,9 @@ class TestInputStatistics:
                 assert bits(ex.sq_norm) == bits(float(g.dot(g)))
                 assert ex.abs_x.tobytes() == ag.tobytes() and not ex.abs_x.flags.writeable
                 assert bits(ex.abs_max) == bits(float(ag[ag.argmax()]))
+                # the same squares, a nan's sign aside (a step rejects its row)
+                np.testing.assert_array_equal(ex.sq_x, g * g)
+                assert not ex.sq_x.flags.writeable
         assert examples[3].sq_norm == examples[3].abs_max == 0.0
 
     @pytest.mark.parametrize("name", baselines.ALGORITHMS)

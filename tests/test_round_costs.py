@@ -1,13 +1,17 @@
-"""Toy-size run of tools/round_costs.py: it runs to the end and prints every
-round type it replays and every ratio line. No timing is asserted."""
+"""Toy-size runs of tools/round_costs.py: it runs to the end, prints every
+round type it replays and every ratio line, with --compare replays a second
+load of this tree as its control, and with --json stores its rows in a JSON
+file whose other keys it keeps. No timing is asserted."""
 
 import importlib.util
+import json
 import os
 
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "round_costs.py")
+TOY = ["--dims", "3", "--rows", "60", "--epochs", "2", "--trials", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +25,42 @@ def round_costs():
 @pytest.mark.parametrize("compare", [False, True])
 def test_toy_replay_prints_every_learner_and_the_ratio(round_costs, capsys, compare):
     src = os.path.join(round_costs.ROOT, "src")
-    argv = ["--dims", "3", "--rows", "60", "--epochs", "2", "--trials", "2"]
-    assert round_costs.main(argv + (["--compare", src] if compare else [])) == 0
+    assert round_costs.main(TOY + (["--compare", src] if compare else [])) == 0
     out = capsys.readouterr().out
     for cls in round_costs.LEARNERS + ("Sgd",):
         assert f"   3 {cls}" in out
     rows = [line for line in out.splitlines() if line.startswith("   3 ")]
     assert {r.split()[2] for r in rows} >= {"zero", "full"}
-    assert all(r.count("(") == (2 if compare else 1) for r in rows)  # one cell per tree
+    # one cell per tree: this, other and this again with --compare
+    assert all(r.count("(") == (3 if compare else 1) for r in rows)
+    header = next(line for line in out.splitlines() if line.startswith(" dim"))
+    assert header.endswith("this/other   this/this") == compare
+    assert all(len(r.split(")")[-1].split()) == (2 if compare else 0) for r in rows)
     ratios = [line for line in out.splitlines() if " at d = 3: " in line]
     labels = {line.split(" at d = ")[0] for line in ratios}
     assert labels == {"ImplicitCoin full / Sgd",
                       *(f"{cls} corner / full" for cls in round_costs.LEARNERS),
                       *(f"{cls} zero / Sgd" for cls in round_costs.LEARNERS)}
     assert all(line.count("(") == (2 if compare else 1) for line in ratios)
+
+
+def test_json_stores_the_rows_and_keeps_other_keys(round_costs, tmp_path, capsys):
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"pr": 1, "round_types": "replaced", "end_to_end": {"a": 1}}))
+    src = os.path.join(round_costs.ROOT, "src")
+    assert round_costs.main(TOY + ["--compare", src, "--json", str(path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("   3 ")]
+    data = json.loads(path.read_text())
+    assert data["pr"] == 1 and data["end_to_end"] == {"a": 1}
+    table = data["round_types"]
+    assert table["unit"] == "us" and "--json" in table["what"]
+    assert len(table["rows"]) == len(printed)
+    for line, (key, row) in zip(printed, table["rows"].items()):
+        dim, cls, kind = key.split(".")
+        assert line.split()[:4] == [dim[1:], cls, kind, str(row["rounds"])]
+        for tree in ("this", "other", round_costs.AGAIN):
+            assert row[f"{tree}_min_us"] <= row[f"{tree}_us"]
+        assert row["this/this"] == pytest.approx(row["this_us"] / row["this-again_us"],
+                                                 rel=1e-3)
+    assert set(table["ratios"]["d3"]["ImplicitCoin full / Sgd"]) == {"this", "other"}

@@ -1,7 +1,7 @@
 """Per-round cost of the betting learners by round type, next to Sgd.step.
 
     python3 tools/round_costs.py [--dims 8 21] [--rows 1000] [--epochs 2]
-                                 [--trials 9] [--compare OTHER_SRC]
+                                 [--trials 9] [--compare OTHER_SRC] [--json PATH]
 
 For every dimension it draws a hinge-loss problem (unit-norm rows, noisy
 labels), records each betting learner's own (loss, g) rounds under the hinge
@@ -11,17 +11,25 @@ timing every `step`, and `Sgd.step` on the nonzero gradients of the
 `ImplicitCoin` stream. A round is replayed as `run_single` plays it,
 `step(loss, g, ex)`, where g is the array of the tree's own example `ex`
 (x, -x or zeros) that the oracle returned, so a step reads the statistics
-the example carries wherever it would in a run. Trials interleave the learners (and, with --compare,
-the two source trees, both loaded in this one process) in a rotating order,
-so a slow phase of the machine hits every column alike. A cell is the median
-over trials of the mean microseconds per round, the timer's own cost taken
-out. The last lines give, per dimension and tree, the ratios of medians
-ImplicitCoin full / Sgd and, for each learner, corner / full and zero / Sgd
-(nan where the stream has no round of that type).
+the example carries wherever it would in a run. Trials interleave the
+learners (and, with --compare, the source trees, all loaded in this one
+process) in a rotating order, so a slow phase of the machine hits every
+column alike. A cell is the median over trials of the mean microseconds per
+round, the timer's own cost taken out.
+
+With --compare, this tree is loaded a second time after the other one
+("this-again"), and every row gives this/other next to this/this: the same
+code read through the tool, whose distance from 1 is the tool's own bias in
+that session. The last lines give, per dimension and tree, the ratios of
+medians ImplicitCoin full / Sgd and, for each learner, corner / full and
+zero / Sgd (nan where the stream has no round of that type). With --json,
+the rows and ratio lines are stored as `round_types` in the JSON file PATH;
+its other keys are kept, so the tool fills that part of a `BENCH_*.json`.
 """
 
 import argparse
 import importlib.util
+import json
 import math
 import os
 import statistics
@@ -115,11 +123,15 @@ def main(argv=None):
     parser.add_argument("--trials", type=int, default=9)
     parser.add_argument("--compare", metavar="OTHER_SRC",
                         help="a second source tree, replayed alongside on the same rounds")
+    parser.add_argument("--json", metavar="PATH",
+                        help="store the rows as round_types in this JSON file")
     args = parser.parse_args(argv)
 
-    trees = {"this": load_tree(os.path.join(ROOT, "src"), "_round_costs_this")}
+    src = os.path.join(ROOT, "src")
+    trees = {"this": load_tree(src, "_round_costs_this")}
     if args.compare:
         trees["other"] = load_tree(args.compare, "_round_costs_other")
+        trees[AGAIN] = load_tree(src, "_round_costs_again")  # loaded after the other
     recorder = trees["this"]
     overhead = timer_cost()
     rng = np.random.default_rng(1)
@@ -148,35 +160,94 @@ def main(argv=None):
             for kind, seconds in replay(make, rounds, types, overhead).items():
                 cells.setdefault(key, {}).setdefault(kind, []).append(seconds * 1e6)
 
-    names = list(trees)
-    print(f"us per round, median over {args.trials} trials (min in brackets); "
-          f"timer cost {overhead * 1e9:.0f} ns per call taken out")
-    header = f"{'dim':>4} {'learner':<24}{'type':<8}{'rounds':>7}"
-    print(header + "".join(f"{n:>18}" for n in names)
-          + ("   this/other" if len(names) == 2 else ""))
-    for dim in args.dims:
+    rows, ratios = summarise(args.dims, list(trees), cells, jobs)
+    print_table(args.trials, overhead, list(trees), rows, ratios)
+    if args.json:
+        store(args.json, argv if argv is not None else sys.argv[1:], args.trials, rows, ratios)
+    return 0
+
+
+AGAIN = "this-again"  # the second load of this tree, the control of --compare
+
+
+def summarise(dims, names, cells, jobs):
+    """The rows ("d8.ImplicitCoin.full" -> rounds, each tree's median and
+    least microseconds and, with --compare, the ratios this/other and
+    this/this again) and the ratio lines (dim -> label -> tree -> ratio of
+    medians, for this and other)."""
+    rows = {}
+    for dim in dims:
         for cls in LEARNERS + ("Sgd",):
-            by_tree = [cells[(dim, cls, n)] for n in names]
             for kind in TYPES:
-                if kind not in by_tree[0]:
+                if kind not in cells[(dim, cls, names[0])]:
                     continue
-                meds = [statistics.median(c[kind]) for c in by_tree]
-                line = f"{dim:>4} {cls:<24}{kind:<8}{count(jobs, (dim, cls, names[0]), kind):>7}"
-                line += "".join(f"{m:>10.2f} ({min(c[kind]):5.2f})" for m, c in zip(meds, by_tree))
-                if len(names) == 2:
-                    line += f"   {meds[0] / meds[1]:10.3f}"
-                print(line)
+                row = {"rounds": count(jobs, (dim, cls, names[0]), kind)}
+                for n in names:
+                    trials = cells[(dim, cls, n)][kind]
+                    row[f"{n}_us"] = statistics.median(trials)
+                    row[f"{n}_min_us"] = min(trials)
+                if len(names) > 1:
+                    row["this/other"] = row["this_us"] / row["other_us"]
+                    row["this/this"] = row["this_us"] / row[f"{AGAIN}_us"]
+                rows[f"d{dim}.{cls}.{kind}"] = row
+    ratios = {}
     sgd = ("Sgd", "full")
-    for dim in args.dims:
+    for dim in dims:
         pairs = [("ImplicitCoin full / Sgd", ("ImplicitCoin", "full"), sgd)]
         pairs += [(f"{cls} corner / full", (cls, "corner"), (cls, "full")) for cls in LEARNERS]
         pairs += [(f"{cls} zero / Sgd", (cls, "zero"), sgd) for cls in LEARNERS]
-        for label, num, den in pairs:
-            medians = [[statistics.median(cells[(dim, cls, n)].get(kind, [math.nan]))
-                        for cls, kind in (num, den)] for n in names]
-            print(f"{label} at d = {dim}: "
-                  + ", ".join(f"{a / b:.2f} ({n})" for (a, b), n in zip(medians, names)))
-    return 0
+        def median(tree, cls, kind):
+            return statistics.median(cells[(dim, cls, tree)].get(kind, [math.nan]))
+
+        ratios[f"d{dim}"] = {label: {n: median(n, *num) / median(n, *den)
+                                     for n in names if n != AGAIN}
+                             for label, num, den in pairs}
+    return rows, ratios
+
+
+def print_table(trials, overhead, names, rows, ratios):
+    print(f"us per round, median over {trials} trials (min in brackets); "
+          f"timer cost {overhead * 1e9:.0f} ns per call taken out")
+    compared = len(names) > 1
+    print(f"{'dim':>4} {'learner':<24}{'type':<8}{'rounds':>7}"
+          + "".join(f"{n:>18}" for n in names)
+          + ("   this/other   this/this" if compared else ""))
+    for key, row in rows.items():
+        dim, cls, kind = key.split(".")
+        line = f"{dim[1:]:>4} {cls:<24}{kind:<8}{row['rounds']:>7}"
+        line += "".join(f"{row[f'{n}_us']:>10.2f} ({row[f'{n}_min_us']:5.2f})" for n in names)
+        if compared:
+            line += f"   {row['this/other']:10.3f}  {row['this/this']:10.3f}"
+        print(line)
+    for dim, labels in ratios.items():
+        for label, by_tree in labels.items():
+            print(f"{label} at d = {dim[1:]}: "
+                  + ", ".join(f"{r:.2f} ({n})" for n, r in by_tree.items()))
+
+
+def store(path, argv, trials, rows, ratios):
+    """Put the rows into the JSON file at path as round_types, keeping its
+    other keys."""
+    data = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            data = json.load(fh)
+    data["round_types"] = {
+        "what": "python3 tools/round_costs.py " + " ".join(argv) + ": untraced "
+                "learner.step wall time by round type, median (and least) over "
+                f"{trials} interleaved trials in one process; with --compare, "
+                f"'{AGAIN}' is a second load of this tree, whose ratio this/this "
+                "is the tool's own bias",
+        "unit": "us",
+        "rows": {k: {f: round(v, 4) if isinstance(v, float) else v for f, v in row.items()}
+                 for k, row in rows.items()},
+        "ratios": {dim: {label: {n: round(r, 4) for n, r in by_tree.items()}
+                         for label, by_tree in labels.items()}
+                   for dim, labels in ratios.items()},
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
 
 
 def count(jobs, key, kind):
