@@ -11,10 +11,11 @@ iterate, `plain_replay` replays a whole traced stream with it, and
 `coordinate_step` replays a `CoordinateImplicitCoin` round one coordinate
 at a time, `coordinate_w_next` gives its iterate, and `coordinate_rounds`
 plays a whole stream with it, for rounds that every learner is asked
-alike. `fold_all` runs a diagnostics fold over a list of traces. The `Reference*` folds and
-`reference_wealth_trace` are the diagnostics in their plain form, with
-`np.linalg.norm`, `@` and f-strings and nothing shared between records or
-folds; the diagnostics must give the same reports and bytes.
+alike. `fold_all` runs a diagnostics fold over a list of traces. The
+`Reference*` folds and `reference_wealth_trace` are the diagnostics in
+their plain form, with `np.linalg.norm`, `@` and f-strings and nothing
+shared between records or folds; the diagnostics must give the same
+reports and bytes.
 `reference_hinge_eval_grad` and `reference_absolute_eval_grad` are the loss
 oracles as they were when every call built its gradient (`-y * x`,
 `x.copy()`, `-x`, `np.zeros_like`), and `reference_parse_libsvm` is the
@@ -152,11 +153,11 @@ def coordinate_w_next(beta, wealth, inv_eta, g, h):
     return beta_next * wealth_next, inv_eta_next
 
 
-def coordinate_rounds(G, U, h_tol=1e-13):
+def coordinate_rounds(G, U):
     """The (beta, wealth, 1/eta, loss, g) of every nonzero-gradient round of
     the stream G, U (losses alternating between 10 u and u at the scale of
     the tentative step) played by `coordinate_step`, with the corner h of
-    each round found by bisecting loss + <g, w_next(h) - w> to h_tol: rounds
+    each round found by bisecting loss + <g, w_next(h) - w> to 1e-13: rounds
     that do not depend on the learner under test."""
     d = G.shape[1]
     beta, wealth, inv_eta = np.zeros(d), np.ones(d), np.full(d, 2.0 * SHRINK_GAIN)
@@ -175,7 +176,7 @@ def coordinate_rounds(G, U, h_tol=1e-13):
         lo, hi = 0.0, 1.0
         if residual(1.0) >= 0.0:
             lo = 1.0
-        while hi - lo > h_tol:
+        while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if residual(mid) >= 0.0 else (lo, mid)
         beta, wealth, inv_eta = coordinate_step(beta, wealth, inv_eta, g, lo)
