@@ -31,8 +31,8 @@ class Sgd:
     """Subgradient descent with the decaying schedule eta0 / sqrt(k)."""
 
     def __init__(self, dim, eta0):
-        if eta0 <= 0:
-            raise ValueError(f"eta0 must be positive, got {eta0}")
+        if not 0.0 < eta0 < math.inf:  # also rejects nan
+            raise ValueError(f"eta0 must be positive and finite, got {eta0}")
         self.w = np.zeros(int(dim))
         self._shape = self.w.shape
         self.eta0 = float(eta0)

@@ -1,6 +1,7 @@
 """Command-line entry point for the benchmark harness."""
 
 import argparse
+import math
 import sys
 
 from . import baselines, diagnostics, harness
@@ -37,8 +38,8 @@ def _parse_grid(text):
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise ValueError(f"bad grid {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("grid values must be positive")
+    if not values or not all(0.0 < v < math.inf for v in values):  # nan too
+        raise ValueError("grid values must be positive and finite")
     return values
 
 

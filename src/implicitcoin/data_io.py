@@ -15,16 +15,6 @@ import numpy as np
 
 SPLIT_PRNG = "pcg64"  # numpy default_rng; recorded so splits can be replayed
 
-# Sample and feature counts of the benchmark datasets, keyed by name.
-TABLE_SHAPES = {
-    "cpu-act": ("classification", 8192, 21),
-    "2dplane": ("classification", 40768, 10),
-    "houses": ("classification", 20640, 8),
-    "rainfall": ("regression", 16755, 3),
-    "bank32nh": ("regression", 8192, 32),
-    "houses-8l": ("regression", 22784, 8),
-}
-
 
 @dataclass
 class Dataset:
@@ -322,11 +312,3 @@ def make_synthetic_regression(n=1000, dim=10, seed=0, weight_scale=4.0, noise=0.
     w_star *= weight_scale / np.linalg.norm(w_star)
     y = X @ w_star + rng.laplace(scale=noise, size=n)
     return Dataset(X=X, y=y, task="regression", name=f"synthetic-reg-{seed}")
-
-
-def expected_shape(name):
-    """Benchmark-table (task, samples, features) for a known dataset name."""
-    key = name.lower()
-    if key not in TABLE_SHAPES:
-        raise ValueError(f"no recorded shape for dataset {name!r}")
-    return TABLE_SHAPES[key]

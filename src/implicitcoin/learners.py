@@ -15,11 +15,14 @@ algorithm, and bounds the norm from the g.g it returns (from |g| for the
 per-coordinate variant, which reads the example's abs_x, abs_max and sq_x
 when g is its x or neg_x); a zero gradient returns at once. Otherwise it
 commits at h = 1 if f(1), the residual of the full round, is >= 0; else
-`solve_corner`, safeguarded Newton inside the bracket, finds h on a
-residual built on corner rounds only, so no per-round function holds a
-closure cell: `_poly_residual` (for `ImplicitCoin`, the residual times its
-positive denominator, a Horner cubic), `_projected_residual` and
-`_CwCorner` (the per-coordinate cubics, on buffers held by the learner).
+`solve_corner`, safeguarded Newton inside the bracket, closes the bracket
+itself (a guarded bisection over its two known ends checks the sign change
+and evaluates nothing more) and finds h on a residual built on corner
+rounds only, so no per-round function holds a closure cell:
+`_poly_residual` (for `ImplicitCoin`, the residual times its positive
+denominator, a Horner cubic, from the step's dq(h) = dA h + dB h^2),
+`_projected_residual` (the same dq(h), projected) and `_CwCorner` (the
+per-coordinate cubics, on buffers held by the learner).
 
 The one-game state is scaled (see `_BettingCoin`): a full round is two
 dots, one axpy (`_step_scaled`, the unprojected step as a function of h)
@@ -64,9 +67,9 @@ GRAD_NORM_SLACK = 1e-9       # accepted float excess over the unit-norm bound
 # matches a full-bracket bisection to float resolution, near h = 0 as well
 # as near 1 (and among subnormals, where a relative width underflows).
 CORNER_WIDTH_ULPS = 4.0
-# Evaluation cap of the Newton phase: a bisection halves [0, 1] to float
-# resolution in about 60 steps, so a solve that needs more has met a
-# residual it cannot speed up.
+# Evaluation cap of the Newton phase, past which a solve only bisects: a
+# bisection halves [0, 1] to float resolution in about 60 steps, so a solve
+# that needs more has met a residual Newton cannot speed up.
 CORNER_MAX_EVALS = 64
 # The one-game scale a is folded into u once it falls to this: a^2 in
 # beta.beta = a^2 u.u stays a normal float, and u = beta / a far from overflow.
@@ -108,18 +111,19 @@ def solve_corner(fd, f0, f1):
     fd(h) returns the residual and its slope. Safeguarded Newton (rtsafe,
     Press et al., Numerical Recipes, section 9.4) keeps the bracket
     f(lo) >= 0 > f(hi): it starts from the secant point of the known ends,
-    takes a bisection step whenever a Newton step leaves the bracket, and
-    once a Newton step is shorter than half the target width it steps that
-    half-width past the root, so the next point closes the bracket from the
-    other side. It stops when the bracket is CORNER_WIDTH_ULPS ulps of hi
-    wide or lo holds an exact root. One bisection call finishes the bracket (no
-    midpoint once it is closed) with the ends answered from the Newton
-    phase, so 0 and 1 are never evaluated. Returns (h, evaluations of fd).
+    takes a bisection step whenever a Newton step leaves the bracket or
+    CORNER_MAX_EVALS evaluations are spent, and once a Newton step is
+    shorter than half the target width it steps that half-width past the
+    root, so the next point closes the bracket from the other side. It
+    stops when the bracket is CORNER_WIDTH_ULPS ulps of hi wide or lo holds
+    an exact root. A bisection call given only the two known ends finishes
+    it: its sign-change check is the safeguard, and on the closed bracket it
+    evaluates no new point. Returns (h, evaluations of fd).
     """
     lo, hi, flo, fhi = 0.0, 1.0, f0, f1
     evals = 0
     x = f0 / (f0 - f1)  # secant point
-    while flo != 0.0 and evals < CORNER_MAX_EVALS:
+    while flo != 0.0:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
@@ -132,54 +136,25 @@ def solve_corner(fd, f0, f1):
             hi, fhi = x, fx
         if hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi):
             break
-        if slope < 0.0:
+        if slope < 0.0 and evals < CORNER_MAX_EVALS:
             dx = fx / slope
             half = 0.5 * CORNER_WIDTH_ULPS * math.ulp(x)
             if abs(dx) <= half:
                 dx += math.copysign(half, dx)
             x -= dx
         else:
-            x = math.nan  # no falling slope: bisect
+            x = math.nan  # no falling slope, or past the Newton cap: bisect
 
-    # the slots are set here: an __init__ call costs more than the cells it
-    # replaces
-    finish = _Bracket()
-    finish.fd, finish.lo, finish.hi, finish.flo, finish.fhi, finish.evals = fd, lo, hi, flo, fhi, 0
-    h = rootsolve.bisect(finish.at, lo, hi, CORNER_WIDTH_ULPS * math.ulp(hi))
-    return h, evals + finish.evals
-
-
-class _Bracket:
-    """The residual as `solve_corner`'s bisection finish sees it: the ends of
-    the Newton phase's bracket are answered from its cache, and every other
-    point (bisect evaluates the ends first, then only points strictly
-    inside) is evaluated and counted in evals."""
-
-    __slots__ = ("fd", "lo", "hi", "flo", "fhi", "evals")
-
-    def at(self, h):
-        if h == self.lo:
-            return self.flo
-        if h == self.hi:
-            return self.fhi
-        self.evals += 1
-        return self.fd(h)[0]
+    h = rootsolve.bisect({lo: flo, hi: fhi}.__getitem__, lo, hi,
+                         CORNER_WIDTH_ULPS * math.ulp(hi))
+    return h, evals
 
 
 # -- the one-game updates as functions of h ------------------------------------
 # gg = g.g (the checked norm squared), s = <g, beta>, eta = 1 / inv_eta; the
-# one-game fraction is beta = a u (see _BettingCoin).
-
-def _step_dq(h, gg, s, eta):
-    """dq(h) of the unprojected step beta - eta (h g + 2 k beta), with
-    k = g.g h (2 - h)."""
-    return -eta * (h * gg + 2.0 * (gg * h * (2.0 - h)) * s)
-
-
-def _step_slope(h, gg, s, eta):
-    """d dq / dh of the unprojected step."""
-    return -eta * (gg + 2.0 * (gg * (2.0 - 2.0 * h)) * s)
-
+# one-game fraction is beta = a u (see _BettingCoin). The unprojected step
+# beta - eta (h g + 2 k beta), k = g.g h (2 - h), has dq(h) = dA h + dB h^2
+# with dB = 2 eta g.g s and dA = -eta g.g - 2 dB; the shrink has dB = 0.
 
 def _step_scaled(u, a, g, gg, eta, h):
     """The unprojected step's beta_next(h) = a' u' and its 1/eta increment
@@ -193,13 +168,13 @@ def _step_scaled(u, a, g, gg, eta, h):
     return u - (eta * h / a_next) * g, a_next, k2
 
 
-def _projected_dq(h, gg, s, bb, eta):
-    """dq(h) and its slope of the unprojected step projected onto the
-    half-unit ball: a scalar replay of <g, .> and the projection factor,
-    with bb = <beta, beta>."""
+def _projected_dq(h, gg, s, bb, eta, dA, dB):
+    """dq(h) and its slope of the unprojected step (dq = dA h + dB h^2)
+    projected onto the half-unit ball: a scalar replay of <g, .> and the
+    projection factor, with bb = <beta, beta>."""
     k = gg * h * (2.0 - h)
     dk = gg * (2.0 - 2.0 * h)
-    step, dstep = _step_dq(h, gg, s, eta), _step_slope(h, gg, s, eta)
+    step, dstep = (dA + dB * h) * h, dA + 2.0 * dB * h
     raw_sq = (bb - 2.0 * eta * (h * s + 2.0 * k * bb)
               + eta * eta * (h * h * gg + 4.0 * h * k * s + 4.0 * k * k * bb))
     scale = 2.0 * math.sqrt(max(raw_sq, 0.0))
@@ -231,11 +206,11 @@ def _poly_residual(loss, s, wealth, dA, dB):
     return fd, c0, ((c3 + c2) + c1) + c0
 
 
-def _projected_residual(loss, s, wealth, gg, bb, eta):
+def _projected_residual(loss, s, wealth, gg, bb, eta, dA, dB):
     """loss + W (dq - h q s) / (1 + (h-1) q) and its slope, with dq(h) and
     its slope from _projected_dq."""
     def fd(h):
-        d, dd = _projected_dq(h, gg, s, bb, eta)
+        d, dd = _projected_dq(h, gg, s, bb, eta, dA, dB)
         q = s + d
         num = d - h * q * s
         den = 1.0 + (h - 1.0) * q
@@ -389,23 +364,20 @@ class _BettingCoin(_Coin):
         # closed-form one takes it while the fraction is small, else shrinks
         projects = self.variant == PROJECTED
         shrinks = not projects and not bb < _SMALL_SQ
-        if projects:
-            dq1 = _projected_dq(1.0, gg, s, bb, eta)[0]
-        elif shrinks:  # beta (1 - 2 gain eta h ||g||), linear in h
-            dq1 = (-2.0 * SHRINK_GAIN) * eta * nrm * s
-        else:  # the unprojected step, _step_dq at h = 1
-            dq1 = -eta * (gg + 2.0 * gg * s)
+        if shrinks:  # beta (1 - 2 gain eta h ||g||): dq(h) = dA h
+            dA, dB = (-2.0 * SHRINK_GAIN) * eta * nrm * s, 0.0
+        else:  # the unprojected step: dq(h) = dA h + dB h^2
+            dB = 2.0 * eta * gg * s
+            dA = -eta * gg - (dB + dB)
+        dq1 = _projected_dq(1.0, gg, s, bb, eta, dA, dB)[0] if projects else dA + dB
         h, evals = 1.0, None
         f1 = loss_value + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
         if f1 < 0.0:  # the full round would cross the corner
             if projects:
-                fd = _projected_residual(loss_value, s, wealth, gg, bb, eta)
+                fd = _projected_residual(loss_value, s, wealth, gg, bb, eta, dA, dB)
                 p0, p1 = loss_value, f1
-            elif shrinks:  # dq(h) = h dq(1)
-                fd, p0, p1 = _poly_residual(loss_value, s, wealth, dq1, 0.0)
-            else:  # dq(h) = -eta g.g (1 + 4 s) h + 2 eta g.g s h^2
-                dB = 2.0 * eta * gg * s
-                fd, p0, p1 = _poly_residual(loss_value, s, wealth, -eta * gg - (dB + dB), dB)
+            else:
+                fd, p0, p1 = _poly_residual(loss_value, s, wealth, dA, dB)
             if p1 < 0.0:  # else P, float noise off f1, puts the corner at h = 1
                 h, evals = solve_corner(fd, p0, p1)
                 if h == 0.0:  # a corner at the anchor

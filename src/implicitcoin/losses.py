@@ -142,7 +142,8 @@ def hinge_eval_grad(w, ex: LabeledExample):
 
     At the exact margin (y<w,x> = 1) the zero vector is returned; it is a
     valid subgradient and avoids spurious updates. The subgradient -y x is
-    ex.neg_x for y = +1 and ex.x for y = -1: no vector is built.
+    ex.neg_x for y = +1 and ex.x for y = -1: no vector is built. A nan
+    prediction raises ValueError.
     """
     if type(w) is not np.ndarray or w.dtype is not _F64:
         w = np.asarray(w, dtype=np.float64)
@@ -154,12 +155,15 @@ def hinge_eval_grad(w, ex: LabeledExample):
     margin = 1.0 - y * float(w.dot(x))
     if margin > 0.0:
         return margin, ex.neg_x if y > 0.0 else x
+    if math.isnan(margin):
+        raise ValueError("hinge loss of a nan prediction <w,x>")
     return 0.0, ex.zero
 
 
 def absolute_eval_grad(w, ex: LabeledExample):
     """Absolute loss |<w,x> - y| and a subgradient at w (sign(0) := 0):
-    ex.x, ex.neg_x or ex.zero, never a new vector."""
+    ex.x, ex.neg_x or ex.zero, never a new vector. A nan residual raises
+    ValueError."""
     if type(w) is not np.ndarray or w.dtype is not _F64:
         w = np.asarray(w, dtype=np.float64)
     x = ex.x
@@ -170,6 +174,8 @@ def absolute_eval_grad(w, ex: LabeledExample):
         return r, x
     if r < 0.0:
         return -r, ex.neg_x
+    if math.isnan(r):
+        raise ValueError("absolute loss of a nan residual <w,x> - y")
     return 0.0, ex.zero
 
 

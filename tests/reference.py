@@ -16,6 +16,8 @@ alike. `fold_all` runs a diagnostics fold over a list of traces. The
 their plain form, with `np.linalg.norm`, `@` and f-strings and nothing
 shared between records or folds; the diagnostics must give the same
 reports and bytes.
+`expected_shape` looks up the task and shape of a benchmark-table dataset
+in `TABLE_SHAPES`.
 `reference_hinge_eval_grad` and `reference_absolute_eval_grad` are the loss
 oracles as they were when every call built its gradient (`-y * x`,
 `x.copy()`, `-x`, `np.zeros_like`), and `reference_parse_libsvm` is the
@@ -32,6 +34,25 @@ from implicitcoin.diagnostics import (BetaBallFold, NoOvershootFold,
                                       WealthIdentityFold, WealthLowerBoundFold)
 from implicitcoin.learners import PROJECTED, SHRINK_GAIN, SHRINK_THRESHOLD
 from implicitcoin.truncated import make_pair
+
+# Sample and feature counts of the benchmark datasets, keyed by name.
+TABLE_SHAPES = {
+    "cpu-act": ("classification", 8192, 21),
+    "2dplane": ("classification", 40768, 10),
+    "houses": ("classification", 20640, 8),
+    "rainfall": ("regression", 16755, 3),
+    "bank32nh": ("regression", 8192, 32),
+    "houses-8l": ("regression", 22784, 8),
+}
+
+
+def expected_shape(name):
+    """Benchmark-table (task, samples, features) for a known dataset name."""
+    key = name.lower()
+    if key not in TABLE_SHAPES:
+        raise ValueError(f"no recorded shape for dataset {name!r}")
+    return TABLE_SHAPES[key]
+
 
 # Evaluation cap of narrow_bracket: bisection halves [0, 1] to 1e-12 in 40,
 # so a narrowing that needs more has met a function it cannot speed up.

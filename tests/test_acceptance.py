@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 from implicitcoin import harness
-from implicitcoin.data_io import (expected_shape, make_synthetic_regression,
-                                  parse_csv, parse_libsvm, serialize_libsvm,
-                                  standardize_then_unit_normalize)
+from implicitcoin.data_io import (make_synthetic_regression, parse_csv, parse_libsvm,
+                                  serialize_libsvm, standardize_then_unit_normalize)
 from implicitcoin.diagnostics import (NoOvershootFold, WealthIdentityFold,
                                       WealthLowerBoundFold, figure1_scenario)
 from implicitcoin.harness import ExperimentConfig, run_single, tune_and_run
@@ -23,7 +22,7 @@ from implicitcoin.learners import (CLOSED_FORM, PROJECTED, SHRINK_THRESHOLD,
 from implicitcoin.losses import eval_grad_fn
 from implicitcoin.rootsolve import bisect
 from implicitcoin.truncated import TruncatedModel, linear_residual
-from reference import closed_form_residual, fold_all
+from reference import closed_form_residual, expected_shape, fold_all
 
 DATASET_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "datasets")
 

@@ -37,6 +37,12 @@ class TestSgd:
         with pytest.raises(ValueError, match="positive"):
             Sgd(1, eta0=0.0)
 
+    @pytest.mark.parametrize("cls", [Sgd, AProx, ImportanceAwareSgd])
+    @pytest.mark.parametrize("eta0", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_eta0(self, cls, eta0):
+        with pytest.raises(ValueError, match="finite"):
+            cls(2, eta0)
+
 
 class TestAProx:
     def test_matches_sgd_when_cap_inactive(self):

@@ -174,6 +174,17 @@ def test_grid_rejected_for_parameter_free(tmp_path, libsvm_file, capsys):
     assert "parameter-free" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["nan", "inf", "0.1,nan", "1,-inf"])
+def test_non_finite_grid_value_rejected(tmp_path, libsvm_file, capsys, grid):
+    out = tmp_path / "out.csv"
+    code = main(["run", "--algo", "sgd", "--data", str(libsvm_file),
+                 "--format", "libsvm", "--task", "reg", "--epochs", "2",
+                 "--reps", "1", "--grid", grid, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert "finite" in err and err.count("\n") == 1
+
+
 def test_missing_file_is_one_line_error(tmp_path, capsys):
     code = main(["run", "--algo", "sgd", "--data", str(tmp_path / "nope.libsvm"),
                  "--format", "libsvm", "--task", "reg",

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from implicitcoin.data_io import (Dataset, binarize_by_threshold, expected_shape,
+from implicitcoin.data_io import (Dataset, binarize_by_threshold,
                                   make_synthetic_regression, median_threshold,
                                   parse_csv, parse_libsvm, serialize_libsvm,
                                   shuffle_split, standardize_then_unit_normalize)
-from reference import reference_parse_libsvm
+from reference import expected_shape, reference_parse_libsvm
 
 
 class TestParseLibsvm:

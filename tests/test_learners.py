@@ -466,8 +466,8 @@ class TestCornerSolve:
         fuzz_rounds(l, 400, seed=67, loss_hi=0.05)
         corners = sum(0.0 < tr.h < 1.0 for tr in traces)
         assert corners > 10 and len(calls) == corners == l.corner_rounds
-        # every point is evaluated once: the known ends, 0 and 1 among them,
-        # come from the Newton phase
+        # every point is evaluated once: the finish is given the known ends,
+        # 0 and 1 among them, and evaluates no point of its own
         assert len(points) == corners
         for seen in points:
             assert len(seen) == len(set(seen)) and 0.0 not in seen and 1.0 not in seen
@@ -487,6 +487,37 @@ class TestCornerSolve:
 
         h, evals = solve_corner(fd, loss, fd(1.0)[0])
         assert evals <= 5
+        h_ref = bisect_to_float_resolution(lambda x: fd(x)[0])
+        assert abs(h - h_ref) <= CORNER_WIDTH_ULPS * math.ulp(h_ref)
+
+    @pytest.mark.parametrize("loss,q", [(1e-6, 0.5), (1e-3, 0.5), (1e-6, -0.49),
+                                        (0.5, 0.3), (0.5, -0.49), (1e-310, 0.5)])
+    def test_past_the_newton_cap_the_solve_closes_the_bracket(self, loss, q, monkeypatch):
+        # the corner-shaped residuals above (but 5e-324, closed by its first
+        # point) with the cap at 2 evaluations: the solve goes on with
+        # bisection steps until the bracket is closed, and its one bisect
+        # call is asked for the two ends only
+        def fd(h):
+            den = 1.0 + (h - 1.0) * q
+            return loss - h / den, -(1.0 - q) / (den * den)
+
+        seen, calls, asked = [], [], []
+
+        def counted(h):
+            seen.append(h)
+            return fd(h)
+
+        def recording_bisect(f, lo, hi, tol):
+            calls.append((lo, hi))
+            return bisect(lambda x: asked.append(x) or f(x), lo, hi, tol)
+
+        monkeypatch.setattr(learners, "CORNER_MAX_EVALS", 2)
+        monkeypatch.setattr(learners.rootsolve, "bisect", recording_bisect)
+        h, evals = solve_corner(counted, loss, fd(1.0)[0])
+        assert evals == len(seen) == len(set(seen)) > 2
+        [(lo, hi)] = calls
+        assert hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi) or fd(lo)[0] == 0.0
+        assert set(asked) <= {lo, hi} and lo in asked
         h_ref = bisect_to_float_resolution(lambda x: fd(x)[0])
         assert abs(h - h_ref) <= CORNER_WIDTH_ULPS * math.ulp(h_ref)
 

@@ -51,6 +51,15 @@ class TestHinge:
         with pytest.raises(ValueError, match="mismatch"):
             hinge_eval_grad(np.zeros(3), LabeledExample(np.ones(2), 1.0))
 
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    @pytest.mark.parametrize("w,x", [([math.nan, 0.0], [1.0, 0.0]),
+                                     ([1.0, 0.0], [math.nan, 0.0])])
+    def test_rejects_a_nan_prediction(self, w, x, y):
+        # every comparison with nan is false: without the check the round
+        # would read as a zero loss with a zero subgradient
+        with pytest.raises(ValueError, match="nan"):
+            hinge_eval_grad(np.array(w), LabeledExample(np.array(x), y))
+
 
 class TestAbsolute:
     def test_zero_predictor(self):
@@ -76,6 +85,13 @@ class TestAbsolute:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             absolute_eval_grad(np.zeros(1), LabeledExample(np.ones(2), 1.0))
+
+    @pytest.mark.parametrize("w,x,y", [([math.nan, 0.0], [1.0, 0.0], 0.5),
+                                       ([1.0, 0.0], [math.nan, 0.0], 0.5),
+                                       ([1.0, 0.0], [1.0, 0.0], math.nan)])
+    def test_rejects_a_nan_residual(self, w, x, y):
+        with pytest.raises(ValueError, match="nan"):
+            absolute_eval_grad(np.array(w), LabeledExample(np.array(x), y))
 
 
 class TestExampleOwnedGradients:

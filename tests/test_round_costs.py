@@ -1,12 +1,14 @@
 """Toy-size runs of tools/round_costs.py: it runs to the end, prints every
-round type it replays and every ratio line, with --compare replays a second
-load of this tree as its control, and with --json stores its rows in a JSON
-file whose other keys it keeps. No timing is asserted."""
+round type it replays, every ratio line and every learner's evaluations per
+corner, with --compare replays a second load of this tree as its control,
+and with --json stores its rows in a JSON file whose other keys it keeps.
+No timing is asserted."""
 
 import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -40,8 +42,30 @@ def test_toy_replay_prints_every_learner_and_the_ratio(round_costs, capsys, comp
     labels = {line.split(" at d = ")[0] for line in ratios}
     assert labels == {"ImplicitCoin full / Sgd",
                       *(f"{cls} corner / full" for cls in round_costs.LEARNERS),
-                      *(f"{cls} zero / Sgd" for cls in round_costs.LEARNERS)}
+                      *(f"{cls} zero / Sgd" for cls in round_costs.LEARNERS),
+                      *(f"{cls} evaluations / corner" for cls in round_costs.LEARNERS)}
     assert all(line.count("(") == (2 if compare else 1) for line in ratios)
+
+
+def test_evaluations_per_corner_are_the_learners_counters(round_costs, capsys):
+    # the same recorded rounds on a fresh learner give the printed counts
+    # for this tree and, this tree standing in for the other, for the other
+    src = os.path.join(round_costs.ROOT, "src")
+    assert round_costs.main(TOY + ["--compare", src]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if " evaluations / corner at d = 3: " in line]
+    ic = round_costs.load_tree(src, "_round_costs_test")
+    X, y = round_costs.hinge_problem(np.random.default_rng(1), 60, 3)
+    assert len(lines) == len(round_costs.LEARNERS)
+    for cls, line in zip(round_costs.LEARNERS, lines):
+        rounds, types = round_costs.record(ic, cls, X, y, 2)
+        learner = getattr(ic.learners, cls)(3)
+        for loss, g, ex in round_costs.bind(ic, X, y, rounds):
+            learner.step(loss, g, ex)
+        c, e = learner.corner_rounds, learner.residual_evals
+        assert c == types.count("corner") > 0
+        assert line == (f"{cls} evaluations / corner at d = 3: {e / c:.4f} (this: {e} / {c}), "
+                        f"{e / c:.4f} (other: {e} / {c})")
 
 
 def test_json_stores_the_rows_and_keeps_other_keys(round_costs, tmp_path, capsys):
@@ -64,3 +88,8 @@ def test_json_stores_the_rows_and_keeps_other_keys(round_costs, tmp_path, capsys
         assert row["this/this"] == pytest.approx(row["this_us"] / row["this-again_us"],
                                                  rel=1e-3)
     assert set(table["ratios"]["d3"]["ImplicitCoin full / Sgd"]) == {"this", "other"}
+    for cls in round_costs.LEARNERS:
+        by_tree = table["corner_evals"]["d3"][cls]
+        assert set(by_tree) == {"this", "other"}
+        for counts in by_tree.values():
+            assert counts["per_corner"] == pytest.approx(counts["evals"] / counts["corners"])

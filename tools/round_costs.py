@@ -22,9 +22,13 @@ With --compare, this tree is loaded a second time after the other one
 code read through the tool, whose distance from 1 is the tool's own bias in
 that session. The last lines give, per dimension and tree, the ratios of
 medians ImplicitCoin full / Sgd and, for each learner, corner / full and
-zero / Sgd (nan where the stream has no round of that type). With --json,
-the rows and ratio lines are stored as `round_types` in the JSON file PATH;
-its other keys are kept, so the tool fills that part of a `BENCH_*.json`.
+zero / Sgd (nan where the stream has no round of that type), and for each
+learner its residual evaluations per corner: residual_evals / corner_rounds
+of one untimed replay of the same recorded rounds on each tree, so two
+trees' figures pair up on the same rounds instead of being read against a
+figure from another session. With --json, the rows, ratio lines and
+evaluation counts are stored as `round_types` in the JSON file PATH; its
+other keys are kept, so the tool fills that part of a `BENCH_*.json`.
 """
 
 import argparse
@@ -115,6 +119,14 @@ def replay(make, rounds, types, overhead):
     return {k: spent[k] / counts[k] for k in TYPES if counts[k]}
 
 
+def corner_evals(make, rounds):
+    """(corner rounds, residual evaluations) of one untimed replay."""
+    learner = make()
+    for loss, g, ex in rounds:
+        learner.step(loss, g, ex)
+    return learner.corner_rounds, learner.residual_evals
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=int, nargs="+", default=[8, 21])
@@ -160,10 +172,17 @@ def main(argv=None):
             for kind, seconds in replay(make, rounds, types, overhead).items():
                 cells.setdefault(key, {}).setdefault(kind, []).append(seconds * 1e6)
 
+    # dim -> learner -> tree -> (corners, evaluations), the control load aside
+    evals = {}
+    for (dim, cls, tree), make, rounds, _ in jobs:
+        if cls in LEARNERS and tree != AGAIN:
+            evals.setdefault(f"d{dim}", {}).setdefault(cls, {})[tree] = corner_evals(make, rounds)
+
     rows, ratios = summarise(args.dims, list(trees), cells, jobs)
-    print_table(args.trials, overhead, list(trees), rows, ratios)
+    print_table(args.trials, overhead, list(trees), rows, ratios, evals)
     if args.json:
-        store(args.json, argv if argv is not None else sys.argv[1:], args.trials, rows, ratios)
+        store(args.json, argv if argv is not None else sys.argv[1:], args.trials, rows, ratios,
+              evals)
     return 0
 
 
@@ -205,7 +224,7 @@ def summarise(dims, names, cells, jobs):
     return rows, ratios
 
 
-def print_table(trials, overhead, names, rows, ratios):
+def print_table(trials, overhead, names, rows, ratios, evals):
     print(f"us per round, median over {trials} trials (min in brackets); "
           f"timer cost {overhead * 1e9:.0f} ns per call taken out")
     compared = len(names) > 1
@@ -223,11 +242,16 @@ def print_table(trials, overhead, names, rows, ratios):
         for label, by_tree in labels.items():
             print(f"{label} at d = {dim[1:]}: "
                   + ", ".join(f"{r:.2f} ({n})" for n, r in by_tree.items()))
+    for dim, learners in evals.items():
+        for cls, by_tree in learners.items():
+            print(f"{cls} evaluations / corner at d = {dim[1:]}: "
+                  + ", ".join(f"{e / c if c else math.nan:.4f} ({n}: {e} / {c})"
+                              for n, (c, e) in by_tree.items()))
 
 
-def store(path, argv, trials, rows, ratios):
-    """Put the rows into the JSON file at path as round_types, keeping its
-    other keys."""
+def store(path, argv, trials, rows, ratios, evals):
+    """Put the rows, ratios and evaluation counts into the JSON file at path
+    as round_types, keeping its other keys."""
     data = {}
     if os.path.exists(path):
         with open(path) as fh:
@@ -244,6 +268,11 @@ def store(path, argv, trials, rows, ratios):
         "ratios": {dim: {label: {n: round(r, 4) for n, r in by_tree.items()}
                          for label, by_tree in labels.items()}
                    for dim, labels in ratios.items()},
+        "corner_evals": {dim: {cls: {n: {"corners": c, "evals": e,
+                                         "per_corner": round(e / c, 6) if c else None}
+                                     for n, (c, e) in by_tree.items()}
+                               for cls, by_tree in learners.items()}
+                         for dim, learners in evals.items()},
     }
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
