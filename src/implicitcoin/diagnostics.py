@@ -272,7 +272,8 @@ class BetaBallFold(_Fold):
 
     def __init__(self, norm="l2"):
         super().__init__()
-        _NORMS[norm]  # raises KeyError for an unknown norm
+        if norm not in _NORMS:
+            raise ValueError(f"unknown norm {norm!r}")
         self._norm = norm
 
     def _consume(self, window):

@@ -7,6 +7,7 @@ preprocessing and training rows (as LabeledExamples) are the one value that
 every run of the grid (`run_single`) consumes, epoch after epoch.
 """
 
+import math
 import platform
 import time
 from dataclasses import dataclass
@@ -56,6 +57,8 @@ class ExperimentConfig:
             grid = ()
         elif not grid:
             raise ValueError(f"{self.algorithm} needs a non-empty eta0 grid")
+        elif not all(0.0 < v < math.inf for v in grid):  # nan too
+            raise ValueError(f"eta0 grid values must be positive and finite, got {grid}")
         self.eta0_grid = grid
 
     @property

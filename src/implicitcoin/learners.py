@@ -30,12 +30,13 @@ and one scale. Traced and untraced rounds run the same arithmetic; the
 trace record is built from values the round computed anyway (beta and
 beta_next as a u, on traced rounds only).
 
-The learner holds the iterate it last returned with the state it came from,
-the (u, wealth) objects of a one-game variant (a move makes a new wealth;
-assigning beta drops the hold) or the (beta, wealth) of the per-coordinate
-one. A round that does not move (h = 0: a zero gradient, or a corner at the
-anchor) returns that held array while the state is unchanged; a trace
-record's w (and cw's total wealth) before the round come from the hold.
+Every learner holds (key, wealth, iterate, total wealth) of the iterate it
+last returned: key is the array the iterate is built from (u one-game, beta
+per-coordinate), a one-game total its float wealth; assigning beta drops the
+hold. A round that does not move (h = 0: a zero gradient, or a corner at the
+anchor) is the one `_Coin._stay`: it returns the held iterate while the state
+is unchanged, else a fresh `predict()`. A trace record's w and total wealth
+before the round come from the hold.
 
 A learner never writes into an array it has stored, returned or been
 given, so trace records share arrays with the learner and the caller
@@ -279,10 +280,10 @@ class _CwCorner:
 
 
 class _Coin:
-    """Construction, counters and the input bound of the betting learners.
-    Counters: corner_rounds (rounds whose full step would cross the
-    corner), residual_evals (residual evaluations of their solves) and
-    grad_norm_warnings (gradients renormalised from float excess)."""
+    """Construction, counters, the input bound and the no-move round of the
+    betting learners. Counters: corner_rounds (rounds whose full step would
+    cross the corner), residual_evals (residual evaluations of their solves)
+    and grad_norm_warnings (gradients renormalised from float excess)."""
 
     variant = None
     inv_eta0 = None
@@ -292,18 +293,15 @@ class _Coin:
         self.dim = int(dim)
         self._shape = (self.dim,)
         self.beta = np.zeros(self.dim)
-        self.wealth = self._per_game(1.0)
-        self.inv_eta = self._per_game(self.inv_eta0)
+        self.wealth = 1.0
+        self.inv_eta = self.inv_eta0
         self.t = 0
         self.corner_rounds = 0
         self.residual_evals = 0
         self.grad_norm_warnings = 0
         self.trace_cb = trace_cb
-        # the last returned iterate's state, the iterate (and cw's total wealth)
+        # (key, wealth, iterate, total wealth) of the last returned iterate
         self._held = (None, None, None, None)
-
-    def _per_game(self, value):
-        return value
 
     def _excess(self, nrm):
         """Whether a gradient of norm nrm must be renormalised: float excess
@@ -314,6 +312,26 @@ class _Coin:
             self.grad_norm_warnings += 1
             return True
         return False
+
+    def _stay(self, loss_value, g, evals, key):
+        """A round that does not move (h = 0); returns the held iterate, key
+        being the array the iterate is built from (u, or cw's beta)."""
+        wealth, held = self.wealth, self._held
+        if held[0] is key and held[1] is wealth:
+            w = held[2]
+        else:
+            w = self.predict()
+            held = self._held = (key, wealth, w, None)
+        self.t += 1
+        if evals is not None:
+            self.corner_rounds += 1
+            self.residual_evals += evals
+        if self.trace_cb is not None:
+            total = float(np.add.reduce(wealth)) if held[3] is None else held[3]
+            beta = self.beta
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
+                                    total, total))
+        return w
 
 
 class _BettingCoin(_Coin):
@@ -336,7 +354,7 @@ class _BettingCoin(_Coin):
         self._u = self._beta = value
         self._a = 1.0
         self._uu = float(value.dot(value))
-        self._held = (None, None, None)
+        self._held = (None, None, None, None)
 
     def predict(self):
         return self._u * (self._a * self.wealth)
@@ -349,7 +367,7 @@ class _BettingCoin(_Coin):
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
         nrm = math.sqrt(gg)
         if nrm == 0.0:  # a zero gradient
-            return self._stay(loss_value, g, None)
+            return self._stay(loss_value, g, None, self._u)
         if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
             nrm = 1.0
@@ -381,7 +399,7 @@ class _BettingCoin(_Coin):
             if p1 < 0.0:  # else P, float noise off f1, puts the corner at h = 1
                 h, evals = solve_corner(fd, p0, p1)
                 if h == 0.0:  # a corner at the anchor
-                    return self._stay(loss_value, g, evals)
+                    return self._stay(loss_value, g, evals, u)
 
         if shrinks:
             u_next, uu = u, self._uu
@@ -413,7 +431,7 @@ class _BettingCoin(_Coin):
         self._u, self._a, self._uu, self._beta = u_next, a_next, uu, None
         self.wealth = wealth_next
         self.inv_eta = self.inv_eta + inc
-        self._held = (u_next, wealth_next, w_next)
+        self._held = (u_next, wealth_next, w_next, wealth_next)
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
@@ -422,25 +440,6 @@ class _BettingCoin(_Coin):
             trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta, self.beta,
                                wealth, wealth_next))
         return w_next
-
-    def _stay(self, loss_value, g, evals):
-        """A round that does not move (h = 0); returns the held iterate."""
-        u, wealth = self._u, self.wealth
-        held = self._held
-        if held[0] is u and held[1] is wealth:
-            w = held[2]
-        else:
-            w = u * (self._a * wealth)
-            self._held = (u, wealth, w)
-        self.t += 1
-        if evals is not None:
-            self.corner_rounds += 1
-            self.residual_evals += evals
-        if self.trace_cb is not None:
-            beta = self.beta
-            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
-                                    wealth, wealth))
-        return w
 
 
 class ProjectedImplicitCoin(_BettingCoin):
@@ -472,13 +471,12 @@ class CoordinateImplicitCoin(_Coin):
 
     def __init__(self, dim, trace_cb=None):
         super().__init__(dim, trace_cb)
+        self.wealth = np.ones(self.dim)
+        self.inv_eta = np.full(self.dim, self.inv_eta0)
         # per-coordinate constants: the round multiplies and compares arrays
         self._ones = np.ones(self.dim)
         self._threshold = np.full(self.dim, SHRINK_THRESHOLD)
         self._corner = _CwCorner(self.dim)
-
-    def _per_game(self, value):
-        return np.full(self.dim, value)
 
     def predict(self):
         return self.beta * self.wealth
@@ -495,7 +493,7 @@ class CoordinateImplicitCoin(_Coin):
             ag, gsq = np.abs(g), g * g
             nrm = float(ag[ag.argmax()])  # the first nan, if there is one
         if nrm == 0.0:
-            return self._stay(loss_value, g, None)
+            return self._stay(loss_value, g, None, self.beta)
         if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
             ag, gsq = np.abs(g), g * g
@@ -522,7 +520,7 @@ class CoordinateImplicitCoin(_Coin):
             self._corner.build(loss_value, wealth, s, gsq, inv_eta, ag, small)
             h, evals = solve_corner(self._corner.fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
-                return self._stay(loss_value, g, evals)
+                return self._stay(loss_value, g, evals, beta)
             inc = (2.0 * h * (2.0 - h)) * gsq
             if small is not None:
                 inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
@@ -549,22 +547,3 @@ class CoordinateImplicitCoin(_Coin):
             trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta, beta_next,
                                float(before), total))
         return w_next
-
-    def _stay(self, loss_value, g, evals):
-        """A round that does not move (h = 0); returns the held iterate."""
-        beta, wealth = self.beta, self.wealth
-        held = self._held
-        if held[0] is beta and held[1] is wealth:
-            w, total = held[2], held[3]
-        else:
-            w, total = beta * wealth, None
-            self._held = (beta, wealth, w, None)
-        self.t += 1
-        if evals is not None:
-            self.corner_rounds += 1
-            self.residual_evals += evals
-        if self.trace_cb is not None:
-            total = float(np.add.reduce(wealth)) if total is None else total
-            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
-                                    total, total))
-        return w

@@ -185,6 +185,10 @@ class TestBetaBall:
         assert max(betas) > 3.0 / 8.0  # boundary region was actually visited
         assert fold_all(BetaBallFold(), traces).passed
 
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ValueError, match="'l1'"):
+            BetaBallFold("l1")
+
     def test_linf_norm_for_coordinate_traces(self):
         tr = StepTrace(t=1, w=np.zeros(2), g=np.zeros(2), loss_value=0.0, h=0.0,
                        w_next=np.zeros(2), beta=np.array([0.4, -0.45]),

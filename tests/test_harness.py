@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ class TestConfig:
         for algorithm in ("coin", "implicit-coin"):
             assert ExperimentConfig(algorithm=algorithm).eta0_grid == ()
             assert ExperimentConfig(algorithm=algorithm, eta0_grid=()).eta0_grid == ()
+
+    @pytest.mark.parametrize("grid", [(math.nan,), (-1.0,), (0.0,), (math.inf, 1.0)])
+    def test_grid_value_outside_positive_finite_rejected(self, grid):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExperimentConfig(algorithm="sgd", eta0_grid=grid)
 
     def test_basic_validation(self):
         with pytest.raises(ValueError, match="algorithm"):
