@@ -40,10 +40,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in baselines.ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name, least in (("epochs", 1), ("repetitions", 1), ("seed", 0)):
+            value = getattr(self, name)  # a bool is not a count, a numpy integer is
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.data_format not in ("libsvm", "csv"):
             raise ValueError(f"unknown data format {self.data_format!r}")
         if self.task not in ("classification", "regression"):

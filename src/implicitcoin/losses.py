@@ -13,10 +13,11 @@ computed once and one zero row shared by every example.
 An example also carries the statistics its gradients' input checks read:
 sq_norm, x.x (the bits of (-x).(-x) as well), and for the per-coordinate
 learner abs_x, the read-only |x| (the same for -x), abs_max, its largest
-entry (nan if an entry is nan), and sq_x, the read-only x * x (the bits of
-(-x) * (-x)). `round_input`, the one input check of every
-algorithm's step, reads sq_norm only when g is the example's own x or
-neg_x, and takes g = ex.zero as g.g = 0; any other gradient is measured
+entry (nan if an entry is nan), sq_x, the read-only x * x (the bits of
+(-x) * (-x)), and twice_sq_x, the read-only sq_x + sq_x (2 g^2, that
+learner's full-round 1/eta increment). `round_input`, the one input check
+of every algorithm's step, reads sq_norm only when g is the example's own x
+or neg_x, and takes g = ex.zero as g.g = 0; any other gradient is measured
 afresh.
 
 An oracle converts w, and `round_input` g, with np.asarray only when it is
@@ -47,7 +48,7 @@ class LabeledExample:
     x is the example's own read-only copy of the features; neg_x (-x, the
     same bits as -1.0 * x) and zero are built with it and are read-only too,
     as are the statistics sq_norm (x.x), abs_x (|x|), abs_max (its largest
-    entry) and sq_x (x * x).
+    entry), sq_x (x * x) and twice_sq_x (sq_x + sq_x).
     """
 
     x: np.ndarray
@@ -58,6 +59,7 @@ class LabeledExample:
     abs_x: np.ndarray = field(init=False, repr=False, compare=False)
     abs_max: float = field(init=False, repr=False, compare=False)
     sq_x: np.ndarray = field(init=False, repr=False, compare=False)
+    twice_sq_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=np.float64))
@@ -71,7 +73,9 @@ class LabeledExample:
         object.__setattr__(self, "sq_norm", float(x.dot(x)))
         object.__setattr__(self, "abs_x", abs_x)
         object.__setattr__(self, "abs_max", float(abs_x.max(initial=0.0)))
-        object.__setattr__(self, "sq_x", _read_only(x * x))
+        sq_x = _read_only(x * x)
+        object.__setattr__(self, "sq_x", sq_x)
+        object.__setattr__(self, "twice_sq_x", _read_only(sq_x + sq_x))
 
 
 # bound here, so a wrapper installed as `losses.LabeledExample` (a tracer, a
@@ -87,7 +91,7 @@ def labeled_examples(X, y):
     row. The statistics are taken for all rows at once: x.x as stacked
     matmul row dots, which run the per-row x.dot(x) kernel (np.einsum sums in
     another order and differs in the last bit), |X| with its row maxima, and
-    X * X."""
+    X * X and its double."""
     X = _read_only(np.array(X, dtype=np.float64))
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError(f"need a 2-d feature matrix with one target per row, "
@@ -98,13 +102,14 @@ def labeled_examples(X, y):
     abs_X = _read_only(np.abs(X))
     abs_maxes = abs_X.max(axis=1, initial=0.0).tolist()
     sq_X = _read_only(X * X)
+    twice_sq_X = _read_only(sq_X + sq_X)
     new = object.__new__
     examples = []
-    for x, neg_x, target, sq_norm, abs_x, abs_max, sq_x in zip(X, neg, y, sq_norms, abs_X,
-                                                               abs_maxes, sq_X):
+    for x, neg_x, target, sq_norm, abs_x, abs_max, sq_x, twice_sq_x in zip(
+            X, neg, y, sq_norms, abs_X, abs_maxes, sq_X, twice_sq_X):
         ex = new(_LabeledExample)
         ex.__dict__.update(x=x, y=float(target), neg_x=neg_x, zero=zero, sq_norm=sq_norm,
-                           abs_x=abs_x, abs_max=abs_max, sq_x=sq_x)
+                           abs_x=abs_x, abs_max=abs_max, sq_x=sq_x, twice_sq_x=twice_sq_x)
         examples.append(ex)
     return examples
 

@@ -5,7 +5,9 @@ solvers that the tests still pin down.
 solve used before safeguarded Newton replaced it. `closed_form_corner_poly`
 is the cubic (or quadratic) whose roots are `ImplicitCoin`'s corner h.
 `closed_form_step` replays an `ImplicitCoin` (or `ProjectedImplicitCoin`)
-round from public pieces on a plain fraction, `closed_form_w_next` gives its
+round from public pieces on a plain fraction (its norms are `l2_norm`, the
+bits of `np.linalg.norm` at a fraction of its cost, since C5 calls it about
+300,000 times), `closed_form_w_next` gives its
 iterate, `plain_replay` replays a whole traced stream with it, and
 `wealth_update` is its multiplicative wealth step;
 `coordinate_step` replays a `CoordinateImplicitCoin` round one coordinate
@@ -99,6 +101,12 @@ def narrow_bracket(f, lo: float, hi: float, flo: float, fhi: float, width: float
     return lo, hi, flo, fhi
 
 
+def l2_norm(v):
+    """np.linalg.norm(v) of a 1-d float64 vector, which numpy computes as
+    sqrt(v.dot(v)): the same bits without its Python wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def wealth_update(wealth, beta, pair, beta_next):
     """One multiplicative wealth step.
 
@@ -116,12 +124,12 @@ def closed_form_step(beta, wealth, inv_eta, g, h, projected=False):
     update rule only; with projected, `ProjectedImplicitCoin`'s, whose step
     is the small-fraction one projected onto the half-unit ball."""
     pair = make_pair(g, h)
-    norm_gp = float(np.linalg.norm(pair.g_plus))
-    if projected or float(np.linalg.norm(beta)) < SHRINK_THRESHOLD:
-        gain = 2.0 * float(np.linalg.norm(g)) * norm_gp - norm_gp ** 2
+    norm_gp = l2_norm(pair.g_plus)
+    if projected or l2_norm(beta) < SHRINK_THRESHOLD:
+        gain = 2.0 * l2_norm(g) * norm_gp - norm_gp ** 2
         beta_next = beta - (pair.g_plus + 2.0 * gain * beta) / inv_eta
         if projected:
-            beta_next = beta_next / max(1.0, 2.0 * float(np.linalg.norm(beta_next)))
+            beta_next = beta_next / max(1.0, 2.0 * l2_norm(beta_next))
         inc = 2.0 * gain
     else:
         inc = 2.0 * SHRINK_GAIN * norm_gp

@@ -59,13 +59,16 @@ def test_a_tree_compares_identical_with_itself(toy):
 
 def test_a_perturbed_step_is_reported(toy, monkeypatch):
     a, b = toy.load_tree(SRC, "_digest_test_a"), toy.load_tree(SRC, "_digest_test_b")
-    step_scaled = b.learners._step_scaled
+    step = b.learners._BettingCoin.step
 
-    def nudged(u, scale, g, gg, eta, h):  # one ulp more on every moving round
-        u_next, a_next, k2 = step_scaled(u, scale, g, gg, eta, h)
-        return np.nextafter(u_next, np.inf), a_next, k2
+    def nudged(self, *args):  # u one ulp more after every moving round
+        u = self._u
+        w_next = step(self, *args)
+        if self._u is not u:
+            self._u = np.nextafter(self._u, np.inf)
+        return w_next
 
-    monkeypatch.setattr(b.learners, "_step_scaled", nudged)
+    monkeypatch.setattr(b.learners._BettingCoin, "step", nudged)
     differ, lines = compare(toy, a, b)
     changed = [line for line in lines if " differs from round " in line]
     # ImplicitCoin's small branch and the projected variant take the

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicitcoin import baselines, data_io, harness, losses
 from implicitcoin.baselines import is_parameter_free
@@ -58,6 +61,56 @@ class TestConfig:
             ExperimentConfig(algorithm="sgd", epochs=0)
         with pytest.raises(ValueError, match="format"):
             ExperimentConfig(algorithm="sgd", data_format="arff")
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1.5), ("epochs", True), ("epochs", 2.0), ("repetitions", 2.5),
+        ("repetitions", True), ("repetitions", 0), ("seed", -1), ("seed", 1.5),
+        ("seed", np.True_), ("seed", "3")])
+    def test_counts_and_seed_must_be_integers_in_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(algorithm="sgd", **{field: value})
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        cfg = ExperimentConfig(algorithm="coin", epochs=np.int64(2),
+                               repetitions=np.uint8(1), seed=np.int32(0))
+        assert (cfg.epochs, cfg.repetitions, cfg.seed) == (2, 1, 0)
+
+
+@pytest.fixture(scope="module")
+def tiny_libsvm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.libsvm"
+    path.write_text(serialize_libsvm(make_synthetic_regression(n=20, dim=2, seed=5)))
+    return str(path)
+
+
+COUNTS = st.one_of(st.integers(-1, 3), st.sampled_from(
+    [1.5, 2.0, -0.0, math.nan, True, False, np.int64(2), np.uint8(1), np.True_, "2", None]))
+SEEDS = st.one_of(st.integers(-2, 2**70), st.sampled_from(
+    [1.5, -1.0, True, np.int64(3), np.uint64(7), np.int8(-1), "1", None]))
+
+
+def is_count(value, least):
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(epochs=COUNTS, repetitions=COUNTS, seed=SEEDS)
+def test_run_arguments_run_or_fail_before_the_data_are_read(tiny_libsvm, epochs,
+                                                            repetitions, seed):
+    # every draw either runs on the tiny file or raises ValueError before
+    # load_dataset reads it
+    valid = is_count(epochs, 1) and is_count(repetitions, 1) and is_count(seed, 0)
+    with mock.patch.object(harness, "load_dataset", wraps=harness.load_dataset) as load:
+        try:
+            cfg = ExperimentConfig(algorithm="coin", data_path=tiny_libsvm, epochs=epochs,
+                                   repetitions=repetitions, seed=seed)
+            records = tune_and_run(cfg)
+        except ValueError:
+            assert not valid and load.call_count == 0
+            return
+    assert valid and load.call_count == 1
+    assert len(records) == (repetitions + 1) * epochs
 
 
 class TestRunSingle:

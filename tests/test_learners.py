@@ -880,7 +880,7 @@ def coordinate_residual(beta, wealth, inv_eta, loss, g):
     built as its step builds it."""
     small = np.abs(beta) < SHRINK_THRESHOLD
     corner = learners._CwCorner(len(beta))
-    corner.build(loss, wealth, g * beta, g * g, inv_eta, np.abs(g),
+    corner.build(loss, wealth, g, beta, g * g, inv_eta, np.abs(g),
                  None if small.all() else small)
     return corner.fd
 
@@ -1063,6 +1063,59 @@ class TestTracedEqualsUntraced:
         assert drive_hinge(traced, 7) == drive_hinge(plain, 7)
         assert learner_state(traced) == learner_state(plain)
         assert sum(not np.any(tr.g) for tr in traces) > len(traces) // 10
+
+
+class TestNormBound:
+    """ImplicitCoin keeps a bound on ||beta|| and CoordinateImplicitCoin one
+    on the largest |beta_i|, grown by each step's largest move, and a round
+    whose bound is below the shrink threshold skips measuring the fraction.
+    The bound holds after every round, and a learner made to measure every
+    round plays the same bits."""
+
+    @staticmethod
+    def bounded(l):
+        """Whether the next round takes its branch from the bound."""
+        if isinstance(l, ImplicitCoin):
+            return l._uu is None and l._reach < learners._SMALL_REACH
+        key_beta, key_inv_eta, r, _ = l._reach
+        return key_beta is l.beta and key_inv_eta is l.inv_eta and r < SHRINK_THRESHOLD
+
+    def play(self, cls, dim, drive, *args):
+        plain, measuring = cls(dim), cls(dim)
+        step, measured_step, bounded = plain.step, measuring.step, []
+
+        def checked(*a):
+            bounded.append(self.bounded(plain))
+            w = step(*a)
+            beta = plain.beta
+            if isinstance(plain, ImplicitCoin):
+                assert plain._uu is not None or plain._reach >= float(np.linalg.norm(beta))
+            elif plain._reach[0] is beta:
+                assert plain._reach[2] >= float(np.max(np.abs(beta)))
+            return w
+
+        def measured(*a):  # no bound kept: the fraction is measured
+            measuring._reach = math.inf if cls is ImplicitCoin else learners._NO_REACH
+            return measured_step(*a)
+
+        plain.step, measuring.step = checked, measured
+        assert drive(plain, *args) == drive(measuring, *args)
+        assert learner_state(plain) == learner_state(measuring)
+        return bounded
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("dim", [1, 4, 21])
+    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    def test_c1_stream(self, cls, dim, drift):
+        bounded = self.play(cls, dim, drive_c1, *c1_stream(111, dim, rounds=600, drift=drift))
+        # a drifting stream keeps some fractions on the shrink branch
+        assert any(bounded) and not all(bounded)
+        assert drift or sum(bounded) > len(bounded) // 4
+
+    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    def test_hinge_stream(self, cls):
+        bounded = self.play(cls, 21, drive_hinge, 7)
+        assert sum(bounded) > len(bounded) // 4
 
 
 class TestInputConversion:

@@ -164,7 +164,7 @@ class TestLabeledExamples:
         for ex, x, t in zip(batch, X, y):
             one = LabeledExample(x, t)
             assert type(ex) is LabeledExample and type(ex.y) is float and ex.y == one.y
-            for name in ("x", "neg_x", "zero", "abs_x", "sq_x"):
+            for name in ("x", "neg_x", "zero", "abs_x", "sq_x", "twice_sq_x"):
                 a, b = getattr(ex, name), getattr(one, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
@@ -270,6 +270,8 @@ class TestInputStatistics:
                 # the same squares, a nan's sign aside (a step rejects its row)
                 np.testing.assert_array_equal(ex.sq_x, g * g)
                 assert not ex.sq_x.flags.writeable
+                assert ex.twice_sq_x.tobytes() == (ex.sq_x + ex.sq_x).tobytes()
+                assert not ex.twice_sq_x.flags.writeable
         assert examples[3].sq_norm == examples[3].abs_max == 0.0
 
     @pytest.mark.parametrize("name", baselines.ALGORITHMS)

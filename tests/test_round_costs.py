@@ -1,8 +1,9 @@
 """Toy-size runs of tools/round_costs.py: it runs to the end, prints every
-round type it replays, every ratio line and every learner's evaluations per
-corner, with --compare replays a second load of this tree as its control,
-and with --json stores its rows in a JSON file whose other keys it keeps.
-No timing is asserted."""
+round type it replays, every ratio line (full, corner and zero rounds over
+Sgd.step and corner over full, for each learner) and every learner's
+evaluations per corner, with --compare replays a second load of this tree
+as its control, and with --json stores its rows and ratios in a JSON file
+whose other keys it keeps. No timing is asserted."""
 
 import importlib.util
 import json
@@ -40,10 +41,9 @@ def test_toy_replay_prints_every_learner_and_the_ratio(round_costs, capsys, comp
     assert all(len(r.split(")")[-1].split()) == (2 if compare else 0) for r in rows)
     ratios = [line for line in out.splitlines() if " at d = 3: " in line]
     labels = {line.split(" at d = ")[0] for line in ratios}
-    assert labels == {"ImplicitCoin full / Sgd",
-                      *(f"{cls} corner / full" for cls in round_costs.LEARNERS),
-                      *(f"{cls} zero / Sgd" for cls in round_costs.LEARNERS),
-                      *(f"{cls} evaluations / corner" for cls in round_costs.LEARNERS)}
+    assert labels == {f"{cls} {ratio}" for cls in round_costs.LEARNERS
+                      for ratio in ("full / Sgd", "corner / Sgd", "corner / full", "zero / Sgd",
+                                    "evaluations / corner")}
     assert all(line.count("(") == (2 if compare else 1) for line in ratios)
 
 
@@ -87,7 +87,15 @@ def test_json_stores_the_rows_and_keeps_other_keys(round_costs, tmp_path, capsys
             assert row[f"{tree}_min_us"] <= row[f"{tree}_us"]
         assert row["this/this"] == pytest.approx(row["this_us"] / row["this-again_us"],
                                                  rel=1e-3)
-    assert set(table["ratios"]["d3"]["ImplicitCoin full / Sgd"]) == {"this", "other"}
+    ratios, rows = table["ratios"]["d3"], table["rows"]
+    for cls in round_costs.LEARNERS:  # every learner's rounds over Sgd.step, this tree's
+        for kind in ("full", "corner"):
+            by_tree = ratios[f"{cls} {kind} / Sgd"]
+            assert set(by_tree) == {"this", "other"}
+            if f"d3.{cls}.{kind}" in rows:
+                assert by_tree["this"] == pytest.approx(
+                    rows[f"d3.{cls}.{kind}"]["this_us"] / rows["d3.Sgd.full"]["this_us"],
+                    rel=1e-3)
     for cls in round_costs.LEARNERS:
         by_tree = table["corner_evals"]["d3"][cls]
         assert set(by_tree) == {"this", "other"}

@@ -21,8 +21,8 @@ With --compare, this tree is loaded a second time after the other one
 ("this-again"), and every row gives this/other next to this/this: the same
 code read through the tool, whose distance from 1 is the tool's own bias in
 that session. The last lines give, per dimension and tree, the ratios of
-medians ImplicitCoin full / Sgd and, for each learner, corner / full and
-zero / Sgd (nan where the stream has no round of that type), and for each
+medians full / Sgd, corner / Sgd, corner / full and zero / Sgd for each
+learner (nan where the stream has no round of that type), and for each
 learner its residual evaluations per corner: residual_evals / corner_rounds
 of one untimed replay of the same recorded rounds on each tree, so two
 trees' figures pair up on the same rounds instead of being read against a
@@ -212,9 +212,10 @@ def summarise(dims, names, cells, jobs):
     ratios = {}
     sgd = ("Sgd", "full")
     for dim in dims:
-        pairs = [("ImplicitCoin full / Sgd", ("ImplicitCoin", "full"), sgd)]
-        pairs += [(f"{cls} corner / full", (cls, "corner"), (cls, "full")) for cls in LEARNERS]
-        pairs += [(f"{cls} zero / Sgd", (cls, "zero"), sgd) for cls in LEARNERS]
+        pairs = [(f"{cls} {num} / {den}", (cls, num), (cls, den) if den == "full" else sgd)
+                 for num, den in (("full", "Sgd"), ("corner", "Sgd"), ("corner", "full"),
+                                  ("zero", "Sgd"))
+                 for cls in LEARNERS]
         def median(tree, cls, kind):
             return statistics.median(cells[(dim, cls, tree)].get(kind, [math.nan]))
 
