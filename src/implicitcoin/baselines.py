@@ -37,6 +37,9 @@ class Sgd:
         self._shape = self.w.shape
         self.eta0 = float(eta0)
         self.k = 0
+        # the step's scalar factor: numpy multiplies an array by a 0-d array
+        # faster than by a float, which it converts on every call
+        self._c = np.zeros(())
 
     def predict(self):
         return self.w.copy()
@@ -50,7 +53,9 @@ class Sgd:
         # zero g.g alone does not make a zero gradient
         if gg == 0.0 and not np.count_nonzero(g):
             return self.w
-        self.w = self.w - self.eta0 / math.sqrt(self.k) * g
+        c = self._c
+        c[()] = self.eta0 / math.sqrt(self.k)
+        self.w = self.w - c * g
         return self.w
 
 
@@ -67,7 +72,9 @@ class AProx(Sgd):
         if gg > 0.0:
             eta = self.eta0 / math.sqrt(self.k)
             cap = loss_value / gg
-            self.w = self.w - (cap if cap < eta else eta) * g
+            c = self._c
+            c[()] = cap if cap < eta else eta
+            self.w = self.w - c * g
         return self.w
 
 

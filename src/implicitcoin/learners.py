@@ -20,19 +20,22 @@ the bracket, closes the bracket itself (a guarded bisection over its two
 known ends checks the sign change and evaluates nothing more) and finds h
 on a residual built on corner rounds only, so no per-round function holds
 a closure cell:
-`_poly_residual` (for `ImplicitCoin`, the residual times its positive
-denominator, a Horner cubic, from the step's dq(h) = dA h + dB h^2),
+`_poly_residual` (for an unprojected one-game round, the residual times its
+positive denominator, a Horner cubic, from the step's dq(h) = dA h + dB h^2;
+its solve starts from the quadratic through P(0), P'(0) and P(1)),
 `_projected_residual` (the same dq(h), projected) and `_CwCorner` (the
 per-coordinate cubics, on buffers held by the learner).
 
 The one-game state is scaled (see `_BettingCoin`): a full round is one
-dot, one axpy (the unprojected step at h) and one scale, and the
-projected variant's one more dot. The branch of a round is read off the
-fraction's size, which `ImplicitCoin` and `CoordinateImplicitCoin` bound
-from the last round's step and measure only when the bound reaches the
-shrink threshold. Traced and untraced rounds run the same arithmetic; the
-trace record is built from values the round computed anyway (beta and
-beta_next as a u, on traced rounds only).
+dot, one axpy (the unprojected step at h) and one scale. The branch of a
+round is read off the fraction's size, which every variant bounds from the
+last round's step and measures only when the bound reaches the shrink
+threshold, or, for the projected variant, the point where a step could
+leave the ball: below it the projected variant plays `ImplicitCoin`'s
+unprojected round (its corner on the Horner polynomial), and above it
+replays the projection. Traced and untraced rounds run the same
+arithmetic; the trace record is built from values the round computed
+anyway (beta and beta_next as a u, on traced rounds only).
 
 Every learner holds (key, wealth, iterate, total wealth) of the iterate it
 last returned: key is the array the iterate is built from (u one-game, beta
@@ -88,6 +91,9 @@ _REACH_SLACK = 1.0 + 2.0 ** -40
 # summed in float, stays below _SMALL_SQ for any d below 2^30.
 _SMALL_REACH = SHRINK_THRESHOLD * (1.0 - 2.0 ** -20)
 _NO_REACH = (None, None, math.inf, 0.0)
+# A projected step whose norm is bounded below this stays inside the ball:
+# 2 ||beta_next||, replayed in float, stays below 1 + PROJECTION_SLACK.
+_INSIDE = BETA_RADIUS * (1.0 - 2.0 ** -20)
 
 # The per-coordinate residual's N = dq - h q s and D = 1 + (h-1) q are cubics:
 # dq(h) = -h (e + 4 e s) + 2 h^2 e s on the small branch (e = g^2 / inv_eta),
@@ -118,18 +124,21 @@ class StepTrace:
     wealth_after: float
 
 
-def solve_corner(fd, f0, f1):
+def solve_corner(fd, f0, f1, slope0=None):
     """Corner h in [0, 1) from residual(0) = f0 >= 0 > residual(1) = f1.
 
     fd(h) returns the residual and its slope. Safeguarded Newton (rtsafe,
     Press et al., Numerical Recipes, section 9.4) keeps the bracket
     f(lo) >= 0 > f(hi). It starts from the secant point of the known ends,
-    and its first two steps go to the root nearest x of the quadratic with
-    x's value and slope through the point evaluated before x (the bracket
-    end across the root, at first), or take Newton's step where that
-    quadratic has no root; later steps are Newton's. It takes a bisection
-    step whenever a step leaves the bracket or CORNER_MAX_EVALS evaluations
-    are spent, and once a step is shorter than half the target width it
+    or, given slope0 < 0, the residual's slope at 0, from the root in [0, 1)
+    of the quadratic through (0, f0) with that slope and (1, f1) (a rising
+    slope0 keeps the secant point; no one-game corner polynomial met so far
+    rises at 0). Its first two steps go to the root nearest x of the
+    quadratic with x's value and slope through the point evaluated before x
+    (the bracket end across the root, at first), or take Newton's step where
+    that quadratic has no root; later steps are Newton's. It takes a
+    bisection step whenever a step leaves the bracket or CORNER_MAX_EVALS
+    evaluations are spent, and once a step is shorter than half the target width it
     steps that half-width past the root, so the next point closes the
     bracket from the other side. It stops when the bracket is
     CORNER_WIDTH_ULPS ulps of hi wide or lo holds an exact root. A bisection
@@ -140,6 +149,10 @@ def solve_corner(fd, f0, f1):
     lo, hi, flo, fhi = 0.0, 1.0, f0, f1
     evals = 0
     x = f0 / (f0 - f1)  # secant point
+    if slope0 is not None and slope0 < 0.0:  # q(h) = f0 + slope0 h + k h^2, q(1) = f1
+        disc = slope0 * slope0 - 4.0 * ((f1 - f0) - slope0) * f0
+        if 0.0 <= disc < math.inf:  # q's one root in [0, 1), in a form that does not cancel
+            x = 2.0 * f0 / (math.sqrt(disc) - slope0)
     ulp = math.ulp
     while flo != 0.0:
         if not lo < x < hi:
@@ -209,7 +222,8 @@ def _poly_residual(loss, s, wealth, dA, dB):
     """The one-game corner residual times its denominator D = 1 + (h-1) q > 0
     for dq(h) = dA h + dB h^2: P(h) = loss D + W (dq - h q s), a cubic (a
     quadratic on the shrink branch, dB = 0) evaluated by Horner from
-    coefficients computed once. Returns fd, P(0) and P(1) as fd gives them."""
+    coefficients computed once. Returns fd, P(0) and P(1) as fd gives them,
+    and the slope P'(0)."""
     c0 = loss * (1.0 - s)
     c1 = loss * (s - dA) + wealth * (dA - s * s)
     c2 = loss * (dA - dB) + wealth * (dB - dA * s)
@@ -218,7 +232,7 @@ def _poly_residual(loss, s, wealth, dA, dB):
     def fd(h):
         return ((c3 * h + c2) * h + c1) * h + c0, (3.0 * c3 * h + 2.0 * c2) * h + c1
 
-    return fd, c0, ((c3 + c2) + c1) + c0
+    return fd, c0, ((c3 + c2) + c1) + c0, c1
 
 
 def _projected_residual(loss, s, wealth, gg, bb, eta, dA, dB):
@@ -363,8 +377,11 @@ class _BettingCoin(_Coin):
     one dot, the shrink and the projection change a alone, the step is one
     axpy on u, and a at or below _FOLD_BELOW is folded into u. Reading `beta`
     builds a u once per move; assigning it sets u to it and a to 1. After an
-    unprojected step `ImplicitCoin` leaves uu None and keeps reach, a bound on
-    ||beta||, which decides the branch while it is below _SMALL_REACH."""
+    unprojected step a learner leaves uu None and keeps reach, a bound on
+    ||beta||, which decides the branch while it is below _SMALL_REACH
+    (`ImplicitCoin`) or keeps every step inside the ball (the projected
+    variant); a projected round measures uu, and the next one starts from
+    it."""
 
     @property
     def beta(self):
@@ -404,16 +421,27 @@ class _BettingCoin(_Coin):
         gu = float(g.dot(u))
         s = a * gu
         eta = 1.0 / inv_eta
-        # the projected variant projects the unprojected step; the
-        # closed-form one takes it while the fraction is small, else shrinks
-        projects = self.variant == PROJECTED
-        if uu is None and reach < _SMALL_REACH:  # ||beta|| <= reach is small
-            bb, shrinks = None, False
+        # the closed-form variant takes the unprojected step while the fraction
+        # is small, else shrinks; the projected one takes it where no h in
+        # [0, 1] leaves the ball, else replays the projection: while eta g.g
+        # <= 1, |1 - eta inc| <= 1 and ||beta_next(h)|| <= ||beta|| + eta ||g||.
+        # A norm bound below limit decides without a dot.
+        projected = self.variant == PROJECTED
+        if not projected:
+            limit = _SMALL_REACH
+        elif eta * gg <= 1.0:
+            limit = _INSIDE - eta * nrm
+        else:
+            limit = -math.inf
+        if uu is None and reach < limit:  # ||beta|| <= reach
+            bb = None
+            shrinks = projects = False
         else:
             if uu is None:
                 uu = self._uu = float(u.dot(u))
             bb = a * a * uu
-            shrinks = not projects and not bb < _SMALL_SQ
+            shrinks = not projected and not bb < _SMALL_SQ
+            projects = projected and not math.sqrt(bb) < limit
         if shrinks:  # beta (1 - 2 gain eta h ||g||): dq(h) = dA h
             dA, dB = (-2.0 * SHRINK_GAIN) * eta * nrm * s, 0.0
         else:  # the unprojected step: dq(h) = dA h + dB h^2
@@ -425,11 +453,11 @@ class _BettingCoin(_Coin):
         if f1 < 0.0:  # the full round would cross the corner
             if projects:
                 fd = _projected_residual(loss_value, s, wealth, gg, bb, eta, dA, dB)
-                p0, p1 = loss_value, f1
+                p0, p1, slope0 = loss_value, f1, None
             else:
-                fd, p0, p1 = _poly_residual(loss_value, s, wealth, dA, dB)
+                fd, p0, p1, slope0 = _poly_residual(loss_value, s, wealth, dA, dB)
             if p1 < 0.0:  # else P, float noise off f1, puts the corner at h = 1
-                h, evals = solve_corner(fd, p0, p1)
+                h, evals = solve_corner(fd, p0, p1, slope0)
                 if h == 0.0:  # a corner at the anchor
                     return self._stay(loss_value, g, evals, u)
 
@@ -488,8 +516,10 @@ class _BettingCoin(_Coin):
 
 class ProjectedImplicitCoin(_BettingCoin):
     """Betting step projected onto the half-unit ball; corner h by
-    `solve_corner`, since the projection leaves the corner equation without
-    a closed form."""
+    `solve_corner`. Where a bound on ||beta|| shows that no h in [0, 1]
+    reaches the boundary, the round is `ImplicitCoin`'s unprojected one, its
+    corner on the Horner polynomial; elsewhere the corner residual replays
+    the projection, which leaves it without a polynomial form."""
 
     variant = PROJECTED
     inv_eta0 = PROJECTED_INV_ETA0
@@ -524,6 +554,7 @@ class CoordinateImplicitCoin(_Coin):
         self.wealth = np.ones(self.dim)
         self.inv_eta = np.full(self.dim, self.inv_eta0)
         self._threshold = np.full(self.dim, SHRINK_THRESHOLD)  # compared array to array
+        self._ones = np.ones(self.dim)
         self._corner = _CwCorner(self.dim)
         self._reach = _NO_REACH
 
@@ -589,13 +620,17 @@ class CoordinateImplicitCoin(_Coin):
             beta_next = beta - (inc * beta + c * gsmall) / inv_eta
             wealth_next /= corner.den_at(h)
             w_next = beta_next * wealth_next
-        # summed for a record or a corner only: a finite f(1) >= 0 bounds every
-        # wealth_next entry (an infinite one makes <g, w_next> infinite or nan)
-        trace_cb, total = self.trace_cb, None
-        if evals is not None or trace_cb is not None or not f1 < math.inf:
-            total = float(np.add.reduce(wealth_next))  # the bits of wealth_next.sum()
-            if not total < math.inf:
-                raise ValueError(f"wealth overflows to {total} at round {self.t + 1}")
+        # summed for a record only: a finite f(1) >= 0 bounds every wealth_next
+        # entry (an infinite one makes <g, w_next> infinite or nan); on a corner,
+        # or past a non-finite f(1), one dot with ones is infinite or nan if an
+        # entry is
+        trace_cb, total, checked = self.trace_cb, None, 0.0
+        if trace_cb is not None:
+            total = checked = float(np.add.reduce(wealth_next))  # the bits of wealth_next.sum()
+        elif evals is not None or not f1 < math.inf:
+            checked = float(wealth_next.dot(self._ones))
+        if not checked < math.inf:
+            raise ValueError(f"wealth overflows to {checked} at round {self.t + 1}")
         inv_eta_next = inv_eta + inc
         self._held = (beta_next, wealth_next, w_next, total)
         self._reach = (_NO_REACH if small is not None else

@@ -365,12 +365,13 @@ class TestCornerSolve:
                                          (CoordinateImplicitCoin, 4),
                                          (CoordinateImplicitCoin, 21),
                                          (ProjectedImplicitCoin, 1),
-                                         (ProjectedImplicitCoin, 4)])
+                                         (ProjectedImplicitCoin, 4),
+                                         (ImplicitCoin, 4)])
     def test_h_matches_full_bracket_bisection(self, cls, dim, monkeypatch):
         solved = []
 
-        def recording(fd, f0, f1):
-            h, evals = solve_corner(fd, f0, f1)
+        def recording(fd, f0, f1, slope0=None):
+            h, evals = solve_corner(fd, f0, f1, slope0)
             solved.append((h, bisect(lambda x: fd(x)[0], 0.0, 1.0, FULL_BRACKET_TOL)))
             return h, evals
 
@@ -390,6 +391,48 @@ class TestCornerSolve:
         for h, h_ref in solved:
             assert 0.0 < h < 1.0
             assert abs(h - h_ref) <= 1e-12
+
+    def test_the_slope_start_closes_the_bracket_at_the_bisection_root(self, monkeypatch):
+        # one-game corner polynomials, on the unprojected and the shrink
+        # branch, solved from the root of the quadratic through P(0), P'(0)
+        # and P(1): the one bisect call is given a closed bracket, h is a
+        # full-bracket bisection's, and the start saves evaluations over the
+        # secant point on the same polynomials; on the shrink branch P is
+        # that quadratic, so the next point after the start closes the bracket
+        calls = []
+        orig = learners.rootsolve.bisect
+
+        def counting(f, lo, hi, tol):
+            calls.append((f, lo, hi))
+            return orig(f, lo, hi, tol)
+
+        monkeypatch.setattr(learners.rootsolve, "bisect", counting)
+        rng = np.random.default_rng(83)
+        solves = sloped = secant = 0
+        for i in range(400):
+            s, wealth = rng.uniform(-0.5, 0.5), float(np.exp(rng.uniform(-3.0, 3.0)))
+            eta, nrm = 1.0 / rng.uniform(18.0, 500.0), rng.uniform(0.05, 1.0)
+            if i % 2:
+                dA, dB = -2.0 * SHRINK_GAIN * eta * nrm * s, 0.0
+            else:
+                dB = 2.0 * eta * nrm * nrm * s
+                dA = -eta * nrm * nrm - (dB + dB)
+            dq1 = dA + dB
+            loss = rng.uniform(0.0, 1.0) * wealth * ((s + dq1) * s - dq1)  # f(1) < 0
+            fd, p0, p1, slope0 = learners._poly_residual(loss, s, wealth, dA, dB)
+            assert slope0 == fd(0.0)[1]
+            if not p0 > 0.0 > p1:
+                continue
+            h, evals = solve_corner(fd, p0, p1, slope0)
+            f, lo, hi = calls[-1]
+            assert hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi) or f(lo) == 0.0
+            h_ref = bisect(lambda x: fd(x)[0], 0.0, 1.0, FULL_BRACKET_TOL)
+            assert 0.0 < h < 1.0 and abs(h - h_ref) <= CORNER_WIDTH_ULPS * math.ulp(h_ref)
+            assert evals <= (2 if dB == 0.0 else 5)
+            solves += 1
+            sloped += evals
+            secant += solve_corner(fd, p0, p1)[1]
+        assert solves > 300 and sloped < secant
 
     @pytest.mark.parametrize("cls", [ProjectedImplicitCoin, ImplicitCoin,
                                      CoordinateImplicitCoin])
@@ -442,14 +485,14 @@ class TestCornerSolve:
             calls.append((f, lo, hi, tol))
             return orig(f, lo, hi, tol)
 
-        def recording(fd, f0, f1):
+        def recording(fd, f0, f1, slope0=None):
             seen = []
 
             def counted(h):
                 seen.append(h)
                 return fd(h)
 
-            h, evals = solve_corner(counted, f0, f1)
+            h, evals = solve_corner(counted, f0, f1, slope0)
             points.append(seen)
             assert evals == len(seen)
             # closed to CORNER_WIDTH_ULPS ulps, or lo moved onto an exact root;
@@ -532,9 +575,9 @@ class TestCornerSolve:
         traces, residuals = [], []
         l = cls(2, trace_cb=traces.append)
 
-        def recording(fd, f0, f1):
+        def recording(fd, f0, f1, slope0=None):
             residuals.append(fd)
-            return solve_corner(fd, f0, f1)
+            return solve_corner(fd, f0, f1, slope0)
 
         monkeypatch.setattr(learners, "solve_corner", recording)
         g = np.array([0.5, -0.5])
@@ -556,14 +599,14 @@ class TestCornerSolve:
         poly = learners._poly_residual
 
         def recording_poly(*args):
-            fd, p0, p1 = poly(*args)
+            fd, p0, p1, slope0 = poly(*args)
             built.append(p1)
-            return fd, p0, p1
+            return fd, p0, p1, slope0
 
-        def recording_solve(fd, f0, f1):
-            assert f0 >= 0.0 > f1 and (f0, f1) == (fd(0.0)[0], fd(1.0)[0])
+        def recording_solve(fd, f0, f1, slope0):
+            assert f0 >= 0.0 > f1 and (f0, f1, slope0) == (fd(0.0)[0], fd(1.0)[0], fd(0.0)[1])
             solves.append(f1)
-            return solve_corner(fd, f0, f1)
+            return solve_corner(fd, f0, f1, slope0)
 
         monkeypatch.setattr(learners, "_poly_residual", recording_poly)
         monkeypatch.setattr(learners, "solve_corner", recording_solve)
@@ -1066,36 +1109,42 @@ class TestTracedEqualsUntraced:
 
 
 class TestNormBound:
-    """ImplicitCoin keeps a bound on ||beta|| and CoordinateImplicitCoin one
-    on the largest |beta_i|, grown by each step's largest move, and a round
-    whose bound is below the shrink threshold skips measuring the fraction.
-    The bound holds after every round, and a learner made to measure every
-    round plays the same bits."""
+    """The one-game variants keep a bound on ||beta|| and
+    CoordinateImplicitCoin one on the largest |beta_i|, grown by each step's
+    largest move. A round whose bound is below the shrink threshold skips
+    measuring the fraction, and a projected round whose bound keeps every
+    step inside the ball plays ImplicitCoin's unprojected round. The bound
+    holds after every round, and a learner made to measure every round plays
+    the same bits."""
 
     @staticmethod
     def bounded(l):
-        """Whether the next round takes its branch from the bound."""
+        """Whether the next round takes its branch from the bound (for the
+        projected variant: tries the bound before measuring)."""
         if isinstance(l, ImplicitCoin):
             return l._uu is None and l._reach < learners._SMALL_REACH
+        if isinstance(l, ProjectedImplicitCoin):
+            return l._uu is None
         key_beta, key_inv_eta, r, _ = l._reach
         return key_beta is l.beta and key_inv_eta is l.inv_eta and r < SHRINK_THRESHOLD
 
     def play(self, cls, dim, drive, *args):
         plain, measuring = cls(dim), cls(dim)
         step, measured_step, bounded = plain.step, measuring.step, []
+        coordinate = cls is CoordinateImplicitCoin
 
         def checked(*a):
             bounded.append(self.bounded(plain))
             w = step(*a)
             beta = plain.beta
-            if isinstance(plain, ImplicitCoin):
+            if not coordinate:
                 assert plain._uu is not None or plain._reach >= float(np.linalg.norm(beta))
             elif plain._reach[0] is beta:
                 assert plain._reach[2] >= float(np.max(np.abs(beta)))
             return w
 
         def measured(*a):  # no bound kept: the fraction is measured
-            measuring._reach = math.inf if cls is ImplicitCoin else learners._NO_REACH
+            measuring._reach = learners._NO_REACH if coordinate else math.inf
             return measured_step(*a)
 
         plain.step, measuring.step = checked, measured
@@ -1105,17 +1154,62 @@ class TestNormBound:
 
     @pytest.mark.parametrize("drift", [False, True])
     @pytest.mark.parametrize("dim", [1, 4, 21])
-    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    @pytest.mark.parametrize("cls", [ImplicitCoin, ProjectedImplicitCoin,
+                                     CoordinateImplicitCoin])
     def test_c1_stream(self, cls, dim, drift):
         bounded = self.play(cls, dim, drive_c1, *c1_stream(111, dim, rounds=600, drift=drift))
         # a drifting stream keeps some fractions on the shrink branch
         assert any(bounded) and not all(bounded)
         assert drift or sum(bounded) > len(bounded) // 4
 
-    @pytest.mark.parametrize("cls", [ImplicitCoin, CoordinateImplicitCoin])
+    @pytest.mark.parametrize("cls", [ImplicitCoin, ProjectedImplicitCoin,
+                                     CoordinateImplicitCoin])
     def test_hinge_stream(self, cls):
         bounded = self.play(cls, 21, drive_hinge, 7)
         assert sum(bounded) > len(bounded) // 4
+
+    @staticmethod
+    def replaying(l, *a):
+        """l's round with the bound ignored: every round replays the
+        projection, as a projected round did before it kept the bound."""
+        inside = learners._INSIDE
+        learners._INSIDE = -math.inf
+        try:
+            return l.step(*a)
+        finally:
+            learners._INSIDE = inside
+
+    def test_projected_rounds_match_the_projection_replay(self):
+        # each round of C1 streams, played from the same state by the learner
+        # and by a copy made to replay the projection: a full round has the
+        # same bits, and a corner h within twice the solve's width of the
+        # replay's, each being within that width of its own residual's root
+        projections = 0
+        for dim, drift in [(1, False), (1, True), (4, False), (4, True), (21, True)]:
+            traces, replayed = [], []
+            l = ProjectedImplicitCoin(dim)
+            full = corners = fallbacks = 0
+            for i, (g, u) in enumerate(zip(*c1_stream(111, dim, rounds=600, drift=drift))):
+                loss = 10.0 * u if i % 2 == 0 else u * 2.0 * float(g @ g) * l.wealth / l.inv_eta
+                other = pickle.loads(pickle.dumps(l))
+                l.trace_cb, other.trace_cb = traces.append, replayed.append
+                w_other = self.replaying(other, loss, g)
+                w = l.step(loss, g)
+                l.trace_cb = None
+                h = traces[-1].h
+                if h == 1.0:
+                    full += 1
+                    assert replayed[-1].h == 1.0 and w.tobytes() == w_other.tobytes()
+                    assert learner_state(l)[:3] == learner_state(other)[:3]
+                elif h > 0.0:
+                    corners += 1
+                    assert abs(h - replayed[-1].h) <= 2.0 * CORNER_WIDTH_ULPS * math.ulp(h)
+                if h > 0.0 and l._uu is not None:  # the round took the replay
+                    fallbacks += 1
+                    projections += abs(2.0 * float(np.linalg.norm(l.beta)) - 1.0) <= 1e-12
+            assert full > 10 and corners > 100 and fallbacks < (full + corners) // 4
+        # a drifting 1-d coin reaches the boundary, where the replay projects
+        assert projections > 10
 
 
 class TestInputConversion:
