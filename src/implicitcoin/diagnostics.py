@@ -11,10 +11,11 @@ one vectorised pass: it stacks the fields it reads into arrays, takes row dot
 products through matmul (the bits of `@` on each row) and running sums
 through `np.cumsum` (the bits of a `+=` loop), so its report and its rows are
 those of a fold that takes one record at a time, bit for bit. A window holds
-records of one gradient size, at most WINDOW_RECORDS of them and at most
-WINDOW_ENTRIES gradient entries in all, and at least one record. The folds and
-the writer that a run feeds the same records in turn stack each field of a
-window once, since the window consumed last is kept with its arrays.
+records of one learner run (a record with t == 1 starts a new one), at most
+WINDOW_RECORDS of them and at most WINDOW_ENTRIES gradient entries in all, and
+at least one record. The folds and the writer that a run feeds the same
+records in turn stack each field of a window once, since the window consumed
+last is kept with its arrays.
 
 Results are complete only at report() of a fold and close() of the writer,
 which consume the partial window. Until then a record and its arrays must
@@ -118,14 +119,6 @@ def _accumulate(start, terms):
     return np.cumsum(terms, axis=0, out=terms)
 
 
-def _stretches(restart):
-    """(start, stop, restarted) for the stretches of a window that the
-    records flagged in restart begin; restarted tells whether the stretch
-    begins at such a record"""
-    cuts = [0, *np.flatnonzero(restart).tolist(), restart.size]
-    return [(a, b, k > 0) for k, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
-
-
 class _Windowed:
     """Holds the records passed to update() and hands them, a window at a
     time and in order, to `_consume`."""
@@ -136,20 +129,15 @@ class _Windowed:
         self._cap = 0      # records a window of that size holds
 
     def update(self, tr):
+        size = tr.g.size
+        if tr.t == 1 or size != self._size:  # the held records end their window
+            self._flush()
+            if size != self._size:
+                self._size = size
+                self._cap = max(1, min(WINDOW_RECORDS, WINDOW_ENTRIES // max(size, 1)))
         window = self._window
         window.append(tr)
-        if len(window) >= self._cap or tr.g.size != self._size:
-            self._settle()
-
-    def _settle(self):
-        size = self._window[-1].g.size
-        if size != self._size:  # the records before this one end their window
-            self._size = size
-            self._cap = max(1, min(WINDOW_RECORDS, WINDOW_ENTRIES // max(size, 1)))
-            last = self._window.pop()
-            self._flush()
-            self._window.append(last)
-        if len(self._window) >= self._cap:
+        if len(window) >= self._cap:
             self._flush()
 
     def _flush(self):
@@ -238,8 +226,9 @@ class WealthIdentityFold(_Fold):
     """Multiplicative wealth recursion agrees with the additive form
     (endowment minus the accumulated decomposition terms).
 
-    A trace with t == 1 marks a fresh learner, so the accumulator restarts
-    there; one fold can therefore span several repetitions.
+    A trace with t == 1 marks a fresh learner and starts a window, so the
+    accumulator restarts there; one fold can therefore span several
+    repetitions.
     """
 
     name = "wealth_identity"
@@ -256,9 +245,8 @@ class WealthIdentityFold(_Fold):
         # g.(w - w_next) is the shared gain negated, exact up to the sign of
         # a zero, which the running sum (never -0.0) cannot see
         spent = -window.gain() + _rowdot(h[:, None] * window.stack("g"), window.stack("w_next"))
-        for a, b, restarted in _stretches(window.stack("t") == 1):
-            _accumulate(0.0 if restarted else self._spent, spent[a:b])
-            self._spent = float(spent[b - 1])
+        _accumulate(0.0 if window.records[0].t == 1 else self._spent, spent)
+        self._spent = float(spent[-1])
         self.rounds += len(window)
         dev = np.abs(wealth - (self.epsilon - spent))
         self._note_all(-dev / np.maximum(1.0, np.abs(wealth)), window.column("t"))
@@ -291,51 +279,47 @@ class WealthLowerBoundFold(_Fold):
         ln W_T >= -3/2 - 7.25 ln(1 + 2 sum ||g||*||g+||) + min(S/4, S^2/(2 sum mu))
     with S = ||sum g+|| and mu_t = 2(||g_t||^2 - ||g_t - g_t+||^2); the
     closed-form variant the analogue with constants 110.25, ln(16 + .) and S/8.
-    A zero mu sum falls back to the linear branch of the min.
+    A zero mu sum falls back to the linear branch of the min. A run starts
+    with the one-game endowment 1.0, and a final wealth that is not positive
+    (nan included) fails with slack -inf.
     """
 
     name = "wealth_lower_bound"
     tolerance = LOG_WEALTH_TOL
 
-    def __init__(self, variant, epsilon=1.0):
+    def __init__(self, variant):
         super().__init__()
         if variant not in (PROJECTED, CLOSED_FORM):
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
-        self.epsilon = float(epsilon)
         self._reset_run()
 
     def _reset_run(self):
         self._gplus_sum = None
         self._pair_sum = 0.0
         self._mu_sum = 0.0
-        self._final_wealth = self.epsilon
+        self._final_wealth = 1.0
         self._last_t = 0
 
     def _consume(self, window):
-        t, wealth = window.column("t"), window.column("wealth_after")
-        ts, h, g = window.stack("t"), window.stack("h"), window.stack("g")
-        norm_g = window.norm("g")
+        first, last = window.records[0], window.records[-1]
+        if first.t == 1 and self._last_t != 0:  # a fresh learner: close out the last run
+            self._note(self._run_slack(), self._last_t)
+            self._reset_run()
+        h, g, norm_g = window.stack("h"), window.stack("g"), window.norm("g")
         g_plus = h[:, None] * g  # 1.0 * g is g
         pair = norm_g * (h * norm_g)
         mu = 2.0 * norm_g * norm_g * h * (2.0 - h)
-        # a t == 1 record after another record starts a fresh learner's run
-        restart = ts == 1
-        restart[0] &= self._last_t != 0
-        restart[1:] &= ts[:-1] != 0
-        for a, b, restarted in _stretches(restart):
-            if restarted:  # close out the previous run first
-                self._note(self._run_slack(), self._last_t)
-                self._reset_run()
-            start = np.zeros(g.shape[1]) if self._gplus_sum is None else self._gplus_sum
-            self._gplus_sum = _accumulate(start, g_plus[a:b])[-1].copy()
-            self._pair_sum = float(_accumulate(self._pair_sum, pair[a:b])[-1])
-            self._mu_sum = float(_accumulate(self._mu_sum, mu[a:b])[-1])
-            self._final_wealth = wealth[b - 1]
-            self._last_t = t[b - 1]
+        start = np.zeros(g.shape[1]) if self._gplus_sum is None else self._gplus_sum
+        self._gplus_sum = _accumulate(start, g_plus)[-1].copy()
+        self._pair_sum = float(_accumulate(self._pair_sum, pair)[-1])
+        self._mu_sum = float(_accumulate(self._mu_sum, mu)[-1])
+        self._final_wealth, self._last_t = last.wealth_after, last.t
         self.rounds += len(window)
 
     def _run_slack(self):
+        if not self._final_wealth > 0.0:  # also nan
+            return -math.inf
         gps = 0.0
         if self._gplus_sum is not None:
             gps = math.sqrt(float(self._gplus_sum.dot(self._gplus_sum)))

@@ -62,20 +62,10 @@ class LabeledExample:
     twice_sq_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = _read_only(np.array(self.x, dtype=np.float64))
+        x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
-        abs_x = _read_only(np.abs(x))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "neg_x", _read_only(-x))
-        object.__setattr__(self, "zero", _read_only(np.zeros(x.shape)))
-        object.__setattr__(self, "sq_norm", float(x.dot(x)))
-        object.__setattr__(self, "abs_x", abs_x)
-        object.__setattr__(self, "abs_max", float(abs_x.max(initial=0.0)))
-        sq_x = _read_only(x * x)
-        object.__setattr__(self, "sq_x", sq_x)
-        object.__setattr__(self, "twice_sq_x", _read_only(sq_x + sq_x))
+        self.__dict__.update(labeled_examples(x[None], (self.y,))[0].__dict__)
 
 
 # bound here, so a wrapper installed as `losses.LabeledExample` (a tracer, a

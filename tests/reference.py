@@ -300,6 +300,8 @@ class ReferenceWealthLowerBoundFold(WealthLowerBoundFold):
         self._last_t = tr.t
 
     def _run_slack(self):
+        if not self._final_wealth > 0.0:  # also nan
+            return -math.inf
         gps = 0.0 if self._gplus_sum is None else float(np.linalg.norm(self._gplus_sum))
         if self.variant == PROJECTED:
             bound = -1.5 - 7.25 * math.log1p(2.0 * self._pair_sum)

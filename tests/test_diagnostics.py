@@ -162,6 +162,19 @@ class TestWealthLowerBound:
         with pytest.raises(ValueError, match="variant"):
             WealthLowerBoundFold("other")
 
+    @pytest.mark.parametrize("final_wealth", [0.0, -1.0, math.nan])
+    def test_a_final_wealth_that_is_not_positive_fails(self, final_wealth, tmp_path):
+        # the first run ends on a wealth with no logarithm: its slack is
+        # -inf, noted at its last t, and the second run is still checked
+        first = drive(ImplicitCoin(1), 30, seed=5)
+        first[-1] = dataclasses.replace(first[-1], wealth_after=final_wealth)
+        traces = first + drive(ImplicitCoin(1), 20, seed=6)
+        for variant in (PROJECTED, CLOSED_FORM):
+            report = fold_all(WealthLowerBoundFold(variant), traces)
+            assert not report.passed and "FAIL" in report.line()
+            assert (report.worst_slack, report.first_violation) == (-math.inf, 30)
+        same_as_reference(traces, tmp_path / "trace.csv")
+
 
 class TestBetaBall:
     def test_fresh_state_slack_is_half(self):
@@ -328,6 +341,22 @@ def two_dimensions():
             + corner_stream(ImplicitCoin, 5, seed=52, rounds=2 * W))
 
 
+def one_run_held(traces):
+    """An after_each check for records fed in this order: every consumer
+    holds records of one run, and right after a t == 1 record exactly that
+    record."""
+    fed = iter(traces)
+
+    def check(consumers):
+        tr = next(fed)
+        for c in consumers:
+            assert all(held.t != 1 for held in c._window[1:])
+            if tr.t == 1:
+                assert len(c._window) == 1 and c._window[0] is tr
+
+    return check
+
+
 class TestReferenceEquivalence:
     """The folds and the writer against their first formulation in
     `reference`: the same reports, worst slack bit for bit, and the same
@@ -369,6 +398,19 @@ class TestReferenceEquivalence:
         traces = two_dimensions()
         assert {tr.g.size for tr in traces} == {2, 5}
         same_as_reference(traces, tmp_path / "trace.csv")
+
+    def test_a_one_record_run_between_two_runs(self, tmp_path):
+        traces = (corner_stream(ImplicitCoin, 3, seed=71, rounds=W // 2)
+                  + corner_stream(ProjectedImplicitCoin, 3, seed=72, rounds=1)
+                  + corner_stream(CoordinateImplicitCoin, 3, seed=73, rounds=W // 2))
+        assert [k for k, tr in enumerate(traces) if tr.t == 1] == [0, W // 2, W // 2 + 1]
+        same_as_reference(traces, tmp_path / "trace.csv", after_each=one_run_held(traces))
+
+    def test_a_run_that_starts_right_after_a_full_window(self, tmp_path):
+        traces = (corner_stream(ImplicitCoin, 3, seed=81, rounds=W)
+                  + corner_stream(ProjectedImplicitCoin, 3, seed=82, rounds=W // 2))
+        assert [k for k, tr in enumerate(traces) if tr.t == 1] == [0, W]
+        same_as_reference(traces, tmp_path / "trace.csv", after_each=one_run_held(traces))
 
     def test_a_window_holds_one_record_past_the_entry_cap(self, tmp_path):
         d = 70_000

@@ -2,8 +2,9 @@
 round type it replays, every ratio line (full, corner and zero rounds over
 Sgd.step and corner over full, for each learner) and every learner's
 evaluations per corner, with --compare replays a second load of this tree
-as its control, and with --json stores its rows and ratios in a JSON file
-whose other keys it keeps. No timing is asserted."""
+as its control and divides both trees' ratios over Sgd by the other tree's
+Sgd.step, and with --json stores its rows and ratios in a JSON file whose
+other keys it keeps. No timing is asserted."""
 
 import importlib.util
 import json
@@ -41,9 +42,10 @@ def test_toy_replay_prints_every_learner_and_the_ratio(round_costs, capsys, comp
     assert all(len(r.split(")")[-1].split()) == (2 if compare else 0) for r in rows)
     ratios = [line for line in out.splitlines() if " at d = 3: " in line]
     labels = {line.split(" at d = ")[0] for line in ratios}
+    sgd = "other's Sgd" if compare else "Sgd"
     assert labels == {f"{cls} {ratio}" for cls in round_costs.LEARNERS
-                      for ratio in ("full / Sgd", "corner / Sgd", "corner / full", "zero / Sgd",
-                                    "evaluations / corner")}
+                      for ratio in (f"full / {sgd}", f"corner / {sgd}", "corner / full",
+                                    f"zero / {sgd}", "evaluations / corner")}
     assert all(line.count("(") == (2 if compare else 1) for line in ratios)
 
 
@@ -88,16 +90,45 @@ def test_json_stores_the_rows_and_keeps_other_keys(round_costs, tmp_path, capsys
         assert row["this/this"] == pytest.approx(row["this_us"] / row["this-again_us"],
                                                  rel=1e-3)
     ratios, rows = table["ratios"]["d3"], table["rows"]
-    for cls in round_costs.LEARNERS:  # every learner's rounds over Sgd.step, this tree's
+    assert "other tree's Sgd.step" in table["what"]
+    for cls in round_costs.LEARNERS:  # every learner's rounds over the other tree's Sgd.step
         for kind in ("full", "corner"):
-            by_tree = ratios[f"{cls} {kind} / Sgd"]
+            by_tree = ratios[f"{cls} {kind} / other's Sgd"]
             assert set(by_tree) == {"this", "other"}
             if f"d3.{cls}.{kind}" in rows:
-                assert by_tree["this"] == pytest.approx(
-                    rows[f"d3.{cls}.{kind}"]["this_us"] / rows["d3.Sgd.full"]["this_us"],
-                    rel=1e-3)
+                for tree in by_tree:
+                    assert by_tree[tree] == pytest.approx(
+                        rows[f"d3.{cls}.{kind}"][f"{tree}_us"] / rows["d3.Sgd.full"]["other_us"],
+                        rel=1e-3)
     for cls in round_costs.LEARNERS:
         by_tree = table["corner_evals"]["d3"][cls]
         assert set(by_tree) == {"this", "other"}
         for counts in by_tree.values():
             assert counts["per_corner"] == pytest.approx(counts["evals"] / counts["corners"])
+
+
+def test_a_slower_sgd_in_this_tree_moves_no_learner_ratio(round_costs, capsys):
+    # the same per-trial cells twice, this tree's Sgd.step three times as
+    # slow the second time: every "/ other's Sgd" line reads the same, and
+    # only the Sgd row's this/other moves
+    names = ["this", "other", round_costs.AGAIN]
+    jobs, base = [], {}
+    for k, cls in enumerate(round_costs.LEARNERS + ("Sgd",)):
+        kinds = ("full",) if cls == "Sgd" else round_costs.TYPES
+        for n in names:
+            jobs.append(((3, cls, n), None, None, list(kinds)))
+            base[(3, cls, n)] = {kind: [1.0 + k + j + i + (n == "other") for i in range(3)]
+                                 for j, kind in enumerate(kinds)}
+    slow = {key: {kind: [3.0 * us for us in trials] if key == (3, "Sgd", "this") else trials
+                  for kind, trials in by_kind.items()}
+            for key, by_kind in base.items()}
+    printed = []
+    for cells in (base, slow):
+        rows, ratios = round_costs.summarise([3], names, cells, jobs)
+        round_costs.print_table(3, 0.0, names, rows, ratios, {})
+        printed.append(capsys.readouterr().out.splitlines())
+    over_sgd = [[line for line in out if " / other's Sgd at d = 3: " in line] for out in printed]
+    assert len(over_sgd[0]) == 3 * len(round_costs.LEARNERS)
+    assert over_sgd[0] == over_sgd[1]
+    moved = [line for line, again in zip(*printed) if line != again]
+    assert [line.split()[1] for line in moved] == ["Sgd"]

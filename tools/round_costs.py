@@ -22,7 +22,10 @@ With --compare, this tree is loaded a second time after the other one
 code read through the tool, whose distance from 1 is the tool's own bias in
 that session. The last lines give, per dimension and tree, the ratios of
 medians full / Sgd, corner / Sgd, corner / full and zero / Sgd for each
-learner (nan where the stream has no round of that type), and for each
+learner (nan where the stream has no round of that type); with --compare,
+every ratio over Sgd divides both trees' medians by the other tree's
+`Sgd.step` median, labelled "/ other's Sgd", so a change to Sgd alone moves
+no learner's ratio. Then, for each
 learner its residual evaluations per corner: residual_evals / corner_rounds
 of one untimed replay of the same recorded rounds on each tree, so two
 trees' figures pair up on the same rounds instead of being read against a
@@ -210,18 +213,21 @@ def summarise(dims, names, cells, jobs):
                     row["this/this"] = row["this_us"] / row[f"{AGAIN}_us"]
                 rows[f"d{dim}.{cls}.{kind}"] = row
     ratios = {}
-    sgd = ("Sgd", "full")
+    fixed = "other" if len(names) > 1 else None  # the tree whose Sgd.step divides
+    sgd = "other's Sgd" if fixed else "Sgd"
     for dim in dims:
-        pairs = [(f"{cls} {num} / {den}", (cls, num), (cls, den) if den == "full" else sgd)
+        pairs = [(f"{cls} {num} / {sgd if den == 'Sgd' else den}", (cls, num), den)
                  for num, den in (("full", "Sgd"), ("corner", "Sgd"), ("corner", "full"),
                                   ("zero", "Sgd"))
                  for cls in LEARNERS]
         def median(tree, cls, kind):
             return statistics.median(cells[(dim, cls, tree)].get(kind, [math.nan]))
 
-        ratios[f"d{dim}"] = {label: {n: median(n, *num) / median(n, *den)
-                                     for n in names if n != AGAIN}
-                             for label, num, den in pairs}
+        ratios[f"d{dim}"] = {
+            label: {n: median(n, *num) / (median(fixed or n, "Sgd", "full") if den == "Sgd"
+                                          else median(n, num[0], den))
+                    for n in names if n != AGAIN}
+            for label, num, den in pairs}
     return rows, ratios
 
 
@@ -262,7 +268,8 @@ def store(path, argv, trials, rows, ratios, evals):
                 "learner.step wall time by round type, median (and least) over "
                 f"{trials} interleaved trials in one process; with --compare, "
                 f"'{AGAIN}' is a second load of this tree, whose ratio this/this "
-                "is the tool's own bias",
+                "is the tool's own bias, and every ratio over Sgd divides both "
+                "trees by the other tree's Sgd.step median (\"/ other's Sgd\")",
         "unit": "us",
         "rows": {k: {f: round(v, 4) if isinstance(v, float) else v for f, v in row.items()}
                  for k, row in rows.items()},
