@@ -54,16 +54,14 @@ def run_command(args):
         eta0_grid=_parse_grid(args.grid) if args.grid else None,
         seed=args.seed,
     )
+    if args.trace_wealth and config.algorithm not in ("implicit-coin", "cw-implicit-coin"):
+        raise ValueError("trace-wealth needs a betting learner "
+                         "(implicit-coin or cw-implicit-coin)")
     dataset = harness.load_dataset(config)
 
     folds = diagnostics.folds_for_learner(config.algorithm, dataset.n_features) \
         if args.check_bounds else []
-    writer = None
-    if args.trace_wealth:
-        if config.algorithm not in ("implicit-coin", "cw-implicit-coin"):
-            raise ValueError("trace-wealth needs a betting learner "
-                             "(implicit-coin or cw-implicit-coin)")
-        writer = diagnostics.WealthTraceWriter(args.trace_wealth)
+    writer = diagnostics.WealthTraceWriter(args.trace_wealth) if args.trace_wealth else None
 
     def trace_cb(tr):
         for fold in folds:

@@ -11,20 +11,17 @@ the residual has no <g, w> term to cancel, so its float noise scales with
 the loss, and it is exactly the loss at h = 0.
 
 A round checks its input with `losses.round_input`, the one check of every
-algorithm, and bounds the norm from the g.g it returns (from |g| for the
-per-coordinate variant, which reads the example's abs_x, abs_max, sq_x and
-twice_sq_x when g is its x or neg_x); a zero gradient returns at once.
-Otherwise it commits at h = 1 if f(1), the residual of the full round, is
->= 0; else `solve_corner`, safeguarded Newton with quadratic steps inside
-the bracket, closes the bracket itself (a guarded bisection over its two
-known ends checks the sign change and evaluates nothing more) and finds h
-on a residual built on corner rounds only, so no per-round function holds
-a closure cell:
-`_poly_residual` (for an unprojected one-game round, the residual times its
-positive denominator, a Horner cubic, from the step's dq(h) = dA h + dB h^2;
-its solve starts from the quadratic through P(0), P'(0) and P(1)),
-`_projected_residual` (the same dq(h), projected) and `_CwCorner` (the
-per-coordinate cubics, on buffers held by the learner).
+algorithm, and a g.g of 0 (for the per-coordinate variant, every entry 0)
+returns at once, before any norm is taken. Otherwise it bounds the norm
+(from |g| per coordinate, read off the example's abs_x, abs_max, sq_x and
+twice_sq_x when g is its x or neg_x) and commits at h = 1 if f(1), the
+residual of the full round, is >= 0; else `solve_corner`, safeguarded Newton
+with quadratic steps inside the bracket that closes the bracket itself,
+finds h on a residual built on corner rounds only, so no per-round function
+holds a closure cell: `_poly_residual` (an unprojected one-game round's
+residual times its positive denominator, a Horner cubic from the step's
+dq(h) = dA h + dB h^2), `_projected_residual` (the same dq(h), projected)
+and `_CwCorner` (the per-coordinate cubics, on buffers held by the learner).
 
 The one-game state is scaled (see `_BettingCoin`): a full round is one
 dot, one axpy (the unprojected step at h) and one scale. The branch of a
@@ -37,13 +34,12 @@ replays the projection. Traced and untraced rounds run the same
 arithmetic; the trace record is built from values the round computed
 anyway (beta and beta_next as a u, on traced rounds only).
 
-Every learner holds (key, wealth, iterate, total wealth) of the iterate it
-last returned: key is the array the iterate is built from (u one-game, beta
-per-coordinate), a one-game total its float wealth; assigning beta drops the
-hold. A round that does not move (h = 0: a zero gradient, or a corner at the
-anchor) is the one `_Coin._stay`: it returns the held iterate while the state
-is unchanged, else a fresh `predict()`. A trace record's w and total wealth
-before the round come from the hold.
+Every learner holds the iterate it last returned with its total wealth (a
+one-game total is its float wealth, a per-coordinate one is summed on traced
+rounds only), or None: assigning beta or wealth drops the hold. A round that
+does not move (h = 0: a zero gradient, or a corner at the anchor) is the one
+`_Coin._stay`, which returns the held iterate, else a fresh `predict()`. A
+trace record's w and total wealth before the round come from the hold.
 
 A learner never writes into an array it has stored, returned or been
 given, so trace records share arrays with the learner and the caller
@@ -52,6 +48,7 @@ instead of copying, and the gradients may be read-only.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -131,21 +128,20 @@ def solve_corner(fd, f0, f1, slope0=None):
     Press et al., Numerical Recipes, section 9.4) keeps the bracket
     f(lo) >= 0 > f(hi). It starts from the secant point of the known ends,
     or, given slope0 < 0, the residual's slope at 0, from the root in [0, 1)
-    of the quadratic through (0, f0) with that slope and (1, f1) (a rising
-    slope0 keeps the secant point; no one-game corner polynomial met so far
-    rises at 0). Its first two steps go to the root nearest x of the
-    quadratic with x's value and slope through the point evaluated before x
-    (the bracket end across the root, at first), or take Newton's step where
-    that quadratic has no root; later steps are Newton's. It takes a
-    bisection step whenever a step leaves the bracket or CORNER_MAX_EVALS
-    evaluations are spent, and once a step is shorter than half the target width it
-    steps that half-width past the root, so the next point closes the
-    bracket from the other side. It stops when the bracket is
-    CORNER_WIDTH_ULPS ulps of hi wide or lo holds an exact root. A bisection
-    call given only the two known ends finishes it: its sign-change check is
-    the safeguard, and on the closed bracket it evaluates no new point.
-    Returns (h, evaluations of fd).
+    of the quadratic through (0, f0) with that slope and (1, f1). Its first
+    two steps go to the root nearest x of the quadratic with x's value and
+    slope through the point evaluated before x (the bracket end across the
+    root, at first), or take Newton's step where that quadratic has no root;
+    later steps are Newton's. It bisects whenever a step leaves the bracket
+    or CORNER_MAX_EVALS evaluations are spent, and a step shorter than half
+    the target width goes that half-width past the root, so the next point
+    closes the bracket from the other side. It stops when the bracket is
+    CORNER_WIDTH_ULPS ulps of hi wide or lo holds an exact root. One
+    `rootsolve.bisect` call given only the two known ends finishes it: its
+    sign-change check is the safeguard, and on the closed bracket it takes
+    no step. Returns (h, evaluations of fd).
     """
+    width, cap, ulp = CORNER_WIDTH_ULPS, CORNER_MAX_EVALS, math.ulp
     lo, hi, flo, fhi = 0.0, 1.0, f0, f1
     evals = 0
     x = f0 / (f0 - f1)  # secant point
@@ -153,7 +149,6 @@ def solve_corner(fd, f0, f1, slope0=None):
         disc = slope0 * slope0 - 4.0 * ((f1 - f0) - slope0) * f0
         if 0.0 <= disc < math.inf:  # q's one root in [0, 1), in a form that does not cancel
             x = 2.0 * f0 / (math.sqrt(disc) - slope0)
-    ulp = math.ulp
     while flo != 0.0:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -165,9 +160,9 @@ def solve_corner(fd, f0, f1, slope0=None):
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
-        if hi - lo <= CORNER_WIDTH_ULPS * ulp(hi):
+        if hi - lo <= width * ulp(hi):
             break
-        if slope < 0.0 and evals < CORNER_MAX_EVALS:
+        if slope < 0.0 and evals < cap:
             dx = fx / slope
             if evals <= 2:  # later quadratic steps save no evaluation over Newton's
                 if evals == 1:
@@ -177,16 +172,15 @@ def solve_corner(fd, f0, f1, slope0=None):
                 if 0.0 <= disc < math.inf:
                     dx = 2.0 * fx / (slope - math.sqrt(disc))
                 px, pf = x, fx
-            half = 0.5 * CORNER_WIDTH_ULPS * ulp(x)
-            if abs(dx) <= half:
+            half = 0.5 * width * ulp(x)
+            if -half <= dx <= half:
                 dx += math.copysign(half, dx)
             x -= dx
         else:
             px, pf = x, fx
             x = math.nan  # no falling slope, or past the Newton cap: bisect
 
-    h = rootsolve.bisect({lo: flo, hi: fhi}.__getitem__, lo, hi,
-                         CORNER_WIDTH_ULPS * ulp(hi))
+    h = rootsolve.bisect({lo: flo, hi: fhi}.__getitem__, lo, hi, width * ulp(hi))
     return h, evals
 
 
@@ -235,9 +229,10 @@ def _poly_residual(loss, s, wealth, dA, dB):
     return fd, c0, ((c3 + c2) + c1) + c0, c1
 
 
-def _projected_residual(loss, s, wealth, gg, bb, eta, dA, dB):
+def _projected_residual(loss, f1, s, wealth, gg, bb, eta, dA, dB):
     """loss + W (dq - h q s) / (1 + (h-1) q) and its slope, with dq(h) and
-    its slope from _projected_dq."""
+    its slope from _projected_dq. Returns fd, the residual at 0 and at 1
+    (loss and the round's f1) and no slope at 0, as _poly_residual does."""
     def fd(h):
         d, dd = _projected_dq(h, gg, s, bb, eta, dA, dB)
         q = s + d
@@ -246,7 +241,7 @@ def _projected_residual(loss, s, wealth, gg, bb, eta, dA, dB):
         slope = (dd - q * s - h * s * dd) * den - num * (q + (h - 1.0) * dd)
         return loss + wealth * (num / den), wealth * slope / (den * den)
 
-    return fd
+    return fd, loss, f1, None
 
 
 class _CwCorner:
@@ -255,8 +250,11 @@ class _CwCorner:
     gsq, inv_eta, ag, small) sets K, the cubics' coefficients, in one product
     (small is None when every coordinate is small; s = g beta); fd(h) ->
     (loss + sum_i W_i N_i / D_i, its slope) is a (2d, 4) @ (4, 2) product with
-    the powers of h, a complex division and W times the quotients' real and
-    imaginary parts, one (d,) @ (d, 2) product. N + i EPS N' over D + i EPS D'
+    the powers of h (stored through a memoryview, at half the cost of numpy's
+    item assignment), a complex division and the quotients' real and
+    imaginary parts times W, one (2, d) @ (d,) product; each product is the
+    ndarray.dot method, as np.dot's dispatch costs about as much as the
+    product itself. N + i EPS N' over D + i EPS D'
     (EPS = 2^-600) is N / D + i EPS (N' - (N / D) D') / D, as EPS^2 terms
     underflow (numpy takes the real part as N * (1 / D), float noise off N /
     D). den_at(h) is the D_i(h) = 1 + (h-1) <g, beta_next(h)>_i by which a
@@ -270,14 +268,14 @@ class _CwCorner:
         _, row_s, row_es, row_cs, _, _, _, row_e = basis
         linear, squares = basis[1:4], basis[4:7]
         K, powers, pairs = np.empty((8, d)), np.zeros((4, 2)), np.empty((2 * d, 2))
-        KT, p = K.reshape(4, 2 * d).T, powers.reshape(8)  # KT row i: N_i's, row d + i: D_i's
+        KT, p = K.reshape(4, 2 * d).T, memoryview(powers.reshape(8))  # KT row i: N_i, d + i: D_i
         eps = 2.0 ** -600
         powers[0, 0], powers[1, 1] = 1.0, eps  # row k: h^k and EPS times its slope
         nd = pairs.view(np.complex128).reshape(2 * d)  # N_i + i EPS N_i', then the D_i
         num, den, den_real = nd[:d], nd[d:], pairs[d:, 0]
         q = np.empty(d, np.complex128)
-        q_pairs, given = q.view(np.float64).reshape(d, 2), [0.0, None]  # loss, wealth
-        dot, divide, multiply = np.dot, np.divide, np.multiply
+        q_pairs, given = q.view(np.float64).reshape(d, 2).T, [0.0, None]  # loss, wealth
+        coeffs_dot, kt_dot, divide, multiply = _CW_COEFFS.dot, KT.dot, np.divide, np.multiply
         eps2, eps3, scale = 2.0 * eps, 3.0 * eps, 1.0 / eps
 
         def build(loss_value, wealth, g, beta, gsq, inv_eta, ag, small):
@@ -288,7 +286,7 @@ class _CwCorner:
                 multiply(np.where(small, 0.0, (2.0 * SHRINK_GAIN) * ag) / inv_eta, s, row_cs)
             multiply(e, s, row_es)
             multiply(linear, s, squares)
-            dot(_CW_COEFFS, basis, K)
+            coeffs_dot(basis, K)
             if small is not None:
                 basis[3::3] = 0.0
             given[0], given[1] = loss_value, wealth
@@ -296,21 +294,45 @@ class _CwCorner:
         def fd(h):
             hh = h * h
             p[2], p[4], p[5], p[6], p[7] = h, hh, eps2 * h, hh * h, eps3 * hh
-            dot(KT, powers, pairs)
+            kt_dot(powers, pairs)
             divide(num, den, q)
-            value, slope = dot(given[1], q_pairs).tolist()  # sum_i W_i q_i, real and imaginary
+            value, slope = q_pairs.dot(given[1]).tolist()  # sum_i W_i q_i, real and imaginary
             return given[0] + value, slope * scale
 
         def den_at(h):
             hh = h * h
             p[2], p[4], p[6] = h, hh, hh * h  # the slope column is not read
-            dot(KT, powers, pairs)
+            kt_dot(powers, pairs)
             return den_real
 
         self.d, self.build, self.fd, self.den_at = d, build, fd, den_at
 
     def __reduce__(self):
         return _CwCorner, (self.d,)
+
+
+def _held_by(name):
+    """A property over the attribute name; assigning it drops the held iterate.
+    It sets by setattr: vars() would leave every attribute slower to read."""
+    def assign(self, value):
+        setattr(self, name, value)
+        self._held = None
+
+    return property(attrgetter(name), assign)
+
+
+class _Factor:
+    """A round's scalar factor: a 0-d array (numpy multiplies by it faster than
+    by a float), set through a memoryview at a third of array[()] = x's cost."""
+
+    __slots__ = ("array", "view")
+
+    def __init__(self):
+        self.array = np.zeros(())
+        self.view = memoryview(self.array)
+
+    def __reduce__(self):
+        return _Factor, ()
 
 
 class _Coin:
@@ -329,16 +351,11 @@ class _Coin:
         self.beta = np.zeros(self.dim)
         self.wealth = 1.0
         self.inv_eta = self.inv_eta0
-        self.t = 0
-        self.corner_rounds = 0
-        self.residual_evals = 0
-        self.grad_norm_warnings = 0
+        self.t = self.corner_rounds = self.residual_evals = self.grad_norm_warnings = 0
         self.trace_cb = trace_cb
-        # (key, wealth, iterate, total wealth) of the last returned iterate
-        self._held = (None, None, None, None)
-        # a round's scalar factor: numpy multiplies an array by a 0-d array
-        # faster than by a float, which it converts on every call
-        self._c = np.zeros(())
+        self._factor = _Factor()
+
+    wealth = _held_by("_wealth")
 
     def _excess(self, nrm):
         """Whether a gradient of norm nrm must be renormalised: float excess
@@ -350,25 +367,21 @@ class _Coin:
             return True
         return False
 
-    def _stay(self, loss_value, g, evals, key):
-        """A round that does not move (h = 0); returns the held iterate, key
-        being the array the iterate is built from (u, or cw's beta)."""
-        wealth, held = self.wealth, self._held
-        if held[0] is key and held[1] is wealth:
-            w = held[2]
-        else:
-            w = self.predict()
-            held = self._held = (key, wealth, w, None)
+    def _stay(self, loss_value, g, evals):
+        """A round that does not move (h = 0); returns the held iterate."""
+        held = self._held
+        if held is None:
+            held = self._held = (self.predict(), None)
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
         if self.trace_cb is not None:
-            total = float(np.add.reduce(wealth)) if held[3] is None else held[3]
+            w, total = held
+            total = float(np.add.reduce(self._wealth)) if total is None else total
             beta = self.beta
-            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta,
-                                    total, total))
-        return w
+            self.trace_cb(StepTrace(self.t, w, g, loss_value, 0.0, w, beta, beta, total, total))
+        return held[0]
 
 
 class _BettingCoin(_Coin):
@@ -385,22 +398,18 @@ class _BettingCoin(_Coin):
 
     @property
     def beta(self):
-        beta = self._beta
-        if beta is None:
-            beta = self._beta = self._a * self._u
-        return beta
+        if self._beta is None:
+            self._beta = self._a * self._u
+        return self._beta
 
     @beta.setter
     def beta(self, value):
         value = np.asarray(value, dtype=np.float64)
         self._u = self._beta = value
-        self._a = 1.0
-        self._uu = float(value.dot(value))
-        self._reach = math.inf
-        self._held = (None, None, None, None)
+        self._a, self._uu, self._reach, self._held = 1.0, float(value.dot(value)), math.inf, None
 
     def predict(self):
-        return self._u * (self._a * self.wealth)
+        return self._u * (self._a * self._wealth)
 
     def step(self, loss_value, g, ex=None):
         """One round; returns w_next. ex, when given, is the example whose
@@ -408,15 +417,15 @@ class _BettingCoin(_Coin):
         arrays). Bad input, or a wealth that would overflow, raises
         ValueError before any state changes."""
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
+        if gg == 0.0:  # a zero gradient
+            return self._stay(loss_value, g, None)
         nrm = math.sqrt(gg)
-        if nrm == 0.0:  # a zero gradient
-            return self._stay(loss_value, g, None, self._u)
         if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
             nrm = 1.0
 
-        u, a, wealth, inv_eta, uu, reach, c = (self._u, self._a, self.wealth, self.inv_eta,
-                                               self._uu, self._reach, self._c)
+        u, a, wealth, inv_eta, uu, reach, projected = (
+            self._u, self._a, self._wealth, self.inv_eta, self._uu, self._reach, self._projected)
         gg = nrm * nrm
         gu = float(g.dot(u))
         s = a * gu
@@ -426,13 +435,8 @@ class _BettingCoin(_Coin):
         # [0, 1] leaves the ball, else replays the projection: while eta g.g
         # <= 1, |1 - eta inc| <= 1 and ||beta_next(h)|| <= ||beta|| + eta ||g||.
         # A norm bound below limit decides without a dot.
-        projected = self.variant == PROJECTED
-        if not projected:
-            limit = _SMALL_REACH
-        elif eta * gg <= 1.0:
-            limit = _INSIDE - eta * nrm
-        else:
-            limit = -math.inf
+        limit = (_SMALL_REACH if not projected else
+                 _INSIDE - eta * nrm if eta * gg <= 1.0 else -math.inf)
         if uu is None and reach < limit:  # ||beta|| <= reach
             bb = None
             shrinks = projects = False
@@ -451,28 +455,26 @@ class _BettingCoin(_Coin):
         h, evals = 1.0, None
         f1 = loss_value + wealth * (dq1 - (s + dq1) * s)  # den = 1 at h = 1
         if f1 < 0.0:  # the full round would cross the corner
-            if projects:
-                fd = _projected_residual(loss_value, s, wealth, gg, bb, eta, dA, dB)
-                p0, p1, slope0 = loss_value, f1, None
-            else:
-                fd, p0, p1, slope0 = _poly_residual(loss_value, s, wealth, dA, dB)
+            fd, p0, p1, slope0 = (
+                _projected_residual(loss_value, f1, s, wealth, gg, bb, eta, dA, dB) if projects
+                else _poly_residual(loss_value, s, wealth, dA, dB))
             if p1 < 0.0:  # else P, float noise off f1, puts the corner at h = 1
                 h, evals = solve_corner(fd, p0, p1, slope0)
                 if h == 0.0:  # a corner at the anchor
-                    return self._stay(loss_value, g, evals, u)
+                    return self._stay(loss_value, g, evals)
 
+        c, cv = self._factor.array, self._factor.view
         if shrinks:
-            u_next = u
-            a_next = a * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
+            u_next, a_next = u, a * (1.0 - 2.0 * SHRINK_GAIN * eta * h * nrm)
             inc = 2.0 * SHRINK_GAIN * h * nrm
         else:  # beta_next(h) = a' u': a' = a (1 - eta inc), u' = u - (eta h / a') g
             inc = 2.0 * (gg * h * (2.0 - h))
             a_next = a * (1.0 - eta * inc)
             if a_next <= _FOLD_BELOW:  # u' = a' u - eta h g, a' = 1 (also when 1/eta < 2 g.g)
-                c[()] = eta * h
+                cv[()] = eta * h
                 u_next, a_next = a_next * u - c * g, 1.0
             else:
-                c[()] = eta * h / a_next
+                cv[()] = eta * h / a_next
                 u_next = u - c * g
             if projects:
                 uu = float(u_next.dot(u_next))
@@ -492,18 +494,16 @@ class _BettingCoin(_Coin):
             u_next = u_next * a_next
             uu = float(u_next.dot(u_next))
             a_next = 1.0
-        c[()] = a_next * wealth_next
+        cv[()] = a_next * wealth_next
         w_next = u_next * c
 
         trace_cb = self.trace_cb
         if trace_cb is not None:
             held = self._held  # w before the round, unless the state was replaced
-            w = held[2] if held[0] is u and held[1] is wealth else u * (a * wealth)
+            w = u * (a * wealth) if held is None else held[0]
             beta = self.beta
         self._u, self._a, self._uu, self._reach, self._beta = u_next, a_next, uu, reach, None
-        self.wealth = wealth_next
-        self.inv_eta = inv_eta + inc
-        self._held = (u_next, wealth_next, w_next, wealth_next)
+        self._wealth, self._held, self.inv_eta = wealth_next, (w_next, wealth_next), inv_eta + inc
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
@@ -523,6 +523,7 @@ class ProjectedImplicitCoin(_BettingCoin):
 
     variant = PROJECTED
     inv_eta0 = PROJECTED_INV_ETA0
+    _projected = True
 
 
 class ImplicitCoin(_BettingCoin):
@@ -533,6 +534,7 @@ class ImplicitCoin(_BettingCoin):
 
     variant = CLOSED_FORM
     inv_eta0 = CLOSED_FORM_INV_ETA0
+    _projected = False
 
 
 class CoordinateImplicitCoin(_Coin):
@@ -555,25 +557,26 @@ class CoordinateImplicitCoin(_Coin):
         self.inv_eta = np.full(self.dim, self.inv_eta0)
         self._threshold = np.full(self.dim, SHRINK_THRESHOLD)  # compared array to array
         self._ones = np.ones(self.dim)
-        self._corner = _CwCorner(self.dim)
-        self._reach = _NO_REACH
+        self._corner, self._reach = _CwCorner(self.dim), _NO_REACH
+
+    beta = _held_by("_beta")
 
     def predict(self):
-        return self.beta * self.wealth
+        return self._beta * self._wealth
 
     def step(self, loss_value, g, ex=None):
         loss_value, g, gg = round_input(loss_value, g, ex, self._shape)
+        # g.g underflows for tiny entries, so only every entry 0 (a nan entry
+        # is nonzero) makes a zero gradient, which builds no |g|
+        if gg == 0.0 and ((ex is not None and g is ex.zero) or not np.count_nonzero(g)):
+            return self._stay(loss_value, g, None)
         if ex is not None and (g is ex.x or g is ex.neg_x):
             ag, nrm, gsq, inc = ex.abs_x, ex.abs_max, ex.sq_x, ex.twice_sq_x
-        elif gg == 0.0 and ((ex is not None and g is ex.zero) or not np.count_nonzero(g)):
-            # a zero gradient builds no |g|; g.g underflows for tiny entries,
-            # so only every entry 0 (a nan entry is nonzero) makes one
-            nrm = 0.0
         else:
             ag, gsq = np.abs(g), None
             nrm = float(ag[ag.argmax()])  # the first nan, if there is one
-        if nrm == 0.0:
-            return self._stay(loss_value, g, None, self.beta)
+        if nrm == 0.0:  # an x of zeros, whatever its cached x.x: the round reads max |g|
+            return self._stay(loss_value, g, None)
         if not nrm <= 1.0 and self._excess(nrm):
             g = g / nrm
             ag, gsq = np.abs(g), None
@@ -583,7 +586,7 @@ class CoordinateImplicitCoin(_Coin):
 
         # beta_next(h) = beta - (inc beta + h g [small]) / inv_eta, inc = 2 g^2 h (2 - h)
         # where |beta| is small, 2 gain |g| h elsewhere (small is None if all are)
-        beta, wealth, inv_eta = self.beta, self.wealth, self.inv_eta
+        beta, wealth, inv_eta, held = self._beta, self._wealth, self.inv_eta, self._held
         key_beta, key_inv_eta, r, m = self._reach
         if key_beta is beta and key_inv_eta is inv_eta and r < SHRINK_THRESHOLD:
             small, gsmall = None, g
@@ -592,15 +595,14 @@ class CoordinateImplicitCoin(_Coin):
             small = ab < self._threshold
             if np.count_nonzero(small) == self.dim:
                 small, gsmall = None, g
-                r, m = float(np.maximum.reduce(ab)), float(np.minimum.reduce(inv_eta))
+                r, m = float(ab[ab.argmax()]), float(inv_eta[inv_eta.argmin()])
                 if not m >= 1.0:  # a step could then grow |beta_i| past r + |g_i| / m
                     r = math.inf
             else:
                 gsmall = g * small
                 inc = np.where(small, inc, (2.0 * SHRINK_GAIN) * ag)
         beta_next = beta - (inc * beta + gsmall) / inv_eta
-        held = self._held  # w (the bits of beta * wealth) unless the state was replaced
-        w = held[2] if held[0] is beta and held[1] is wealth else beta * wealth
+        w = beta * wealth if held is None else held[0]  # held: the bits of beta * wealth
         wealth_next = wealth - g * w  # W (1 - g beta)
         w_next = beta_next * wealth_next
         f1 = loss_value + float(g.dot(w_next)) - float(g.dot(w))  # loss + <g, w_next - w>
@@ -610,13 +612,13 @@ class CoordinateImplicitCoin(_Coin):
             corner.build(loss_value, wealth, g, beta, gsq, inv_eta, ag, small)
             h, evals = solve_corner(corner.fd, loss_value, f1)
             if h == 0.0:  # a corner at the anchor
-                return self._stay(loss_value, g, evals, beta)
-            c = self._c
-            c[()] = 2.0 * h * (2.0 - h)
+                return self._stay(loss_value, g, evals)
+            c, cv = self._factor.array, self._factor.view
+            cv[()] = 2.0 * h * (2.0 - h)
             inc = c * gsq
             if small is not None:
                 inc = np.where(small, inc, (2.0 * SHRINK_GAIN * h) * ag)
-            c[()] = h
+            cv[()] = h
             beta_next = beta - (inc * beta + c * gsmall) / inv_eta
             wealth_next /= corner.den_at(h)
             w_next = beta_next * wealth_next
@@ -632,18 +634,16 @@ class CoordinateImplicitCoin(_Coin):
         if not checked < math.inf:
             raise ValueError(f"wealth overflows to {checked} at round {self.t + 1}")
         inv_eta_next = inv_eta + inc
-        self._held = (beta_next, wealth_next, w_next, total)
         self._reach = (_NO_REACH if small is not None else
                        (beta_next, inv_eta_next, (r + nrm / m) * _REACH_SLACK, m))
-        self.beta = beta_next
-        self.wealth = wealth_next
+        self._beta, self._wealth, self._held = beta_next, wealth_next, (w_next, total)
         self.inv_eta = inv_eta_next
         self.t += 1
         if evals is not None:
             self.corner_rounds += 1
             self.residual_evals += evals
         if trace_cb is not None:  # the total wealth before the round, if held with w
-            before = held[3] if held[2] is w and held[3] is not None else np.add.reduce(wealth)
+            before = np.add.reduce(wealth) if held is None or held[1] is None else held[1]
             trace_cb(StepTrace(self.t, w, g, loss_value, h, w_next, beta, beta_next,
                                float(before), total))
         return w_next

@@ -112,8 +112,9 @@ def bisect(f, lo: float, hi: float, tol: float):
     """Locate a sign change of f in [lo, hi] to within tol.
 
     Uses exactly ceil(log2((hi - lo) / tol)) midpoint evaluations after the
-    two endpoint evaluations. An exact root at an endpoint is returned
-    without iterating; equal signs at both endpoints are rejected.
+    two endpoint evaluations, none when hi - lo <= tol. An exact root at an
+    endpoint is returned without iterating; equal signs at both endpoints
+    are rejected.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -128,14 +129,14 @@ def bisect(f, lo: float, hi: float, tol: float):
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo!r}, f(hi)={fhi!r}")
 
-    steps = max(0, math.ceil(math.log2((hi - lo) / tol)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval at float resolution
-        fmid = f(mid)
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+    if hi - lo > tol:  # a corner solve hands over a closed bracket: no step
+        for _ in range(math.ceil(math.log2((hi - lo) / tol))):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break  # interval at float resolution
+            fmid = f(mid)
+            if (fmid > 0.0) == (flo > 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi, fhi = mid, fmid
     return 0.5 * (lo + hi)

@@ -165,6 +165,20 @@ def test_trace_wealth_rejected_for_baseline(tmp_path, libsvm_file, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_trace_wealth_for_baseline_rejected_before_the_data_is_read(tmp_path, capsys):
+    # the flag is checked before the data file is opened: a missing file is
+    # not what the error names
+    trace = tmp_path / "t.csv"
+    code = main(["run", "--algo", "sgd", "--data", str(tmp_path / "missing.libsvm"),
+                 "--format", "libsvm", "--task", "reg", "--out", str(tmp_path / "out.csv"),
+                 "--trace-wealth", str(trace)])
+    assert code == 1 and not trace.exists()
+    err = capsys.readouterr().err
+    assert "trace-wealth needs a betting learner" in err
+    assert "missing.libsvm" not in err and "FileNotFoundError" not in err
+    assert err.startswith("error: ValueError:") and err.count("\n") == 1
+
+
 def test_grid_rejected_for_parameter_free(tmp_path, libsvm_file, capsys):
     out = tmp_path / "out.csv"
     code = main(["run", "--algo", "cocob", "--data", str(libsvm_file),

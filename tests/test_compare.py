@@ -131,3 +131,57 @@ def test_an_incorrect_or_failing_change_fails(tool, tmp_path, fault, message):
     code, lines = run(tool, tmp_path, StubRunner({"parent": PARENT, "change": PARENT}, **fault))
     assert code == 1 and any(line.startswith("BOUND BROKEN") and message in line
                              for line in lines)
+
+
+class RawStubRunner(StubRunner):
+    """StubRunner whose runs also print rounds_per_s and setup_s before the
+    speed correction, as bench/run.py does: raw[tree][k] for run k."""
+
+    def __init__(self, rounds, raw):
+        super().__init__(rounds)
+        self.raw = raw
+
+    def __call__(self, tree, argv):
+        side = os.path.basename(tree)
+        k = sum(t == tree for t, _ in self.calls)
+        out = super().__call__(tree, argv)
+        return (f"# rounds_per_s before the speed correction: {self.raw[side][k]}\n"
+                f"# setup_s before the speed correction: 0.02\n" + out)
+
+
+def test_the_uncorrected_figures_are_reported_beside_the_scaled_ones(tool, tmp_path):
+    # scaled: a clear 5% gain; raw: the change wins 7 pairs and reads 2% faster
+    raw_parent = [200.0 + k for k in range(10)]
+    raw_change = [p * 1.02 for p in raw_parent]
+    for k in (1, 4, 7):  # the change loses these pairs before the correction
+        raw_change[k] = raw_parent[k] - 1.0
+    runner = RawStubRunner({"parent": PARENT, "change": [p * 1.05 for p in PARENT]},
+                           {"parent": raw_parent, "change": raw_change})
+    path = tmp_path / "BENCH.json"
+    code, lines = run(tool, tmp_path, runner, "--json", str(path))
+    assert code == 0
+    line = next(line for line in lines
+                if line.startswith("rounds_per_s before the speed correction:"))
+    median_parent = (204.0 + 205.0) / 2
+    assert f"parent {median_parent:.6g}" in line and "change won 7 of 10" in line
+    raw = json.loads(path.read_text())["end_to_end"]["betting-protocol@90001"][
+        "metrics"]["rounds_per_s"]["raw"]
+    assert raw["parent_runs"] == raw_parent and raw["change_runs"] == raw_change
+    assert raw["parent_median"] == median_parent and raw["change_wins"] == 7
+    assert raw["ratio_of_medians"] == pytest.approx(raw["change_median"] / median_parent)
+    # the verdicts read the scaled figures; a metric with no raw line gets none
+    scaled = next(line for line in lines if line.startswith("rounds_per_s ("))
+    assert "change won 10 of 10" in scaled and "claim rule met" in scaled
+    assert not any(line.startswith("peak_rss_mb before") for line in lines)
+    setup = json.loads(path.read_text())["end_to_end"]["betting-protocol@90001"][
+        "metrics"]["setup_s"]["raw"]
+    assert setup["ratio_of_medians"] == 1.0 and setup["change_wins"] == 0
+
+
+def test_runs_without_raw_lines_store_no_raw_figures(tool, tmp_path):
+    path = tmp_path / "BENCH.json"
+    runner = StubRunner({"parent": PARENT, "change": PARENT})
+    code, lines = run(tool, tmp_path, runner, "--json", str(path))
+    assert code == 0 and not any("before the speed correction" in line for line in lines)
+    metrics = json.loads(path.read_text())["end_to_end"]["betting-protocol@90001"]["metrics"]
+    assert all("raw" not in m for m in metrics.values())

@@ -244,12 +244,14 @@ def same_as_reference(traces, path, after_each=lambda consumers: None):
     folds = every_fold(NoOvershootFold, WealthIdentityFold, BetaBallFold,
                        WealthLowerBoundFold)
     writer = WealthTraceWriter(path)
-    for tr in traces:
-        for fold in folds:
-            fold.update(tr)
-        writer.update(tr)
-        after_each(folds + [writer])
-    writer.close()
+    try:  # a failing check must not leave the file open for a later test to trip on
+        for tr in traces:
+            for fold in folds:
+                fold.update(tr)
+            writer.update(tr)
+            after_each(folds + [writer])
+    finally:
+        writer.close()
     refs = every_fold(ReferenceNoOvershootFold, ReferenceWealthIdentityFold,
                       ReferenceBetaBallFold, ReferenceWealthLowerBoundFold)
     reports = assert_reference_reports(folds, refs, traces)

@@ -1,20 +1,25 @@
 """Property tests: the paper's per-round invariants on arbitrary finite streams,
-and for the uncapped baselines finite output and a clean rejection of bad
-input, a gradient of the wrong shape included.
+for the uncapped baselines finite output and a clean rejection of bad
+input, a gradient of the wrong shape included, and the corner solve on
+Horner cubics with one sign change in [0, 1].
 
 Every stream has losses >= 0 and gradients inside the learner's unit ball
 (Euclidean, or max-entry for the coordinate-wise learner). Examples are
 derandomized, so every run checks the same streams.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from implicitcoin import learners
 from implicitcoin.baselines import make_algorithm
-from implicitcoin.learners import (BETA_RADIUS, CoordinateImplicitCoin, ImplicitCoin,
-                                   ProjectedImplicitCoin)
+from implicitcoin.learners import (BETA_RADIUS, CORNER_WIDTH_ULPS, CoordinateImplicitCoin,
+                                   ImplicitCoin, ProjectedImplicitCoin, solve_corner)
 
 RESIDUAL_TOL = 1e-8   # the diagnostics' no-overshoot tolerance
 BALL_SLACK = 1e-12
@@ -120,3 +125,71 @@ def test_uncapped_steps_stay_finite_and_reject_without_state_change(name, eta0, 
     assert vars(learner).keys() == state.keys()
     for k, v in vars(learner).items():
         np.testing.assert_array_equal(v, state[k])
+
+
+@st.composite
+def corner_cubics(draw):
+    """Horner coefficients (c0, c1, c2, c3) of k (r - h) q(h), q > 0 on [0, 1]
+    (q's Bernstein weights are positive), so the cubic falls through its one
+    root r in [0, 1]. Roots come near 0 (down to c0 among the subnormals, and
+    r = 0, an exact root at 0) and near 1 as well as anywhere between."""
+    where = draw(st.sampled_from(["anywhere", "near 0", "subnormal c0", "near 1"]))
+    if where == "anywhere":
+        r = draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif where == "near 1":
+        r = 1.0 - 2.0 ** -draw(st.integers(1, 50))
+    else:  # k r a lands among the subnormals for the second kind
+        r = 2.0 ** -draw(st.integers(1, 1000) if where == "near 0" else st.integers(1025, 1074))
+    m0, m1, m2 = (draw(st.floats(0.25, 4.0)) for _ in range(3))
+    k = 1.0 if where == "subnormal c0" else draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    a, b, c = m0, 2.0 * (m1 - m0), m0 - 2.0 * m1 + m2  # q = a + b h + c h^2
+    return k * r * a, k * (r * b - a), k * (r * c - b), -k * c
+
+
+def bisect_to_float_resolution(f, zero_moves_lo):
+    """Root of f on [0, 1], halved until no float lies between the ends; an
+    exact zero moves lo (the last zero of a run) or hi (the first)."""
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        lo, hi = (mid, hi) if fmid > 0.0 or (zero_moves_lo and fmid == 0.0) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(corner_cubics(), st.booleans())
+def test_corner_solve_on_horner_cubics(coeffs, sloped):
+    # the bracket is closed to CORNER_WIDTH_ULPS ulps or lo holds an exact
+    # root, h is a full-bracket bisection's (between the first and the last
+    # zero of a run of exact zeros), every point is evaluated once and
+    # neither end, and the finish is one rootsolve.bisect call
+    c0, c1, c2, c3 = coeffs
+    f1 = ((c3 + c2) + c1) + c0
+    assume(f1 < 0.0)
+    seen, calls = [], []
+
+    def value(h):
+        return ((c3 * h + c2) * h + c1) * h + c0
+
+    def fd(h):
+        seen.append(h)
+        return value(h), (3.0 * c3 * h + 2.0 * c2) * h + c1
+
+    bisect = learners.rootsolve.bisect
+
+    def counting(f, lo, hi, tol):
+        calls.append((f, lo, hi))
+        return bisect(f, lo, hi, tol)
+
+    with mock.patch.object(learners.rootsolve, "bisect", counting):
+        h, evals = solve_corner(fd, c0, f1, c1 if sloped else None)
+    [(f, lo, hi)] = calls
+    assert evals == len(seen) == len(set(seen))
+    assert 0.0 not in seen and 1.0 not in seen
+    assert value(lo) >= 0.0 > value(hi) and f(lo) == value(lo)
+    assert hi - lo <= CORNER_WIDTH_ULPS * math.ulp(hi) or value(lo) == 0.0
+    first, last = (bisect_to_float_resolution(value, False),
+                   bisect_to_float_resolution(value, True))
+    assert first - CORNER_WIDTH_ULPS * math.ulp(first) <= h
+    assert h <= last + CORNER_WIDTH_ULPS * math.ulp(last)

@@ -25,6 +25,12 @@ pairs the change won, then two verdicts:
   beats the parent's by more than the parent's interquartile range. A
   claimed gain still needs the held-out seed 90001 to confirm it.
 
+A metric whose runs also print `# <metric> before the speed correction:
+<value>` gets a second line with the same figures on those uncorrected
+values (each side's median, the ratio of the medians and the change's
+wins), stored under the metric's "raw" key; the verdicts read the corrected
+values only.
+
 With --json, the result is stored as `end_to_end["<workload>@<seed>"]`, with
 the `machine` it ran on, in the JSON file PATH; other keys of an existing
 file are kept, so several runs fill one `BENCH_*.json`. The exit code is 1
@@ -36,6 +42,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -60,11 +67,35 @@ def last_json(output):
     return json.loads(lines[-1])
 
 
+RAW_LINE = re.compile(r"^# (\S+) before the speed correction: (\S+)$", re.MULTILINE)
+
+
+def raw_figures(output):
+    """The uncorrected figures a run prints, by metric name."""
+    return {name: float(value) for name, value in RAW_LINE.findall(output)}
+
+
 def quartiles(values):
     """(q1, median, q3), linear between the sorted values."""
     if len(values) == 1:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def wins_of(spec, parent_runs, change_runs):
+    """Pairs in which the change's figure is the better one."""
+    higher = spec["better"] == "higher"
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent_runs, change_runs))
+
+
+def summarise_raw(spec, parent_runs, change_runs):
+    """Each side's median, the ratio of medians and the change's wins on
+    the figures before the speed correction."""
+    parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    return {"parent_median": parent, "change_median": change,
+            "ratio_of_medians": change / parent if parent else math.nan,
+            "change_wins": wins_of(spec, parent_runs, change_runs),
+            "parent_runs": parent_runs, "change_runs": change_runs}
 
 
 def summarise(spec, parent_runs, change_runs):
@@ -75,7 +106,7 @@ def summarise(spec, parent_runs, change_runs):
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         q1, median, q3 = quartiles(runs)
         sides[side] = {"median": median, "q1": q1, "q3": q3, "n": len(runs)}
-    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent_runs, change_runs))
+    wins = wins_of(spec, parent_runs, change_runs)
     parent, change = sides["parent"]["median"], sides["change"]["median"]
     gain = (change - parent) if higher else (parent - change)
     iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
@@ -98,17 +129,23 @@ def compare(parent, change, workload, pairs, seconds, seed, runner=run_bench, ou
         specs = json.load(fh)["end_to_end"]
     argv = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
             "--trace", "0"]
-    results = {"parent": [], "change": []}
+    results, raws = {"parent": [], "change": []}, {"parent": [], "change": []}
     for k in range(pairs):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            result = last_json(runner(parent if side == "parent" else change, argv))
+            output = runner(parent if side == "parent" else change, argv)
+            result = last_json(output)
             results[side].append(result)
+            raws[side].append(raw_figures(output))
             print(f"pair {k} {side}: correct={result['correct']} "
                   + " ".join(f"{s['name']}={result['metrics'][s['name']]['value']:.6g}"
                              for s in specs), file=out)
     metrics = {s["name"]: summarise(s, *[[r["metrics"][s["name"]]["value"] for r in results[side]]
                                          for side in ("parent", "change")])
                for s in specs}
+    for s in specs:
+        runs = [[raw.get(s["name"]) for raw in raws[side]] for side in ("parent", "change")]
+        if all(v is not None for side_runs in runs for v in side_runs):
+            metrics[s["name"]]["raw"] = summarise_raw(s, *runs)
     share = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
              for side, rs in results.items()}
     return {
@@ -145,6 +182,11 @@ def report(comparison, out=None):
               f"{'within' if m['within_bound'] else 'PAST'} bound"
               f"{'' if m['resolved'] else ' (unresolved: parent spread wider than the bound)'}"
               f"; claim rule {'met' if m['claim_rule_met'] else 'not met'}", file=out)
+        raw = m.get("raw")
+        if raw is not None:
+            print(f"{name} before the speed correction: parent {raw['parent_median']:.6g}, "
+                  f"change {raw['change_median']:.6g}, ratio {raw['ratio_of_medians']:.4f}, "
+                  f"change won {raw['change_wins']} of {comparison['pairs']}", file=out)
     for line in broken_bounds(comparison):
         print(f"BOUND BROKEN: {line}", file=out)
 
